@@ -225,6 +225,7 @@ def load_problem_file(path: str) -> ProblemFile:
             f,
             parse_matrix(om.get("omega1"), rows=y_dim, cols=f.dim),
             parse_matrix(om.get("omega2"), rows=u_dim, cols=f.dim),
+            tol,
         )
         return ProblemFile(None, problem, tol, seed)
     except RclkitError as exc:

@@ -154,7 +154,7 @@ def underlying_contraction(data: DataSet, tol: Tolerances | None = None) -> Inte
     nrm = spectral_norm(omega)
     if nrm > 1.0 + tol.contraction_slack:
         raise IllPosedData(f"underlying operator has norm {nrm:.17g}; data set is inconsistent")
-    return InterpProblem(u_dim, y_dim, f, omega[:y_dim, :], omega[y_dim:, :])
+    return InterpProblem(u_dim, y_dim, f, omega[:y_dim, :], omega[y_dim:, :], tol)
 
 
 def preset_relaxed_rq(n: int, v_dim: int) -> tuple[CMatrix, CMatrix]:

@@ -21,7 +21,7 @@ and produces an explicit second solution whenever it is not.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,16 +48,14 @@ from .series import MatrixSeries
 #: Solutions are carried around as truncated Taylor series.
 TaylorSeries = MatrixSeries
 
-#: Norm slack accepted when validating the stacked contraction.
-DEFAULT_SLACK = 1e-10
-
-
 @dataclass(frozen=True)
 class InterpProblem:
     """The contraction ``[w1; w2] : F -> Y (+) U`` with ``F`` inside ``U``.
 
     ``omega1`` (y_dim x dim F) and ``omega2`` (u_dim x dim F) act on
     F-coordinates; ``F.basis`` embeds those coordinates into ``C^u_dim``.
+    The stacked norm may exceed 1 by at most ``tol.contraction_slack``
+    (default tolerances when ``tol`` is None).
     """
 
     u_dim: int
@@ -65,6 +63,7 @@ class InterpProblem:
     F: SubspaceBasis
     omega1: CMatrix
     omega2: CMatrix
+    tol: Tolerances | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.F.ambient_dim != self.u_dim:
@@ -75,7 +74,7 @@ class InterpProblem:
         object.__setattr__(self, "omega1", as_cmatrix(self.omega1, rows=self.y_dim, cols=f))
         object.__setattr__(self, "omega2", as_cmatrix(self.omega2, rows=self.u_dim, cols=f))
         nrm = spectral_norm(np.vstack([self.omega1, self.omega2]))
-        if nrm > 1.0 + DEFAULT_SLACK:
+        if nrm > 1.0 + _resolve_tol(self.tol).contraction_slack:
             raise NotAContraction(f"stacked operator norm {nrm:.17g} exceeds 1 + slack")
 
     @property
@@ -300,18 +299,19 @@ def second_solution_witness(
     d_dim, g_dim = realization.defect_dim, realization.complement_dim
     if d_dim == 0 or g_dim == 0:
         raise InternalContradiction("non-unique problem produced a degenerate solution family")
-    central = central_taylor(problem, order)
+    central = np.stack(central_taylor(problem, order).coeffs)
     threshold = 10.0 * tol.identity_tol
 
     def assess(param: CMatrix) -> SecondSolution | None:
         candidate = redheffer.lft_solution(
             realization, redheffer.SchurParameter.constant(param), order
         )
-        gaps = [spectral_norm(candidate.coeffs[n] - central.coeffs[n]) for n in range(order + 1)]
-        gap = max(gaps)
+        # one batched SVD over all orders; y and u are at least 1 here
+        gaps = np.linalg.norm(np.stack(candidate.coeffs) - central, 2, axis=(1, 2))
+        gap = float(gaps.max())
         if gap <= threshold:
             return None
-        first = next(n for n, g in enumerate(gaps) if g > threshold)
+        first = int(np.argmax(gaps > threshold))
         return SecondSolution(param, candidate, first, gap)
 
     best: SecondSolution | None = None

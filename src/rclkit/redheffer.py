@@ -15,6 +15,14 @@ share one state operator ``Z``, and every solution of the problem arises as
 for a Schur-class parameter ``V`` mapping ``G`` into the adjoint defect
 space. ``Phi22`` is exactly the central solution, so ``V = 0`` recovers it.
 
+Because the four functions share ``Z``, each ``H_V`` is itself a
+state-space system: closing the loop through a polynomial ``V`` of degree
+``m`` gives a realization with state size ``u + m dim G`` whose Taylor
+coefficients follow from one matrix recursion, O(N) small products up to
+order ``N`` (``lft_solution``). For constant ``V`` it reads
+``h_n = (w1 P_F + D*_Y V P_G)(Z + D*_U V P_G)^n``. No truncated series
+product or inverse is needed; ``phi_taylor`` serves the audits.
+
 The stacked multiplication/coefficient operator built from the four
 functions is a co-isometry; because block row ``i`` of its truncation only
 involves coefficients ``0..i``, each entry of the truncated row Gram is a
@@ -46,7 +54,6 @@ from .opcore import (
     defect,
     spectral_norm,
 )
-from . import series
 from .series import MatrixSeries
 
 
@@ -283,20 +290,53 @@ def lft_solution(
 ) -> MatrixSeries:
     """Taylor coefficients of the solution generated by a free parameter.
 
-    The inversion is well defined because ``Phi11`` vanishes at 0, making
-    the constant term of ``I - Phi11 V`` the identity.
+    ``H_V`` is the transfer function of a closed loop: the state ``x`` of
+    the shared realization feeds ``g = P_G x`` through ``V`` back into the
+    adjoint defect channel, ``e_n = sum_k V_k g_{n-k}``, so that
+    ``x_{n+1} = Z x_n + D*_U e_n`` and ``h_n = w1 P_F x_n + D*_Y e_n``.
+    For ``V = V_0 + ... + V_m lam^m`` the stacked state
+    ``[x; g_{n-1}; ...; g_{n-m}]`` has size ``u + m dim G``, and
+    ``h_n = (C A^n)[:, :u]`` with
+
+        ``A = [[Z + D*_U V_0 P_G, D*_U V_1, ..., D*_U V_m],
+               [P_G,              0,        ...,  0      ],
+               [0,                I,        ...,  0      ], ...]``
+        ``C =  [w1 P_F + D*_Y V_0 P_G, D*_Y V_1, ..., D*_Y V_m]``
+
+    (the identity blocks shift the ``g`` register down). The rows of
+    ``C A^n`` are iterated as in ``interp.central_taylor``: one small matrix
+    product per order, with no series product and no series inverse. The
+    loop is well posed for every parameter because ``Phi11`` vanishes at 0;
+    ``V = 0`` gives back the central solution.
     """
     if (parameter.out_dim, parameter.in_dim) != (realization.defect_dim, realization.complement_dim):
         raise DimensionMismatch(
             f"parameter is {parameter.out_dim}x{parameter.in_dim}, expected "
             f"{realization.defect_dim}x{realization.complement_dim}"
         )
-    phi11, phi12, phi21, phi22 = phi_taylor(realization, order)
-    v = parameter.as_series()
-    inner = series.add(
-        MatrixSeries.identity(realization.complement_dim, order),
-        series.scale(series.mul(phi11, v, order), -1.0),
-        order,
-    )
-    chain = series.mul(series.mul(phi21, v, order), series.inv(inner, order), order)
-    return series.add(phi22, series.mul(chain, phi12, order), order)
+    if order < 0:
+        raise InvalidInput(f"order must be nonnegative, got {order}")
+    p = realization.problem
+    u, g_dim = p.u_dim, realization.complement_dim
+    d_y, d_u = realization._split_defect_columns()
+    p_g = realization.G.coords()
+    v0, *v_tail = parameter.coeffs
+    size = u + len(v_tail) * g_dim
+
+    a = np.zeros((size, size), dtype=np.complex128)
+    c = np.zeros((p.y_dim, size), dtype=np.complex128)
+    a[:u, :u] = realization.Z + d_u @ v0 @ p_g
+    c[:, :u] = p.output_row() + d_y @ v0 @ p_g
+    if v_tail:
+        v_rest = np.hstack(v_tail)
+        a[:u, u:] = d_u @ v_rest
+        c[:, u:] = d_y @ v_rest
+        a[u:u + g_dim, :u] = p_g
+        a[u + g_dim:, u:size - g_dim] = np.eye(size - u - g_dim)
+
+    row = c
+    coeffs = [row[:, :u]]
+    for _ in range(order):
+        row = row @ a
+        coeffs.append(row[:, :u])
+    return MatrixSeries(tuple(coeffs), p.y_dim, u)

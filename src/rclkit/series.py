@@ -3,6 +3,11 @@
 Coefficients are exact for the truncated algebra: no approximation enters
 beyond floating-point roundoff. Truncation orders are explicit arguments
 everywhere, never ambient state.
+
+``MatrixSeries`` is the container every module returns. The arithmetic
+below (Cauchy products and inverses cost O(N^2) products to order ``N``)
+is a reference: the library itself generates solutions by state-space
+recursions, and the tests use these functions as an independent oracle.
 """
 
 from __future__ import annotations

@@ -244,3 +244,32 @@ class TestToleranceOverrides:
         path.write_text(json.dumps(doc))
         code, _, _ = run(capsys, "validate", str(path))
         assert code == EXIT_OK  # classical construction is exact to roundoff
+
+    @staticmethod
+    def _slightly_expansive_file(tmp_path, tolerances=None):
+        """Direct-form file whose stacked operator has norm ``1 + 1e-8``."""
+        rng = np.random.default_rng(20081)
+        u, y, f = 6, 2, 3
+        stacked = rng.standard_normal((y + u, f)) + 1j * rng.standard_normal((y + u, f))
+        stacked *= (1.0 + 1e-8) / np.linalg.norm(stacked, 2)
+        basis, _ = np.linalg.qr(rng.standard_normal((u, f)) + 1j * rng.standard_normal((u, f)))
+        doc = {"omega": {
+            "u_dim": u, "y_dim": y, "F_basis": matrix_to_json(basis),
+            "omega1": matrix_to_json(stacked[:y]), "omega2": matrix_to_json(stacked[y:]),
+        }}
+        if tolerances is not None:
+            doc["tolerances"] = tolerances
+        path = tmp_path / "slack.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_file_contraction_slack_admits_direct_form_norm(self, capsys, tmp_path):
+        path = self._slightly_expansive_file(tmp_path, {"contraction_slack": 1e-6})
+        code, out, _ = run(capsys, "unique", path)
+        assert code == EXIT_OK
+        assert json.loads(out)["verdict"] == "not_unique"
+
+    def test_default_contraction_slack_rejects_direct_form_norm(self, capsys, tmp_path):
+        path = self._slightly_expansive_file(tmp_path)
+        code, _, err = run(capsys, "unique", path)
+        assert code == EXIT_PARSE and "exceeds 1 + slack" in err

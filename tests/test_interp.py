@@ -19,7 +19,7 @@ from rclkit.interp import (
     second_solution_witness,
     uniqueness,
 )
-from rclkit.opcore import SubspaceBasis, psd_order_leq, spectral_norm
+from rclkit.opcore import SubspaceBasis, Tolerances, psd_order_leq, spectral_norm
 from rclkit.series import MatrixSeries
 
 
@@ -28,6 +28,14 @@ class TestProblemConstruction:
         basis = SubspaceBasis(1, np.eye(1, dtype=complex))
         with pytest.raises(NotAContraction):
             InterpProblem(1, 1, basis, np.array([[1.0]]), np.array([[1.0]]))
+
+    def test_contraction_slack_comes_from_tolerances(self):
+        basis = SubspaceBasis(1, np.eye(1, dtype=complex))
+        omega1, omega2 = np.array([[1.0 + 1e-8]]), np.zeros((1, 1))
+        with pytest.raises(NotAContraction):
+            InterpProblem(1, 1, basis, omega1, omega2)
+        p = InterpProblem(1, 1, basis, omega1, omega2, Tolerances(contraction_slack=1e-6))
+        assert p == InterpProblem(1, 1, basis, omega1, omega2, Tolerances(contraction_slack=1e-7))
 
     def test_empty_domain_is_legal(self):
         p = random_problem(np.random.default_rng(0), f_dim=0, u_dim=3, y_dim=2)

@@ -8,10 +8,12 @@ from helpers import (
     random_complex,
     random_problem,
 )
-from rclkit.errors import AuditFailure, DimensionMismatch, InvalidParameter, OutOfDisc
+from rclkit import series
+from rclkit.errors import AuditFailure, DimensionMismatch, InvalidInput, InvalidParameter, OutOfDisc
 from rclkit.interp import central_taylor, is_solution
 from rclkit.opcore import spectral_norm
 from rclkit.redheffer import (
+    RedhefferRealization,
     SchurParameter,
     coefficient_matrix_audit,
     coefficient_matrix_unitary_gap,
@@ -20,6 +22,7 @@ from rclkit.redheffer import (
     phi_taylor,
     realize,
 )
+from rclkit.series import MatrixSeries
 
 
 class TestRealize:
@@ -224,6 +227,77 @@ class TestLftSolution:
         r = realize(backward_shift_problem(5))
         with pytest.raises(DimensionMismatch):
             lft_solution(r, SchurParameter.constant(np.zeros((1, 7))), 4)
+
+
+def series_lft(realization: RedhefferRealization, parameter: SchurParameter, order: int) -> MatrixSeries:
+    """Reference ``Phi22 + Phi21 V (I - Phi11 V)^{-1} Phi12`` in truncated series arithmetic."""
+    phi11, phi12, phi21, phi22 = phi_taylor(realization, order)
+    v = parameter.as_series()
+    inner = series.add(
+        MatrixSeries.identity(realization.complement_dim, order),
+        series.scale(series.mul(phi11, v, order), -1.0),
+        order,
+    )
+    chain = series.mul(series.mul(phi21, v, order), series.inv(inner, order), order)
+    return series.add(phi22, series.mul(chain, phi12, order), order)
+
+
+def random_schur_parameter(rng, realization: RedhefferRealization, degree: int) -> SchurParameter:
+    """Polynomial parameter whose coefficient norms sum to 0.9, so it is Schur class."""
+    coeffs = [random_complex(rng, realization.defect_dim, realization.complement_dim)
+              for _ in range(degree + 1)]
+    total = sum(spectral_norm(c) for c in coeffs)
+    return SchurParameter(tuple(0.9 * c / total if total > 0 else c for c in coeffs))
+
+
+ORACLE_REGIMES = {
+    "generic": lambda rng: random_problem(rng, u_dim=6, y_dim=2, f_dim=3),
+    "no_output": lambda rng: random_problem(rng, u_dim=5, y_dim=0, f_dim=2),
+    "full_domain": lambda rng: random_problem(rng, u_dim=5, y_dim=2, f_dim=5),
+    "empty_domain": lambda rng: random_problem(rng, u_dim=4, y_dim=2, f_dim=0),
+    "zero_adjoint_defect": coisometric_problem,
+}
+
+
+class TestLftOracle:
+    """The closed-loop recursion against series arithmetic on the four ``Phi``s."""
+
+    @pytest.mark.parametrize("degree", range(4))
+    @pytest.mark.parametrize("regime", sorted(ORACLE_REGIMES))
+    def test_matches_series_lft(self, regime, degree):
+        rng = np.random.default_rng(90 + 10 * degree + sorted(ORACLE_REGIMES).index(regime))
+        r = realize(ORACLE_REGIMES[regime](rng))
+        self.assert_matches_series_lft(r, random_schur_parameter(rng, r, degree), 64)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_series_lft_on_random_problems(self, seed):
+        rng = np.random.default_rng(110 + seed)
+        r = realize(random_problem(rng))
+        self.assert_matches_series_lft(r, random_schur_parameter(rng, r, seed % 4), 80)
+
+    @staticmethod
+    def assert_matches_series_lft(r, v, order):
+        fast, reference = lft_solution(r, v, order), series_lft(r, v, order)
+        assert fast.order == order
+        assert (fast.out_dim, fast.in_dim) == (reference.out_dim, reference.in_dim)
+        for n in range(order + 1):
+            assert np.max(np.abs(fast.coeff(n) - reference.coeff(n)), initial=0.0) <= 1e-13
+
+    def test_uses_no_series_products_or_inverses(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lft_solution must not use series arithmetic")
+
+        monkeypatch.setattr(series, "mul", forbidden)
+        monkeypatch.setattr(series, "inv", forbidden)
+        rng = np.random.default_rng(120)
+        r = realize(random_problem(rng, u_dim=6, y_dim=2, f_dim=3))
+        h = lft_solution(r, random_schur_parameter(rng, r, 2), 64)
+        assert h.order == 64
+
+    def test_negative_order_rejected(self):
+        r = realize(backward_shift_problem(4))
+        with pytest.raises(InvalidInput):
+            lft_solution(r, SchurParameter.constant(np.zeros((r.defect_dim, r.complement_dim))), -1)
 
 
 def test_negative_control_breaks_the_audit():
