@@ -37,7 +37,6 @@ from .interp import (
     InterpProblem,
     SecondSolution,
     SolutionReport,
-    TaylorSeries,
     UniquenessKind,
     UniquenessVerdict,
     central_coefficients_coisometric,

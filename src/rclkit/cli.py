@@ -284,7 +284,7 @@ def cmd_unique(pf: ProblemFile, args) -> tuple[int, dict]:
     return EXIT_OK, payload
 
 
-def _load_parameter(path: str) -> redheffer.SchurParameter:
+def _load_parameter(path: str, tol: Tolerances) -> redheffer.SchurParameter:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -295,12 +295,12 @@ def _load_parameter(path: str) -> redheffer.SchurParameter:
     if not doc["coeffs"]:
         raise ParseFailure("parameter file needs at least one coefficient")
     mats = [parse_matrix(c) for c in doc["coeffs"]]
-    return redheffer.SchurParameter(tuple(mats))
+    return redheffer.SchurParameter(tuple(mats), tol)
 
 
 def cmd_solve(pf: ProblemFile, args) -> tuple[int, dict]:
     realization = redheffer.realize(pf.problem(), pf.tol)
-    h = redheffer.lft_solution(realization, _load_parameter(args.param), args.order)
+    h = redheffer.lft_solution(realization, _load_parameter(args.param, pf.tol), args.order)
     return EXIT_OK, series_to_json(h)
 
 

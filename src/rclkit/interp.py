@@ -14,8 +14,9 @@ checks. The distinguished solution
     ``H_c(lam) = w1 P_F (I - lam w2 P_F)^{-1}``
 
 (``P_F`` the projection of ``U`` onto ``F``) always exists; this module
-computes its Taylor coefficients, decides whether it is the only solution,
-and produces an explicit second solution whenever it is not.
+computes its Taylor coefficients (the ``sysco.orbit`` of ``w1 P_F`` under
+``w2 P_F``), decides whether it is the only solution, and produces an
+explicit second solution whenever it is not.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ from .opcore import (
     as_cmatrix,
     is_coisometry,
     orthocomplement,
-    psd_order_leq,
     spectral_norm,
 )
 from .series import MatrixSeries
+from .sysco import orbit
 
-#: Solutions are carried around as truncated Taylor series.
-TaylorSeries = MatrixSeries
 
 @dataclass(frozen=True)
 class InterpProblem:
@@ -102,16 +101,9 @@ class InterpProblem:
 def central_taylor(problem: InterpProblem, order: int) -> MatrixSeries:
     """Taylor coefficients ``h_n = w1 P_F (w2 P_F)^n`` of the central solution.
 
-    Computed by iterated multiplication; no matrix inversion is involved.
+    The orbit of ``w1 P_F`` under ``w2 P_F``; no matrix inversion is involved.
     """
-    if order < 0:
-        raise InvalidInput(f"order must be nonnegative, got {order}")
-    z = problem.state_operator()
-    row = problem.output_row()
-    coeffs = [row]
-    for _ in range(order):
-        row = row @ z
-        coeffs.append(row)
+    coeffs = orbit(problem.output_row(), problem.state_operator(), order)
     return MatrixSeries(tuple(coeffs), problem.y_dim, problem.u_dim)
 
 
@@ -159,13 +151,12 @@ def is_solution(problem: InterpProblem, H: MatrixSeries, tol: Tolerances | None 
     gram = np.zeros((problem.u_dim, problem.u_dim), dtype=np.complex128)
     for c in H.coeffs:
         gram += adjoint(c) @ c
-    ball_ok = psd_order_leq(gram, np.eye(problem.u_dim), tol)
     if problem.u_dim:
         excess = max(0.0, float(np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)[-1]) - 1.0)
     else:
         excess = 0.0
     interp_ok = all(r <= tol.identity_tol for r in residuals)
-    return SolutionReport(interp_ok, ball_ok, tuple(residuals), excess)
+    return SolutionReport(interp_ok, excess <= tol.identity_tol, tuple(residuals), excess)
 
 
 class UniquenessKind(enum.Enum):
@@ -216,11 +207,9 @@ def uniqueness(problem: InterpProblem, tol: Tolerances | None = None) -> Uniquen
     if problem.y_dim == 0:
         return UniquenessVerdict(UniquenessKind.COISOMETRIC_CHAIN)
     step = problem.F.coords() @ problem.omega2  # P_F w2 on F-coordinates
-    chain = problem.omega1
-    for n in range(scan_bound(problem) + 1):
+    for n, chain in enumerate(orbit(problem.omega1, step, scan_bound(problem))):
         if not is_coisometry(chain, tol):
             return UniquenessVerdict(UniquenessKind.NOT_UNIQUE, failing_n=n)
-        chain = chain @ step
     raise InternalContradiction(
         "co-isometry chain survived past its guaranteed failure bound; identity_tol is too loose"
     )
@@ -229,7 +218,8 @@ def uniqueness(problem: InterpProblem, tol: Tolerances | None = None) -> Uniquen
 def central_coefficients_coisometric(problem: InterpProblem, order: int, tol: Tolerances | None = None) -> bool:
     """Whether the stacked-coefficient operator of the central solution is a co-isometry.
 
-    Checks ``h_i h_j* = delta_ij I_Y`` for all ``0 <= i, j <= order``; the
+    Checks ``h_i h_j* = delta_ij I_Y`` for all ``0 <= i, j <= order`` at once,
+    as the co-isometry deficiency of the stacked coefficients; the
     caller must supply ``order >= floor(dim F / max(1, y_dim)) + 1`` so that
     a failure cannot hide beyond the truncation.
     """
@@ -237,16 +227,7 @@ def central_coefficients_coisometric(problem: InterpProblem, order: int, tol: To
     needed = problem.f_dim // max(1, problem.y_dim) + 1
     if order < needed:
         raise InvalidInput(f"order {order} is below the decisive bound {needed}")
-    if problem.y_dim == 0:
-        return True
-    coeffs = central_taylor(problem, order).coeffs
-    eye = np.eye(problem.y_dim)
-    for i, ci in enumerate(coeffs):
-        for j, cj in enumerate(coeffs):
-            target = eye if i == j else 0.0
-            if spectral_norm(ci @ adjoint(cj) - target) > tol.identity_tol:
-                return False
-    return True
+    return is_coisometry(np.vstack(central_taylor(problem, order).coeffs), tol)
 
 
 @dataclass(frozen=True)
@@ -304,7 +285,7 @@ def second_solution_witness(
 
     def assess(param: CMatrix) -> SecondSolution | None:
         candidate = redheffer.lft_solution(
-            realization, redheffer.SchurParameter.constant(param), order
+            realization, redheffer.SchurParameter.constant(param, tol), order
         )
         # one batched SVD over all orders; y and u are at least 1 here
         gaps = np.linalg.norm(np.stack(candidate.coeffs) - central, 2, axis=(1, 2))

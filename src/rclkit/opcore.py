@@ -94,8 +94,7 @@ class SubspaceBasis:
         k = basis.shape[1]
         if k > self.ambient_dim:
             raise DimensionMismatch(f"subspace dimension {k} exceeds ambient dimension {self.ambient_dim}")
-        gram = adjoint(basis) @ basis
-        if spectral_norm(gram - np.eye(k)) > 1e-12 * max(1, self.ambient_dim):
+        if isometry_deficiency(basis) > 1e-12 * max(1, self.ambient_dim):
             raise InvalidInput("subspace basis columns are not orthonormal")
 
     @property
@@ -175,13 +174,26 @@ def defect(N, tol: Tolerances | None = None) -> tuple[CMatrix, SubspaceBasis]:
     return D, SubspaceBasis(q, vecs[:, :rank])
 
 
+#: Columns per slab of a Gram sum: no conjugate copy of a whole operator is held.
+_GRAM_SLAB = 256
+
+
 def coisometry_deficiency(M) -> float:
-    """``norm(M M* - I)``; 0 for a matrix with 0 rows (co-isometry onto {0})."""
+    """``norm(M M* - I)``; 0 for a matrix with 0 rows (co-isometry onto {0}).
+
+    ``M M*`` is summed over column slabs and the identity subtracted in
+    place; the result is Hermitian, so its eigenvalues give the norm.
+    """
     M = as_cmatrix(M)
     p = M.shape[0]
     if p == 0:
         return 0.0
-    return spectral_norm(M @ adjoint(M) - np.eye(p))
+    gram = M[:, :_GRAM_SLAB] @ adjoint(M[:, :_GRAM_SLAB])
+    for j in range(_GRAM_SLAB, M.shape[1], _GRAM_SLAB):
+        slab = M[:, j:j + _GRAM_SLAB]
+        gram += slab @ adjoint(slab)
+    gram.ravel()[:: p + 1] -= 1.0
+    return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
 
 
 def is_coisometry(M, tol: Tolerances | None = None) -> bool:
@@ -191,12 +203,9 @@ def is_coisometry(M, tol: Tolerances | None = None) -> bool:
 
 
 def isometry_deficiency(M) -> float:
-    """``norm(M* M - I)``; 0 for a matrix with 0 columns."""
-    M = as_cmatrix(M)
-    q = M.shape[1]
-    if q == 0:
-        return 0.0
-    return spectral_norm(adjoint(M) @ M - np.eye(q))
+    """``norm(M* M - I)``; 0 for a matrix with 0 columns. ``M* M`` is the
+    conjugate of ``M^T (M^T)*``, so this is the transpose's co-isometry deficiency."""
+    return coisometry_deficiency(as_cmatrix(M).T)
 
 
 def is_isometry(M, tol: Tolerances | None = None) -> bool:

@@ -15,34 +15,24 @@ share one state operator ``Z``, and every solution of the problem arises as
 for a Schur-class parameter ``V`` mapping ``G`` into the adjoint defect
 space. ``Phi22`` is exactly the central solution, so ``V = 0`` recovers it.
 
-Because the four functions share ``Z``, each ``H_V`` is itself a
-state-space system: closing the loop through a polynomial ``V`` of degree
-``m`` gives a realization with state size ``u + m dim G`` whose Taylor
-coefficients follow from one matrix recursion, O(N) small products up to
-order ``N`` (``lft_solution``). For constant ``V`` it reads
-``h_n = (w1 P_F + D*_Y V P_G)(Z + D*_U V P_G)^n``. No truncated series
-product or inverse is needed; ``phi_taylor`` serves the audits.
-
-The stacked multiplication/coefficient operator built from the four
-functions is a co-isometry; because block row ``i`` of its truncation only
-involves coefficients ``0..i``, each entry of the truncated row Gram is a
-finite exact sum and the audit here holds to roundoff at every block count.
+Sharing ``Z``, the four functions are one ``sysco.CoisometricSystem``
+``{Z, D*_U, [P_G; w1 P_F], [0; D*_Y]}`` with transfer function
+``[Phi11; Phi21]`` and observability function ``[Phi12; Phi22]``: their
+expansions, the truncated coefficient operator and its row-Gram audit (a
+finite exact sum, so roundoff at every block count) are that system's.
+Each ``H_V`` is a system too: closing the loop through a polynomial ``V``
+of degree ``m`` gives state size ``u + m dim G`` and coefficients in O(N)
+small products (``lft_solution``); for constant ``V``,
+``h_n = (w1 P_F + D*_Y V P_G)(Z + D*_U V P_G)^n``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AuditFailure,
-    DimensionMismatch,
-    InternalContradiction,
-    InvalidInput,
-    InvalidParameter,
-    OutOfDisc,
-)
+from .errors import DimensionMismatch, InternalContradiction, InvalidParameter, OutOfDisc
 from .interp import InterpProblem
 from .opcore import (
     CMatrix,
@@ -52,9 +42,19 @@ from .opcore import (
     adjoint,
     as_cmatrix,
     defect,
+    isometry_deficiency,
     spectral_norm,
 )
 from .series import MatrixSeries
+from .sysco import (
+    CoisometricSystem,
+    coisometry_gap,
+    gram_identity_audit,
+    observability_taylor,
+    orbit,
+    stacked_operator,
+    transfer_taylor,
+)
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,15 @@ class RedhefferRealization:
     Dstar: CMatrix                  # (y+u) x (y+u)
     DstarSpace: SubspaceBasis       # inside C^(y+u)
     G: SubspaceBasis                # complement of F inside C^u
+    #: ``{Z, D*_U, [P_G; w1 P_F], [0; D*_Y]}``: transfer function
+    #: ``[Phi11; Phi21]``, observability function ``[Phi12; Phi22]``.
+    system: CoisometricSystem = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        d_y, d_u = self._split_defect_columns()
+        output = np.vstack([self.G.coords(), self.problem.output_row()])
+        feedthrough = np.vstack([np.zeros((self.complement_dim, self.defect_dim), dtype=np.complex128), d_y])
+        object.__setattr__(self, "system", CoisometricSystem(self.Z, d_u, output, feedthrough, validate=False))
 
     @property
     def defect_dim(self) -> int:
@@ -93,21 +102,14 @@ class RedhefferRealization:
 def realize(problem: InterpProblem, tol: Tolerances | None = None) -> RedhefferRealization:
     """Build the shared realization and audit its defining block identity.
 
-    The block matrix ``[[w P_F, D*], [P_G, 0]]`` from ``U (+) defect`` into
-    ``(Y (+) U) (+) G`` must be a co-isometry; a deviation beyond
+    The block matrix ``[[Z, D*_U], [P_G, 0], [w1 P_F, D*_Y]]`` of
+    ``realization.system`` must be a co-isometry; a deviation beyond
     ``identity_tol`` means the realization is internally inconsistent.
     """
     tol = _resolve_tol(tol)
-    w_hat = problem.omega @ problem.F.coords()             # (y+u) x u
     dstar, dspace = defect(adjoint(problem.omega), tol)    # defect of the adjoint
-    g = problem.complement()
-    realization = RedhefferRealization(problem, problem.state_operator(), dstar, dspace, g)
-
-    d_cols = realization.defect_columns()
-    top = np.hstack([w_hat, d_cols])
-    bottom = np.hstack([g.coords(), np.zeros((g.dim, dspace.dim), dtype=np.complex128)])
-    block = np.vstack([top, bottom])
-    deviation = spectral_norm(block @ adjoint(block) - np.eye(block.shape[0]))
+    realization = RedhefferRealization(problem, problem.state_operator(), dstar, dspace, problem.complement())
+    deviation = coisometry_gap(realization.system)
     if deviation > tol.identity_tol:
         raise InternalContradiction(
             f"realization block identity deviates by {deviation:.3e} (tol {tol.identity_tol:.1e})"
@@ -140,57 +142,30 @@ def phi_eval(realization: RedhefferRealization, lam: complex):
     return phi11, phi12, phi21, phi22
 
 
+def _split_rows(series: MatrixSeries, rows: int) -> tuple[MatrixSeries, MatrixSeries]:
+    top = MatrixSeries(tuple(c[:rows] for c in series.coeffs), rows, series.in_dim)
+    bottom = MatrixSeries(tuple(c[rows:] for c in series.coeffs), series.out_dim - rows, series.in_dim)
+    return top, bottom
+
+
 def phi_taylor(realization: RedhefferRealization, order: int):
     """Taylor coefficients of the four functions to the given order.
 
-    The expansions follow the geometric series of the shared resolvent:
-    the ``Phi22`` coefficients reproduce the central solution exactly, and
-    ``Phi11`` has zero constant term.
+    The transfer coefficients of ``realization.system`` split into
+    ``Phi11`` over ``Phi21``, its observability coefficients into ``Phi12``
+    over ``Phi22``: the ``Phi22`` coefficients are the central solution's,
+    and ``Phi11`` has zero constant term.
     """
-    if order < 0:
-        raise InvalidInput(f"order must be nonnegative, got {order}")
-    p = realization.problem
-    z = realization.Z
-    d_y, d_u = realization._split_defect_columns()
-    d_dim, g_dim = realization.defect_dim, realization.complement_dim
-
-    g_rows = [realization.G.coords()]
-    out_rows = [p.output_row()]
-    for _ in range(order):
-        g_rows.append(g_rows[-1] @ z)
-        out_rows.append(out_rows[-1] @ z)
-
-    c11 = [np.zeros((g_dim, d_dim), dtype=np.complex128)]
-    c21 = [d_y]
-    for n in range(1, order + 1):
-        c11.append(g_rows[n - 1] @ d_u)
-        c21.append(out_rows[n - 1] @ d_u)
-    phi11 = MatrixSeries(tuple(c11), g_dim, d_dim)
-    phi12 = MatrixSeries(tuple(g_rows), g_dim, p.u_dim)
-    phi21 = MatrixSeries(tuple(c21), p.y_dim, d_dim)
-    phi22 = MatrixSeries(tuple(out_rows), p.y_dim, p.u_dim)
+    g = realization.complement_dim
+    phi11, phi21 = _split_rows(transfer_taylor(realization.system, order), g)
+    phi12, phi22 = _split_rows(observability_taylor(realization.system, order), g)
     return phi11, phi12, phi21, phi22
 
 
-def _stack_blocks(toeplitz: MatrixSeries, column: MatrixSeries, blocks: int) -> CMatrix:
-    """One strip ``[T_phi, Gamma_phi]`` of the truncated coefficient operator."""
-    h, wt, wc = toeplitz.out_dim, toeplitz.in_dim, column.in_dim
-    strip = np.zeros((blocks * h, blocks * wt + wc), dtype=np.complex128)
-    for i in range(blocks):
-        for k in range(i + 1):
-            strip[i * h:(i + 1) * h, k * wt:(k + 1) * wt] = toeplitz.coeff(i - k)
-        strip[i * h:(i + 1) * h, blocks * wt:] = column.coeff(i)
-    return strip
-
-
 def truncated_coefficient_matrix(realization: RedhefferRealization, blocks: int) -> CMatrix:
-    """The ``blocks``-block truncation of the stacked coefficient operator."""
-    if blocks < 1:
-        raise InvalidInput(f"need at least one block, got {blocks}")
-    phi11, phi12, phi21, phi22 = phi_taylor(realization, blocks - 1)
-    top = _stack_blocks(phi11, phi12, blocks)
-    bottom = _stack_blocks(phi21, phi22, blocks)
-    return np.vstack([top, bottom])
+    """The ``blocks``-block truncation of the stacked coefficient operator,
+    its rows ordered by block index (``G`` over ``Y`` within each block)."""
+    return stacked_operator(realization.system, blocks)
 
 
 @dataclass(frozen=True)
@@ -204,20 +179,14 @@ def coefficient_matrix_audit(
 ) -> CoefficientAudit:
     """Check the row Gram of the truncated coefficient operator against the identity.
 
-    Every entry of the row Gram is a finite exact sum, so the deficiency is
-    pure roundoff for any block count; a larger value is a hard failure.
+    This is the stacked Gram identity of ``realization.system``. Every entry
+    of the row Gram is a finite exact sum, so the deficiency is pure
+    roundoff for any block count; a larger value is a hard failure.
 
     Raises:
         AuditFailure: when the deficiency exceeds ``identity_tol``.
     """
-    tol = _resolve_tol(tol)
-    matrix = truncated_coefficient_matrix(realization, blocks)
-    deficiency = spectral_norm(matrix @ adjoint(matrix) - np.eye(matrix.shape[0]))
-    if deficiency > tol.identity_tol:
-        raise AuditFailure(
-            f"coefficient-matrix row Gram deviates by {deficiency:.3e} on {blocks} blocks", deficiency
-        )
-    return CoefficientAudit(blocks, deficiency)
+    return CoefficientAudit(blocks, gram_identity_audit(realization.system, blocks, tol))
 
 
 def coefficient_matrix_unitary_gap(realization: RedhefferRealization, blocks: int) -> float:
@@ -235,22 +204,22 @@ def coefficient_matrix_unitary_gap(realization: RedhefferRealization, blocks: in
     """
     matrix = truncated_coefficient_matrix(realization, blocks)
     d = realization.defect_dim
-    leading = np.hstack([matrix[:, :d], matrix[:, blocks * d:]])
-    return spectral_norm(adjoint(leading) @ leading - np.eye(leading.shape[1]))
+    return isometry_deficiency(np.hstack([matrix[:, :d], matrix[:, blocks * d:]]))
 
 
 @dataclass(frozen=True)
 class SchurParameter:
     """Polynomial free parameter with contractive multiplication operator.
 
-    ``coeffs[k]`` maps ``G`` into the adjoint defect space. Contractivity is
-    checked through the lower-triangular block-Toeplitz truncation built
-    from all coefficients, which bounds the multiplication-operator norm
-    from below; exact Schur-class membership of a polynomial would be a
+    ``coeffs[k]`` maps ``G`` into the adjoint defect space. Contractivity
+    (within ``tol.contraction_slack``) is checked on the block-Toeplitz
+    truncation of all coefficients, which bounds the multiplication-operator
+    norm from below; exact Schur-class membership of a polynomial would be a
     semi-infinite condition.
     """
 
     coeffs: tuple[CMatrix, ...]
+    tol: Tolerances | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.coeffs:
@@ -259,19 +228,13 @@ class SchurParameter:
         rows, cols = first.shape
         coeffs = tuple(as_cmatrix(c, rows=rows, cols=cols) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-        k = len(coeffs)
-        toeplitz = np.zeros((k * rows, k * cols), dtype=np.complex128)
-        for i in range(k):
-            for j in range(i + 1):
-                toeplitz[i * rows:(i + 1) * rows, j * cols:(j + 1) * cols] = coeffs[i - j]
-        if spectral_norm(toeplitz) > 1.0 + 1e-10:
-            raise InvalidParameter(
-                f"parameter multiplication norm {spectral_norm(toeplitz):.17g} exceeds 1 + slack"
-            )
+        nrm = spectral_norm(self.as_series().toeplitz(len(coeffs)))
+        if nrm > 1.0 + _resolve_tol(self.tol).contraction_slack:
+            raise InvalidParameter(f"parameter multiplication norm {nrm:.17g} exceeds 1 + slack")
 
     @classmethod
-    def constant(cls, value) -> "SchurParameter":
-        return cls((as_cmatrix(value),))
+    def constant(cls, value, tol: Tolerances | None = None) -> "SchurParameter":
+        return cls((as_cmatrix(value),), tol)
 
     @property
     def out_dim(self) -> int:
@@ -304,8 +267,9 @@ def lft_solution(
         ``C =  [w1 P_F + D*_Y V_0 P_G, D*_Y V_1, ..., D*_Y V_m]``
 
     (the identity blocks shift the ``g`` register down). The rows of
-    ``C A^n`` are iterated as in ``interp.central_taylor``: one small matrix
-    product per order, with no series product and no series inverse. The
+    ``C A^n`` are ``sysco.orbit``, as for ``interp.central_taylor``: one
+    small matrix product per order, with no series product and no series
+    inverse. The
     loop is well posed for every parameter because ``Phi11`` vanishes at 0;
     ``V = 0`` gives back the central solution.
     """
@@ -314,8 +278,6 @@ def lft_solution(
             f"parameter is {parameter.out_dim}x{parameter.in_dim}, expected "
             f"{realization.defect_dim}x{realization.complement_dim}"
         )
-    if order < 0:
-        raise InvalidInput(f"order must be nonnegative, got {order}")
     p = realization.problem
     u, g_dim = p.u_dim, realization.complement_dim
     d_y, d_u = realization._split_defect_columns()
@@ -334,9 +296,4 @@ def lft_solution(
         a[u:u + g_dim, :u] = p_g
         a[u + g_dim:, u:size - g_dim] = np.eye(size - u - g_dim)
 
-    row = c
-    coeffs = [row[:, :u]]
-    for _ in range(order):
-        row = row @ a
-        coeffs.append(row[:, :u])
-    return MatrixSeries(tuple(coeffs), p.y_dim, u)
+    return MatrixSeries(tuple(row[:, :u] for row in orbit(c, a, order)), p.y_dim, u)

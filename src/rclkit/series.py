@@ -4,7 +4,8 @@ Coefficients are exact for the truncated algebra: no approximation enters
 beyond floating-point roundoff. Truncation orders are explicit arguments
 everywhere, never ambient state.
 
-``MatrixSeries`` is the container every module returns. The arithmetic
+``MatrixSeries`` is the container every module returns, and its
+``toeplitz`` is the library's one block-Toeplitz assembly. The arithmetic
 below (Cauchy products and inverses cost O(N^2) products to order ``N``)
 is a reference: the library itself generates solutions by state-space
 recursions, and the tests use these functions as an independent oracle.
@@ -35,11 +36,6 @@ class MatrixSeries:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def from_coeffs(cls, coeffs) -> "MatrixSeries":
-        first = as_cmatrix(coeffs[0])
-        return cls(tuple(coeffs), first.shape[0], first.shape[1])
-
-    @classmethod
     def zero(cls, out_dim: int, in_dim: int, order: int = 0) -> "MatrixSeries":
         z = np.zeros((out_dim, in_dim), dtype=np.complex128)
         return cls((z,) * (order + 1), out_dim, in_dim)
@@ -68,6 +64,24 @@ class MatrixSeries:
         for c in reversed(self.coeffs[:-1]):
             acc = c + lam * acc
         return acc
+
+    def toeplitz(self, blocks: int, out: CMatrix | None = None) -> CMatrix:
+        """Lower block-Toeplitz matrix ``[c_(i-k)]`` with ``blocks`` block rows.
+
+        Blocks above the diagonal and coefficients beyond the order are
+        zero. With ``out``, the matrix fills the leading ``blocks * in_dim``
+        columns of ``out`` and the remaining columns are left untouched.
+        """
+        h, w = self.out_dim, self.in_dim
+        if out is None:
+            out = np.empty((blocks * h, blocks * w), dtype=np.complex128)
+        # block row i is a window of [c_(blocks-1), ..., c_1, c_0, 0, ..., 0]
+        strip = np.zeros((h, (2 * blocks - 1) * w), dtype=np.complex128)
+        for n in range(min(blocks, self.order + 1)):
+            strip[:, (blocks - 1 - n) * w:(blocks - n) * w] = self.coeffs[n]
+        for i in range(blocks):
+            out[i * h:(i + 1) * h, :blocks * w] = strip[:, (blocks - 1 - i) * w:(2 * blocks - 1 - i) * w]
+        return out
 
     def truncate(self, order: int) -> "MatrixSeries":
         """Pad with zeros or drop coefficients so the result has the given order."""

@@ -10,6 +10,9 @@ exact sums at every truncation,
 
 where ``T_F`` is the lower-triangular block Toeplitz matrix of transfer
 coefficients and ``G_W`` stacks the observability coefficients.
+
+This is the library's one system type: the Redheffer realization of the
+solution family is one, and ``orbit`` is its one ``C A^n`` recursion.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .opcore import (
     _resolve_tol,
     adjoint,
     as_cmatrix,
+    coisometry_deficiency,
     defect,
-    spectral_norm,
 )
 from .series import MatrixSeries
 
@@ -79,8 +82,7 @@ class CoisometricSystem:
 
 
 def coisometry_gap(system: CoisometricSystem) -> float:
-    m = system.block_matrix()
-    return spectral_norm(m @ adjoint(m) - np.eye(m.shape[0]))
+    return coisometry_deficiency(system.block_matrix())
 
 
 def julia_system(T, tol: Tolerances | None = None) -> CoisometricSystem:
@@ -98,40 +100,37 @@ def julia_system(T, tol: Tolerances | None = None) -> CoisometricSystem:
     return CoisometricSystem(T, d_tstar, d_t, -adjoint(T), tol=tol)
 
 
-def transfer_taylor(system: CoisometricSystem, order: int) -> MatrixSeries:
-    """Coefficients ``F_0 = D`` and ``F_n = C A^(n-1) B`` of the transfer function."""
-    if order < 0:
-        raise InvalidInput(f"order must be nonnegative, got {order}")
-    coeffs = [system.D]
-    row = system.C
-    for _ in range(order):
-        coeffs.append(row @ system.B)
-        row = row @ system.A
-    return MatrixSeries(tuple(coeffs), system.out_dim, system.in_dim)
+def orbit(C: CMatrix, A: CMatrix, n: int) -> list[CMatrix]:
+    """``C, C A, ..., C A^n``, one matrix product per step: the observability
+    recursion behind every coefficient expansion and solution."""
+    if n < 0:
+        raise InvalidInput(f"order must be nonnegative, got {n}")
+    rows = [C]
+    for _ in range(n):
+        rows.append(rows[-1] @ A)
+    return rows
 
 
 def observability_taylor(system: CoisometricSystem, order: int) -> MatrixSeries:
     """Coefficients ``W_n = C A^n`` of the observability function."""
-    if order < 0:
-        raise InvalidInput(f"order must be nonnegative, got {order}")
-    coeffs = [system.C]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] @ system.A)
-    return MatrixSeries(tuple(coeffs), system.out_dim, system.state_dim)
+    return MatrixSeries(tuple(orbit(system.C, system.A, order)), system.out_dim, system.state_dim)
+
+
+def transfer_taylor(system: CoisometricSystem, order: int) -> MatrixSeries:
+    """Coefficients ``F_0 = D`` and ``F_n = C A^(n-1) B`` of the transfer function."""
+    observ = orbit(system.C, system.A, order)
+    coeffs = (system.D,) + tuple(w @ system.B for w in observ[:-1])
+    return MatrixSeries(coeffs, system.out_dim, system.in_dim)
 
 
 def stacked_operator(system: CoisometricSystem, blocks: int) -> CMatrix:
     """``[T_F, G_W]`` truncated to the given number of block rows."""
     if blocks < 1:
         raise InvalidInput(f"need at least one block, got {blocks}")
-    w, v, x = system.out_dim, system.in_dim, system.state_dim
-    transfer = transfer_taylor(system, blocks - 1)
-    observ = observability_taylor(system, blocks - 1)
-    out = np.zeros((blocks * w, blocks * v + x), dtype=np.complex128)
-    for i in range(blocks):
-        for k in range(i + 1):
-            out[i * w:(i + 1) * w, k * v:(k + 1) * v] = transfer.coeffs[i - k]
-        out[i * w:(i + 1) * w, blocks * v:] = observ.coeffs[i]
+    v = system.in_dim
+    out = np.empty((blocks * system.out_dim, blocks * v + system.state_dim), dtype=np.complex128)
+    transfer_taylor(system, blocks - 1).toeplitz(blocks, out)
+    out[:, blocks * v:] = np.vstack(observability_taylor(system, blocks - 1).coeffs)
     return out
 
 
@@ -146,8 +145,7 @@ def gram_identity_audit(system: CoisometricSystem, blocks: int, tol: Tolerances 
             the signal that the input system is not co-isometric.
     """
     tol = _resolve_tol(tol)
-    stacked = stacked_operator(system, blocks)
-    deviation = spectral_norm(stacked @ adjoint(stacked) - np.eye(stacked.shape[0]))
+    deviation = coisometry_deficiency(stacked_operator(system, blocks))
     if deviation > tol.identity_tol:
         raise AuditFailure(
             f"stacked Gram identity deviates by {deviation:.3e} on {blocks} blocks", deviation

@@ -4,6 +4,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+from rclkit import redheffer
 from rclkit.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -273,3 +274,30 @@ class TestToleranceOverrides:
         path = self._slightly_expansive_file(tmp_path)
         code, _, err = run(capsys, "unique", path)
         assert code == EXIT_PARSE and "exceeds 1 + slack" in err
+
+    @staticmethod
+    def _slightly_expansive_parameter(tmp_path, tolerances=None):
+        """A problem file and a constant parameter of norm ``1 + 1e-8`` for it."""
+        doc = json.load(open(RELAXED))
+        if tolerances is not None:
+            doc["tolerances"] = tolerances
+        problem = tmp_path / "relaxed.json"
+        problem.write_text(json.dumps(doc))
+        pf = load_problem_file(str(problem))
+        r = redheffer.realize(pf.problem(), pf.tol)
+        value = np.zeros((r.defect_dim, r.complement_dim))
+        value[0, 0] = 1.0 + 1e-8
+        param = tmp_path / "param.json"
+        param.write_text(json.dumps({"coeffs": [matrix_to_json(value)]}))
+        return str(problem), str(param)
+
+    def test_file_contraction_slack_admits_parameter_norm(self, capsys, tmp_path):
+        problem, param = self._slightly_expansive_parameter(tmp_path, {"contraction_slack": 1e-6})
+        code, out, _ = run(capsys, "solve", problem, "--param", param, "--order", "4")
+        assert code == EXIT_OK
+        assert json.loads(out)["order"] == 4
+
+    def test_default_contraction_slack_rejects_parameter_norm(self, capsys, tmp_path):
+        problem, param = self._slightly_expansive_parameter(tmp_path)
+        code, out, _ = run(capsys, "solve", problem, "--param", param, "--order", "4")
+        assert code == EXIT_INVALID and "InvalidParameter" in json.loads(out)["error"]

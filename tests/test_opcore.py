@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,22 @@ class TestPredicates:
         if rng.uniform() < 0.5:  # include genuine co-isometries
             m = haar_isometry(rng, m.shape[1], min(m.shape)).conj().T
         assert is_coisometry(m) == is_isometry(m.conj().T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), rows=st.integers(0, 6),
+           cols=st.sampled_from([0, 1, 2, 5, 255, 256, 257, 600]))
+    def test_deficiencies_match_svd_norm(self, seed, rows, cols):
+        # wide matrices cross the Gram slab boundaries; the shared scale of
+        # roundoff is the norm of the Gram together with the identity
+        rng = np.random.default_rng(seed)
+        m = random_complex(rng, rows, cols) / np.sqrt(max(cols, 1))
+        expected = spectral_norm(m @ m.conj().T - np.eye(rows))
+        assert abs(coisometry_deficiency(m) - expected) <= 1e-12 * max(1.0, expected)
+        assert abs(isometry_deficiency(m.T) - expected) <= 1e-12 * max(1.0, expected)
+
+    def test_exact_coisometry_has_positive_zero_deficiency(self):
+        for value in (coisometry_deficiency(np.eye(3)[:2]), isometry_deficiency(np.eye(3)[:, :2])):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_psd_order(self):
         assert psd_order_leq(np.zeros((2, 2)), np.eye(2))

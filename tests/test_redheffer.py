@@ -8,8 +8,15 @@ from helpers import (
     random_complex,
     random_problem,
 )
-from rclkit import series
-from rclkit.errors import AuditFailure, DimensionMismatch, InvalidInput, InvalidParameter, OutOfDisc
+from rclkit import redheffer, series
+from rclkit.errors import (
+    AuditFailure,
+    DimensionMismatch,
+    InternalContradiction,
+    InvalidInput,
+    InvalidParameter,
+    OutOfDisc,
+)
 from rclkit.interp import central_taylor, is_solution
 from rclkit.opcore import spectral_norm
 from rclkit.redheffer import (
@@ -50,6 +57,17 @@ class TestRealize:
         w_hat = p.omega @ p.F.coords()
         gap = spectral_norm(dstar_sq - (np.eye(p.y_dim + p.u_dim) - w_hat @ w_hat.conj().T))
         assert gap <= 1e-10
+
+    def test_broken_block_identity_is_an_internal_contradiction(self, monkeypatch):
+        original = redheffer.defect
+
+        def inflated(n, tol=None):
+            dstar, space = original(n, tol)
+            return 1.1 * dstar, space
+
+        monkeypatch.setattr(redheffer, "defect", inflated)
+        with pytest.raises(InternalContradiction):
+            realize(random_problem(np.random.default_rng(7), u_dim=5, y_dim=2, f_dim=3))
 
 
 class TestPhiEval:
@@ -298,6 +316,41 @@ class TestLftOracle:
         r = realize(backward_shift_problem(4))
         with pytest.raises(InvalidInput):
             lft_solution(r, SchurParameter.constant(np.zeros((r.defect_dim, r.complement_dim))), -1)
+
+
+def top_bottom_coefficient_matrix(r: RedhefferRealization, blocks: int) -> np.ndarray:
+    """``[[T_Phi11, Gamma_Phi12], [T_Phi21, Gamma_Phi22]]`` from matrix powers of ``Z``."""
+    d_cols = r.defect_columns()
+    d_y, d_u = d_cols[:r.problem.y_dim], d_cols[r.problem.y_dim:]
+    powers = [np.linalg.matrix_power(r.Z, n) for n in range(blocks)]
+
+    def strip(row, const):
+        toeplitz = [const] + [row @ z @ d_u for z in powers[:-1]]
+        return np.block([[toeplitz[i - k] if k <= i else np.zeros_like(const) for k in range(blocks)]
+                         + [row @ powers[i]] for i in range(blocks)])
+
+    g = r.G.coords()
+    return np.vstack([strip(g, np.zeros((r.complement_dim, r.defect_dim))),
+                      strip(r.problem.output_row(), d_y)])
+
+
+@pytest.mark.parametrize("blocks", [1, 4, 16])
+@pytest.mark.parametrize("regime", sorted(ORACLE_REGIMES))
+def test_audit_matches_top_bottom_layout(regime, blocks):
+    rng = np.random.default_rng(130 + sorted(ORACLE_REGIMES).index(regime))
+    r = realize(ORACLE_REGIMES[regime](rng))
+    matrix = top_bottom_coefficient_matrix(r, blocks)
+    expected = spectral_norm(matrix @ matrix.conj().T - np.eye(matrix.shape[0]))
+    assert abs(coefficient_matrix_audit(r, blocks).deficiency - expected) <= 1e-12
+    # the same comparison where the deficiency is far from roundoff
+    broken = r.__class__(r.problem, 0.5 * r.Z, r.Dstar, r.DstarSpace, r.G)
+    matrix = top_bottom_coefficient_matrix(broken, blocks)
+    expected = spectral_norm(matrix @ matrix.conj().T - np.eye(matrix.shape[0]))
+    try:
+        deficiency = coefficient_matrix_audit(broken, blocks).deficiency
+    except AuditFailure as exc:
+        deficiency = exc.deviation
+    assert abs(deficiency - expected) <= 1e-12 * max(1.0, expected)
 
 
 def test_negative_control_breaks_the_audit():

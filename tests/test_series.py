@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_complex
@@ -83,14 +83,41 @@ def test_mul_is_associative_and_distributive(seed, order):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6), order=st.integers(0, 4))
+@example(seed=3206, order=1)
 def test_inv_is_an_involution(seed, order):
+    # the coefficients of inv(a) grow geometrically, and so does the roundoff
+    # of inverting them back: bound the gap relative to their size
     rng = np.random.default_rng(seed)
     coeffs = [np.eye(2, dtype=complex) + 0.3 * random_complex(rng, 2, 2)]
     coeffs += [random_complex(rng, 2, 2) for _ in range(order)]
     a = MatrixSeries(tuple(coeffs), 2, 2)
     n = 6
-    back = inv(inv(a, n), n)
-    assert max_coeff_gap(back, a.truncate(n), n) < 1e-9
+    b = inv(a, n)
+    size = max(np.abs(c).max() for c in b.coeffs)
+    assert max_coeff_gap(inv(b, n), a.truncate(n), n) <= 1e-12 * size
+
+
+def reference_toeplitz(a, blocks):
+    return np.block([[a.coeff(i - k) if k <= i else np.zeros((a.out_dim, a.in_dim))
+                      for k in range(blocks)] for i in range(blocks)])
+
+
+@pytest.mark.parametrize("out_dim,in_dim", [(2, 3), (0, 3), (2, 0), (0, 0)])
+@pytest.mark.parametrize("blocks", [1, 3, 6])
+def test_toeplitz_is_lower_block_toeplitz_with_zero_padding(out_dim, in_dim, blocks):
+    # order 2: blocks 6 pads coefficients 3..5 with zeros
+    a = random_series(np.random.default_rng(blocks), out_dim, in_dim, 2)
+    t = a.toeplitz(blocks)
+    assert t.shape == (blocks * out_dim, blocks * in_dim)
+    np.testing.assert_array_equal(t, reference_toeplitz(a, blocks))
+
+
+def test_toeplitz_into_buffer_leaves_trailing_columns():
+    a = random_series(np.random.default_rng(1), 2, 3, 1)
+    out = np.full((8, 4 * 3 + 5), 7.0 + 1j)
+    assert a.toeplitz(4, out) is out
+    np.testing.assert_array_equal(out[:, :12], reference_toeplitz(a, 4))
+    assert np.all(out[:, 12:] == 7.0 + 1j)
 
 
 def test_scale_and_truncate():
