@@ -71,8 +71,9 @@ def _dump_json(obj) -> str:
 
 
 def matrix_to_json(M) -> list:
+    """Nested ``[re, im]`` lists of a matrix, or of a stack of matrices."""
     M = np.asarray(M, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 def series_to_json(s: MatrixSeries) -> dict:
@@ -80,12 +81,23 @@ def series_to_json(s: MatrixSeries) -> dict:
         "order": s.order,
         "out_dim": s.out_dim,
         "in_dim": s.in_dim,
-        "coeffs": [matrix_to_json(c) for c in s.coeffs],
+        "coeffs": matrix_to_json(s.coeffs),
     }
 
 
 # ---------------------------------------------------------------------------
 # JSON decoding.
+
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``; ``what`` names the file in diagnostics."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseFailure(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:   # malformed JSON or text that is not UTF-8
+        raise ParseFailure(f"malformed JSON in {what} {path}: {exc}") from exc
+
 
 def _parse_entry(entry) -> complex:
     if (
@@ -115,6 +127,8 @@ def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.nd
                 raise ParseFailure("matrix rows have inconsistent lengths")
             parsed_rows.append([_parse_entry(e) for e in row])
         out = np.array(parsed_rows, dtype=np.complex128).reshape(len(obj), width or 0)
+        if not np.all(np.isfinite(out)):
+            raise ParseFailure("matrix has non-finite entries")
     if rows is not None and out.shape[0] != rows:
         raise ParseFailure(f"expected {rows} rows, got {out.shape[0]}")
     if cols is not None and out.shape[1] != cols:
@@ -130,10 +144,11 @@ def parse_series(obj) -> MatrixSeries:
         raw = obj["coeffs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"malformed series object: {exc}") from exc
+    if order < 0:
+        raise ParseFailure(f"series order must be nonnegative, got {order}")
     if not isinstance(raw, list) or len(raw) != order + 1:
         raise ParseFailure("series coefficient count does not match its order")
-    coeffs = tuple(parse_matrix(c, rows=out_dim, cols=in_dim) for c in raw)
-    return MatrixSeries(coeffs, out_dim, in_dim)
+    return MatrixSeries([parse_matrix(c, rows=out_dim, cols=in_dim) for c in raw], out_dim, in_dim)
 
 
 @dataclass
@@ -177,13 +192,7 @@ def _parse_tolerances(obj) -> Tolerances:
 
 
 def load_problem_file(path: str) -> ProblemFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseFailure(f"malformed JSON in {path}: {exc}") from exc
+    doc = _read_json(path, "problem file")
     if not isinstance(doc, dict):
         raise ParseFailure("problem file must be a JSON object")
 
@@ -285,11 +294,7 @@ def cmd_unique(pf: ProblemFile, args) -> tuple[int, dict]:
 
 
 def _load_parameter(path: str, tol: Tolerances) -> redheffer.SchurParameter:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseFailure(f"cannot read parameter file {path}: {exc}") from exc
+    doc = _read_json(path, "parameter file")
     if not isinstance(doc, dict) or "coeffs" not in doc or not isinstance(doc["coeffs"], list):
         raise ParseFailure("parameter file must be an object with a 'coeffs' list")
     if not doc["coeffs"]:
@@ -305,12 +310,7 @@ def cmd_solve(pf: ProblemFile, args) -> tuple[int, dict]:
 
 
 def cmd_verify(pf: ProblemFile, args) -> tuple[int, dict]:
-    try:
-        with open(args.solution, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseFailure(f"cannot read solution file {args.solution}: {exc}") from exc
-    h = parse_series(doc)
+    h = parse_series(_read_json(args.solution, "solution file"))
     problem = pf.problem()
     report = interp.is_solution(problem, h, pf.tol)
     payload: dict = {
@@ -346,11 +346,7 @@ def cmd_audit(pf: ProblemFile, args) -> tuple[int, dict]:
         payload["redheffer_deficiency"] = exc.deviation
         code = EXIT_INVALID
     if args.system is not None:
-        try:
-            with open(args.system, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseFailure(f"cannot read system file {args.system}: {exc}") from exc
+        doc = _read_json(args.system, "system file")
         if not isinstance(doc, dict) or not {"A", "B", "C", "D"} <= set(doc):
             raise ParseFailure("system file must carry matrices A, B, C, D")
         system = sysco.CoisometricSystem(

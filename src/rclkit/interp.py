@@ -8,8 +8,9 @@ most one, satisfying
     ``w1 + lam * H(lam) * w2 = H(lam)|_F``      (lam in the disc).
 
 Matching powers of ``lam`` turns this into the coefficient recursion
-``h_0|_F = w1`` and ``h_{n+1}|_F = h_n w2``, which is what the verifier
-checks. The distinguished solution
+``h_0|_F = w1`` and ``h_{n+1}|_F = h_n w2``, which the verifier checks on
+the whole ``(N + 1, y, u)`` coefficient array at once. The distinguished
+solution
 
     ``H_c(lam) = w1 P_F (I - lam w2 P_F)^{-1}``
 
@@ -42,6 +43,7 @@ from .opcore import (
     is_coisometry,
     orthocomplement,
     spectral_norm,
+    spectral_norms,
 )
 from .series import MatrixSeries
 from .sysco import orbit
@@ -104,7 +106,7 @@ def central_taylor(problem: InterpProblem, order: int) -> MatrixSeries:
     The orbit of ``w1 P_F`` under ``w2 P_F``; no matrix inversion is involved.
     """
     coeffs = orbit(problem.output_row(), problem.state_operator(), order)
-    return MatrixSeries(tuple(coeffs), problem.y_dim, problem.u_dim)
+    return MatrixSeries(coeffs, problem.y_dim, problem.u_dim)
 
 
 @dataclass(frozen=True)
@@ -144,19 +146,16 @@ def is_solution(problem: InterpProblem, H: MatrixSeries, tol: Tolerances | None 
         raise DimensionMismatch(
             f"series maps {H.in_dim}->{H.out_dim}, problem needs {problem.u_dim}->{problem.y_dim}"
         )
-    basis = problem.F.basis
-    residuals = [spectral_norm(H.coeffs[0] @ basis - problem.omega1)]
-    for n in range(H.order):
-        residuals.append(spectral_norm(H.coeffs[n + 1] @ basis - H.coeffs[n] @ problem.omega2))
-    gram = np.zeros((problem.u_dim, problem.u_dim), dtype=np.complex128)
-    for c in H.coeffs:
-        gram += adjoint(c) @ c
-    if problem.u_dim:
-        excess = max(0.0, float(np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)[-1]) - 1.0)
-    else:
-        excess = 0.0
-    interp_ok = all(r <= tol.identity_tol for r in residuals)
-    return SolutionReport(interp_ok, excess <= tol.identity_tol, tuple(residuals), excess)
+    h = H.coeffs
+    # h_0 against w1, then h_(n+1) against h_n w2
+    targets = np.concatenate([problem.omega1[None], h[:-1] @ problem.omega2])
+    residuals = spectral_norms(h @ problem.F.basis - targets)
+    stacked = h.reshape((H.order + 1) * H.out_dim, H.in_dim)
+    gram = adjoint(stacked) @ stacked
+    # max(0, lambda_max - 1), and 0 when U = {0}
+    excess = float(np.max(np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0), initial=1.0)) - 1.0
+    interp_ok = bool(np.all(residuals <= tol.identity_tol))
+    return SolutionReport(interp_ok, excess <= tol.identity_tol, tuple(residuals.tolist()), excess)
 
 
 class UniquenessKind(enum.Enum):
@@ -227,7 +226,8 @@ def central_coefficients_coisometric(problem: InterpProblem, order: int, tol: To
     needed = problem.f_dim // max(1, problem.y_dim) + 1
     if order < needed:
         raise InvalidInput(f"order {order} is below the decisive bound {needed}")
-    return is_coisometry(np.vstack(central_taylor(problem, order).coeffs), tol)
+    stacked = central_taylor(problem, order).coeffs.reshape((order + 1) * problem.y_dim, problem.u_dim)
+    return is_coisometry(stacked, tol)
 
 
 @dataclass(frozen=True)
@@ -280,15 +280,14 @@ def second_solution_witness(
     d_dim, g_dim = realization.defect_dim, realization.complement_dim
     if d_dim == 0 or g_dim == 0:
         raise InternalContradiction("non-unique problem produced a degenerate solution family")
-    central = np.stack(central_taylor(problem, order).coeffs)
+    central = central_taylor(problem, order).coeffs
     threshold = 10.0 * tol.identity_tol
 
     def assess(param: CMatrix) -> SecondSolution | None:
         candidate = redheffer.lft_solution(
             realization, redheffer.SchurParameter.constant(param, tol), order
         )
-        # one batched SVD over all orders; y and u are at least 1 here
-        gaps = np.linalg.norm(np.stack(candidate.coeffs) - central, 2, axis=(1, 2))
+        gaps = spectral_norms(candidate.coeffs - central)
         gap = float(gaps.max())
         if gap <= threshold:
             return None

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import DataSet
 from .errors import DimensionMismatch, InvalidInput, NotContractive
-from .opcore import CMatrix, SubspaceBasis, Tolerances, _resolve_tol, defect, spectral_norm
+from .opcore import CMatrix, SubspaceBasis, Tolerances, _resolve_tol, defect, spectral_norm, spectral_norms
 from .series import MatrixSeries
 
 
@@ -62,12 +62,9 @@ def build_lifting(Tp, blocks: int, tol: Tolerances | None = None) -> TruncatedLi
     total = hp + dt * blocks
     u = np.zeros((total, total), dtype=np.complex128)
     u[:hp, :hp] = Tp
-    if dt:
-        u[hp:hp + dt, :hp] = space.coords() @ d_tp
-        for j in range(blocks - 1):
-            rows = hp + (j + 1) * dt
-            cols = hp + j * dt
-            u[rows:rows + dt, cols:cols + dt] = np.eye(dt)
+    u[hp:hp + dt, :hp] = space.coords() @ d_tp
+    # the block shift: defect copy j feeds copy j + 1
+    u[hp + dt:, hp:total - dt] = np.eye((blocks - 1) * dt)
     return TruncatedLifting(Tp, blocks, u, space)
 
 
@@ -90,9 +87,8 @@ def interpolant_from_solution(data: DataSet, H: MatrixSeries, blocks: int, tol: 
             f"series maps {H.in_dim}->{H.out_dim}, data set needs {space_a.dim}->{space_tp.dim}"
         )
     lift_rows = space_a.coords() @ d_a      # defect coordinates of D_A
-    strips = [data.A]
-    strips += [H.coeffs[n] @ lift_rows for n in range(blocks)]
-    b = np.vstack(strips)
+    lifted = (H.coeffs[:blocks] @ lift_rows).reshape(blocks * H.out_dim, data.dim_h)
+    b = np.vstack([data.A, lifted])
     nrm = spectral_norm(b)
     if nrm > 1.0 + tol.contraction_slack:
         raise NotContractive(f"interpolant norm {nrm:.17g} exceeds 1 + slack")
@@ -138,9 +134,7 @@ def verify_rclt(data: DataSet, B, blocks: int, tol: Tolerances | None = None) ->
     projection_ok = bool(np.array_equal(B[:hp, :], data.A))
     delta = lift.Uprime @ B @ data.R - B @ data.Q
     residuals = [spectral_norm(delta[:hp, :])]
-    for j in range(blocks):
-        rows = hp + j * dt
-        residuals.append(spectral_norm(delta[rows:rows + dt, :]))
+    residuals += spectral_norms(delta[hp:].reshape(blocks, dt, data.dim_h0)).tolist()
     boundary = residuals[-1]
     retained = tuple(residuals[:-1])
     return LiftReport(

@@ -71,10 +71,16 @@ def adjoint(M: CMatrix) -> CMatrix:
 
 def spectral_norm(M) -> float:
     """Largest singular value of ``M``; 0 for any zero-dimensional matrix."""
-    M = as_cmatrix(M)
-    if min(M.shape) == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(spectral_norms(as_cmatrix(M)[None])[0])
+
+
+def spectral_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix of a ``(k, rows, cols)`` stack,
+    by one batched SVD; 0 for every block of a zero-size stack."""
+    stack = np.asarray(stack, dtype=np.complex128)
+    if stack.size == 0:
+        return np.zeros(stack.shape[0])
+    return np.linalg.norm(stack, 2, axis=(1, 2))
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,8 @@ class RedhefferRealization:
     system: CoisometricSystem = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        d_y, d_u = self._split_defect_columns()
+        cols = self.defect_columns()
+        d_y, d_u = cols[:self.problem.y_dim], cols[self.problem.y_dim:]
         output = np.vstack([self.G.coords(), self.problem.output_row()])
         feedthrough = np.vstack([np.zeros((self.complement_dim, self.defect_dim), dtype=np.complex128), d_y])
         object.__setattr__(self, "system", CoisometricSystem(self.Z, d_u, output, feedthrough, validate=False))
@@ -92,11 +93,6 @@ class RedhefferRealization:
     def defect_columns(self) -> CMatrix:
         """``D*`` restricted to its defect space: a (y+u) x defect_dim matrix."""
         return self.Dstar @ self.DstarSpace.basis
-
-    def _split_defect_columns(self) -> tuple[CMatrix, CMatrix]:
-        cols = self.defect_columns()
-        y = self.problem.y_dim
-        return cols[:y, :], cols[y:, :]
 
 
 def realize(problem: InterpProblem, tol: Tolerances | None = None) -> RedhefferRealization:
@@ -127,25 +123,16 @@ def phi_eval(realization: RedhefferRealization, lam: complex):
     """
     if abs(lam) >= 1.0:
         raise OutOfDisc(f"evaluation point {lam!r} lies outside the open unit disc")
-    p = realization.problem
-    u = p.u_dim
-    d_y, d_u = realization._split_defect_columns()
-    rhs = np.hstack([d_u, np.eye(u, dtype=np.complex128)])
-    resolvent = np.linalg.solve(np.eye(u, dtype=np.complex128) - lam * realization.Z, rhs)
-    r_du, r_full = resolvent[:, : d_u.shape[1]], resolvent[:, d_u.shape[1]:]
-    g_coords = realization.G.coords()
-    out_row = p.output_row()
+    s, g, u = realization.system, realization.complement_dim, realization.problem.u_dim
+    g_coords, out_row, d_y = s.C[:g], s.C[g:], s.D[g:]
+    rhs = np.hstack([s.B, np.eye(u, dtype=np.complex128)])
+    resolvent = np.linalg.solve(np.eye(u, dtype=np.complex128) - lam * s.A, rhs)
+    r_du, r_full = resolvent[:, : s.in_dim], resolvent[:, s.in_dim:]
     phi11 = lam * (g_coords @ r_du)
     phi12 = g_coords @ r_full
     phi21 = d_y + lam * (out_row @ r_du)
     phi22 = out_row @ r_full
     return phi11, phi12, phi21, phi22
-
-
-def _split_rows(series: MatrixSeries, rows: int) -> tuple[MatrixSeries, MatrixSeries]:
-    top = MatrixSeries(tuple(c[:rows] for c in series.coeffs), rows, series.in_dim)
-    bottom = MatrixSeries(tuple(c[rows:] for c in series.coeffs), series.out_dim - rows, series.in_dim)
-    return top, bottom
 
 
 def phi_taylor(realization: RedhefferRealization, order: int):
@@ -156,10 +143,16 @@ def phi_taylor(realization: RedhefferRealization, order: int):
     over ``Phi22``: the ``Phi22`` coefficients are the central solution's,
     and ``Phi11`` has zero constant term.
     """
-    g = realization.complement_dim
-    phi11, phi21 = _split_rows(transfer_taylor(realization.system, order), g)
-    phi12, phi22 = _split_rows(observability_taylor(realization.system, order), g)
-    return phi11, phi12, phi21, phi22
+    g, y = realization.complement_dim, realization.problem.y_dim
+    d, u = realization.defect_dim, realization.problem.u_dim
+    transfer = transfer_taylor(realization.system, order).coeffs
+    observ = observability_taylor(realization.system, order).coeffs
+    return (
+        MatrixSeries(transfer[:, :g], g, d),
+        MatrixSeries(observ[:, :g], g, u),
+        MatrixSeries(transfer[:, g:], y, d),
+        MatrixSeries(observ[:, g:], y, u),
+    )
 
 
 def truncated_coefficient_matrix(realization: RedhefferRealization, blocks: int) -> CMatrix:
@@ -224,11 +217,9 @@ class SchurParameter:
     def __post_init__(self):
         if not self.coeffs:
             raise InvalidParameter("parameter needs at least a constant coefficient")
-        first = as_cmatrix(self.coeffs[0])
-        rows, cols = first.shape
-        coeffs = tuple(as_cmatrix(c, rows=rows, cols=cols) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        nrm = spectral_norm(self.as_series().toeplitz(len(coeffs)))
+        series = MatrixSeries(self.coeffs, *as_cmatrix(self.coeffs[0]).shape)
+        object.__setattr__(self, "coeffs", tuple(series.coeffs))
+        nrm = spectral_norm(series.toeplitz(len(self.coeffs)))
         if nrm > 1.0 + _resolve_tol(self.tol).contraction_slack:
             raise InvalidParameter(f"parameter multiplication norm {nrm:.17g} exceeds 1 + slack")
 
@@ -278,17 +269,16 @@ def lft_solution(
             f"parameter is {parameter.out_dim}x{parameter.in_dim}, expected "
             f"{realization.defect_dim}x{realization.complement_dim}"
         )
-    p = realization.problem
-    u, g_dim = p.u_dim, realization.complement_dim
-    d_y, d_u = realization._split_defect_columns()
-    p_g = realization.G.coords()
+    s, g_dim = realization.system, realization.complement_dim
+    u, y = s.state_dim, realization.problem.y_dim
+    d_u, p_g, out_row, d_y = s.B, s.C[:g_dim], s.C[g_dim:], s.D[g_dim:]
     v0, *v_tail = parameter.coeffs
     size = u + len(v_tail) * g_dim
 
     a = np.zeros((size, size), dtype=np.complex128)
-    c = np.zeros((p.y_dim, size), dtype=np.complex128)
-    a[:u, :u] = realization.Z + d_u @ v0 @ p_g
-    c[:, :u] = p.output_row() + d_y @ v0 @ p_g
+    c = np.zeros((y, size), dtype=np.complex128)
+    a[:u, :u] = s.A + d_u @ v0 @ p_g
+    c[:, :u] = out_row + d_y @ v0 @ p_g
     if v_tail:
         v_rest = np.hstack(v_tail)
         a[:u, u:] = d_u @ v_rest
@@ -296,4 +286,4 @@ def lft_solution(
         a[u:u + g_dim, :u] = p_g
         a[u + g_dim:, u:size - g_dim] = np.eye(size - u - g_dim)
 
-    return MatrixSeries(tuple(row[:, :u] for row in orbit(c, a, order)), p.y_dim, u)
+    return MatrixSeries(orbit(c, a, order)[:, :, :u], y, u)

@@ -4,7 +4,9 @@ Coefficients are exact for the truncated algebra: no approximation enters
 beyond floating-point roundoff. Truncation orders are explicit arguments
 everywhere, never ambient state.
 
-``MatrixSeries`` is the container every module returns, and its
+``MatrixSeries`` is the container every module returns: one complex
+array of shape ``(order + 1, out_dim, in_dim)``, so a whole series is
+multiplied, sliced, stacked or normed by one array operation. Its
 ``toeplitz`` is the library's one block-Toeplitz assembly. The arithmetic
 below (Cauchy products and inverses cost O(N^2) products to order ``N``)
 is a reference: the library itself generates solutions by state-space
@@ -18,33 +20,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotInvertible
-from .opcore import CMatrix, as_cmatrix
+from .opcore import CMatrix
 
 
 @dataclass(frozen=True)
 class MatrixSeries:
-    """Finite list of matrix coefficients c0..cN of an analytic function."""
+    """Coefficients c0..cN of an analytic function, as one
+    ``(N + 1, out_dim, in_dim)`` complex128 array."""
 
-    coeffs: tuple[CMatrix, ...]
+    coeffs: np.ndarray
     out_dim: int
     in_dim: int
 
     def __post_init__(self):
-        coeffs = tuple(as_cmatrix(c, rows=self.out_dim, cols=self.in_dim) for c in self.coeffs)
-        if not coeffs:
+        try:
+            coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        except ValueError as exc:
+            raise DimensionMismatch(f"series coefficients do not form one array: {exc}") from exc
+        if coeffs.shape[:1] == (0,):
             raise InvalidInput("a series needs at least the constant coefficient")
+        if coeffs.ndim != 3 or coeffs.shape[1:] != (self.out_dim, self.in_dim):
+            raise DimensionMismatch(
+                f"expected coefficients of shape (order + 1, {self.out_dim}, {self.in_dim}), "
+                f"got {coeffs.shape}"
+            )
+        if not np.all(np.isfinite(coeffs)):
+            raise InvalidInput("series has non-finite coefficients")
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls, out_dim: int, in_dim: int, order: int = 0) -> "MatrixSeries":
-        z = np.zeros((out_dim, in_dim), dtype=np.complex128)
-        return cls((z,) * (order + 1), out_dim, in_dim)
+        return cls(np.zeros((order + 1, out_dim, in_dim), dtype=np.complex128), out_dim, in_dim)
 
     @classmethod
     def identity(cls, dim: int, order: int = 0) -> "MatrixSeries":
-        coeffs = [np.eye(dim, dtype=np.complex128)]
-        coeffs += [np.zeros((dim, dim), dtype=np.complex128)] * order
-        return cls(tuple(coeffs), dim, dim)
+        coeffs = np.zeros((order + 1, dim, dim), dtype=np.complex128)
+        coeffs[0] = np.eye(dim)
+        return cls(coeffs, dim, dim)
 
     @property
     def order(self) -> int:
@@ -60,8 +72,8 @@ class MatrixSeries:
 
     def eval(self, lam: complex) -> CMatrix:
         """Horner evaluation of the truncated polynomial at ``lam``."""
-        acc = np.array(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
+        acc = self.coeffs[-1].copy()
+        for c in self.coeffs[-2::-1]:
             acc = c + lam * acc
         return acc
 
@@ -77,42 +89,40 @@ class MatrixSeries:
             out = np.empty((blocks * h, blocks * w), dtype=np.complex128)
         # block row i is a window of [c_(blocks-1), ..., c_1, c_0, 0, ..., 0]
         strip = np.zeros((h, (2 * blocks - 1) * w), dtype=np.complex128)
-        for n in range(min(blocks, self.order + 1)):
-            strip[:, (blocks - 1 - n) * w:(blocks - n) * w] = self.coeffs[n]
+        k = min(blocks, self.order + 1)
+        strip[:, (blocks - k) * w:blocks * w] = self.coeffs[k - 1::-1].transpose(1, 0, 2).reshape(h, k * w)
         for i in range(blocks):
             out[i * h:(i + 1) * h, :blocks * w] = strip[:, (blocks - 1 - i) * w:(2 * blocks - 1 - i) * w]
         return out
 
     def truncate(self, order: int) -> "MatrixSeries":
         """Pad with zeros or drop coefficients so the result has the given order."""
-        coeffs = [self.coeff(n) for n in range(order + 1)]
-        return MatrixSeries(tuple(coeffs), self.out_dim, self.in_dim)
+        coeffs = np.zeros((order + 1, self.out_dim, self.in_dim), dtype=np.complex128)
+        kept = min(order, self.order) + 1
+        coeffs[:kept] = self.coeffs[:kept]
+        return MatrixSeries(coeffs, self.out_dim, self.in_dim)
 
 
 def add(a: MatrixSeries, b: MatrixSeries, order: int) -> MatrixSeries:
     if (a.out_dim, a.in_dim) != (b.out_dim, b.in_dim):
         raise DimensionMismatch(f"cannot add {a.out_dim}x{a.in_dim} and {b.out_dim}x{b.in_dim} series")
-    coeffs = tuple(a.coeff(n) + b.coeff(n) for n in range(order + 1))
-    return MatrixSeries(coeffs, a.out_dim, a.in_dim)
+    return MatrixSeries(a.truncate(order).coeffs + b.truncate(order).coeffs, a.out_dim, a.in_dim)
 
 
 def scale(a: MatrixSeries, factor: complex) -> MatrixSeries:
-    return MatrixSeries(tuple(factor * c for c in a.coeffs), a.out_dim, a.in_dim)
+    return MatrixSeries(factor * a.coeffs, a.out_dim, a.in_dim)
 
 
 def mul(a: MatrixSeries, b: MatrixSeries, order: int) -> MatrixSeries:
     """Cauchy product truncated at ``order``."""
     if a.in_dim != b.out_dim:
         raise DimensionMismatch(f"cannot multiply {a.out_dim}x{a.in_dim} by {b.out_dim}x{b.in_dim} series")
-    zero = np.zeros((a.out_dim, b.in_dim), dtype=np.complex128)
-    coeffs = []
+    out = np.zeros((order + 1, a.out_dim, b.in_dim), dtype=np.complex128)
     for n in range(order + 1):
-        acc = zero.copy()
         for k in range(n + 1):
             if k <= a.order and n - k <= b.order:
-                acc += a.coeffs[k] @ b.coeffs[n - k]
-        coeffs.append(acc)
-    return MatrixSeries(tuple(coeffs), a.out_dim, b.in_dim)
+                out[n] += a.coeffs[k] @ b.coeffs[n - k]
+    return MatrixSeries(out, a.out_dim, b.in_dim)
 
 
 def inv(a: MatrixSeries, order: int) -> MatrixSeries:
@@ -135,19 +145,20 @@ def inv(a: MatrixSeries, order: int) -> MatrixSeries:
         a0_inv = np.linalg.inv(a0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - svd check fires first
         raise NotInvertible(f"constant term is singular (condition number {cond:.3e})") from exc
-    out = [a0_inv]
+    out = np.empty((order + 1, d, d), dtype=np.complex128)
+    out[0] = a0_inv
     for n in range(1, order + 1):
         acc = np.zeros((d, d), dtype=np.complex128)
         for k in range(1, n + 1):
             if k <= a.order:
                 acc += a.coeffs[k] @ out[n - k]
-        out.append(-a0_inv @ acc)
-    return MatrixSeries(tuple(out), d, d)
+        out[n] = -a0_inv @ acc
+    return MatrixSeries(out, d, d)
 
 
 def shift(a: MatrixSeries, k: int) -> MatrixSeries:
     """Multiply by lambda^k, displacing every coefficient upward by ``k``."""
     if k < 0:
         raise InvalidInput(f"shift exponent must be nonnegative, got {k}")
-    zero = np.zeros((a.out_dim, a.in_dim), dtype=np.complex128)
-    return MatrixSeries((zero,) * k + a.coeffs, a.out_dim, a.in_dim)
+    zeros = np.zeros((k, a.out_dim, a.in_dim), dtype=np.complex128)
+    return MatrixSeries(np.concatenate([zeros, a.coeffs]), a.out_dim, a.in_dim)

@@ -12,7 +12,8 @@ where ``T_F`` is the lower-triangular block Toeplitz matrix of transfer
 coefficients and ``G_W`` stacks the observability coefficients.
 
 This is the library's one system type: the Redheffer realization of the
-solution family is one, and ``orbit`` is its one ``C A^n`` recursion.
+solution family is one, and ``orbit`` is its one ``C A^n`` recursion: one
+array that reshapes into ``G_W`` and, times ``B``, gives ``F``'s coefficients.
 """
 
 from __future__ import annotations
@@ -100,26 +101,28 @@ def julia_system(T, tol: Tolerances | None = None) -> CoisometricSystem:
     return CoisometricSystem(T, d_tstar, d_t, -adjoint(T), tol=tol)
 
 
-def orbit(C: CMatrix, A: CMatrix, n: int) -> list[CMatrix]:
-    """``C, C A, ..., C A^n``, one matrix product per step: the observability
-    recursion behind every coefficient expansion and solution."""
+def orbit(C: CMatrix, A: CMatrix, n: int) -> np.ndarray:
+    """``C, C A, ..., C A^n`` as one ``(n + 1, rows, cols)`` array, one matrix
+    product per step: the observability recursion behind every coefficient
+    expansion and solution."""
     if n < 0:
         raise InvalidInput(f"order must be nonnegative, got {n}")
-    rows = [C]
-    for _ in range(n):
-        rows.append(rows[-1] @ A)
-    return rows
+    out = np.empty((n + 1,) + C.shape, dtype=np.complex128)
+    out[0] = C
+    for k in range(n):
+        np.matmul(out[k], A, out=out[k + 1])
+    return out
 
 
 def observability_taylor(system: CoisometricSystem, order: int) -> MatrixSeries:
     """Coefficients ``W_n = C A^n`` of the observability function."""
-    return MatrixSeries(tuple(orbit(system.C, system.A, order)), system.out_dim, system.state_dim)
+    return MatrixSeries(orbit(system.C, system.A, order), system.out_dim, system.state_dim)
 
 
 def transfer_taylor(system: CoisometricSystem, order: int) -> MatrixSeries:
     """Coefficients ``F_0 = D`` and ``F_n = C A^(n-1) B`` of the transfer function."""
     observ = orbit(system.C, system.A, order)
-    coeffs = (system.D,) + tuple(w @ system.B for w in observ[:-1])
+    coeffs = np.concatenate([system.D[None], observ[:-1] @ system.B])
     return MatrixSeries(coeffs, system.out_dim, system.in_dim)
 
 
@@ -127,10 +130,10 @@ def stacked_operator(system: CoisometricSystem, blocks: int) -> CMatrix:
     """``[T_F, G_W]`` truncated to the given number of block rows."""
     if blocks < 1:
         raise InvalidInput(f"need at least one block, got {blocks}")
-    v = system.in_dim
-    out = np.empty((blocks * system.out_dim, blocks * v + system.state_dim), dtype=np.complex128)
+    v, w, x = system.in_dim, system.out_dim, system.state_dim
+    out = np.empty((blocks * w, blocks * v + x), dtype=np.complex128)
     transfer_taylor(system, blocks - 1).toeplitz(blocks, out)
-    out[:, blocks * v:] = np.vstack(observability_taylor(system, blocks - 1).coeffs)
+    out[:, blocks * v:] = orbit(system.C, system.A, blocks - 1).reshape(blocks * w, x)
     return out
 
 

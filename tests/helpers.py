@@ -66,6 +66,17 @@ def coisometric_problem(rng, u_max=6):
                          np.zeros((0, u)), unitary)
 
 
+#: Problem makers for the generic case and each degenerate dimension:
+#: ``Y = {0}``, ``F = U``, ``F = {0}`` and zero adjoint defect.
+ORACLE_REGIMES = {
+    "generic": lambda rng: random_problem(rng, u_dim=6, y_dim=2, f_dim=3),
+    "no_output": lambda rng: random_problem(rng, u_dim=5, y_dim=0, f_dim=2),
+    "full_domain": lambda rng: random_problem(rng, u_dim=5, y_dim=2, f_dim=5),
+    "empty_domain": lambda rng: random_problem(rng, u_dim=4, y_dim=2, f_dim=0),
+    "zero_adjoint_defect": coisometric_problem,
+}
+
+
 def backward_shift_problem(n=6):
     """Finite truncation of the classic non-co-isometric uniqueness instance.
 

@@ -145,10 +145,33 @@ class TestUniqueCommand:
         assert witness["first_diff_index"] >= 5
         assert float(witness["gap"]) > 1e-6
 
-    def test_byte_identical_reruns(self, capsys):
-        _, first, _ = run(capsys, "unique", SHIFT6, "--witness", "--order", "12")
-        _, second, _ = run(capsys, "unique", SHIFT6, "--witness", "--order", "12")
-        assert first == second
+    @pytest.mark.parametrize("example", [CLASSICAL, SHIFT6, RELAXED], ids=["classical", "shift6", "relaxed"])
+    @pytest.mark.parametrize("command", ["validate", "omega", "central", "unique", "solve", "verify", "audit"])
+    def test_byte_identical_reruns(self, capsys, tmp_path, command, example):
+        if command == "validate" and load_problem_file(example).data is None:
+            pytest.skip("validate needs the data-set form")
+        argv = [command, example]
+        if command == "central":
+            argv += ["--order", "12"]
+        elif command == "unique":
+            argv += ["--witness", "--order", "12"]
+        elif command == "solve":
+            pf = load_problem_file(example)
+            r = redheffer.realize(pf.problem(), pf.tol)
+            value = 0.5 * np.ones((r.defect_dim, r.complement_dim)) / max(1, r.defect_dim * r.complement_dim)
+            param = tmp_path / "v.json"
+            param.write_text(json.dumps({"coeffs": [matrix_to_json(value), matrix_to_json(-value)]}))
+            argv += ["--param", str(param), "--order", "12"]
+        elif command == "verify":
+            _, central, _ = run(capsys, "central", example, "--order", "12")
+            solution = tmp_path / "h.json"
+            solution.write_text(central)
+            argv += ["--solution", str(solution)]
+        elif command == "audit":
+            argv += ["--order", "6"]
+        code, first, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert run(capsys, *argv) == (code, first, "")
 
 
 class TestSolveVerifyAudit:
@@ -169,6 +192,22 @@ class TestSolveVerifyAudit:
         code, out, _ = run(capsys, "solve", SHIFT6, "--param", str(param))
         assert code == EXIT_INVALID
         assert "InvalidParameter" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("kind", ["param", "solution", "system"])
+    def test_malformed_auxiliary_file_exits_two(self, capsys, tmp_path, kind):
+        # json reads NaN literals; a negative order has no coefficient to hold
+        nan = matrix_to_json([[float("nan")]])
+        docs = {
+            "param": {"coeffs": [nan]},
+            "solution": {"order": -1, "out_dim": 1, "in_dim": 6, "coeffs": []},
+            "system": {"A": nan, "B": nan, "C": nan, "D": nan},
+        }
+        aux = tmp_path / f"{kind}.json"
+        aux.write_text(json.dumps(docs[kind]))
+        argv = {"param": ["solve", SHIFT6, "--param"], "solution": ["verify", SHIFT6, "--solution"],
+                "system": ["audit", RELAXED, "--system"]}[kind]
+        code, out, err = run(capsys, *argv, str(aux))
+        assert code == EXIT_PARSE and out == "" and err
 
     def test_verify_accepts_central_solution(self, capsys, tmp_path):
         _, out, _ = run(capsys, "central", RELAXED, "--order", "16")

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ORACLE_REGIMES,
     backward_shift_problem,
     central_resolvent_oracle,
     coisometric_problem,
+    random_contraction,
     random_problem,
     random_subspace,
 )
@@ -20,6 +22,7 @@ from rclkit.interp import (
     uniqueness,
 )
 from rclkit.opcore import SubspaceBasis, Tolerances, psd_order_leq, spectral_norm
+from rclkit.redheffer import SchurParameter, lft_solution, realize
 from rclkit.series import MatrixSeries
 
 
@@ -88,6 +91,28 @@ class TestIsSolution:
         report = is_solution(p, central_taylor(p, 12))
         assert report.interp_ok and report.ball_ok
         assert report.max_interp_residual <= 1e-12
+
+    @pytest.mark.parametrize("source", ["central", "constant_parameter"])
+    @pytest.mark.parametrize("regime", sorted(ORACLE_REGIMES))
+    def test_degenerate_regimes(self, regime, source):
+        rng = np.random.default_rng(40 + sorted(ORACLE_REGIMES).index(regime))
+        p = ORACLE_REGIMES[regime](rng)
+        order = 9
+        if source == "central":
+            h = central_taylor(p, order)
+        else:
+            r = realize(p)
+            v = random_contraction(rng, r.defect_dim, r.complement_dim, 0.5)
+            h = lft_solution(r, SchurParameter.constant(v), order)
+        report = is_solution(p, h)
+        assert len(report.interp_residuals) == order + 1
+        assert all(type(res) is float for res in report.interp_residuals)
+        assert report.ok
+        # the per-coefficient recursion residuals as reference
+        basis = p.F.basis
+        reference = [spectral_norm(h.coeff(0) @ basis - p.omega1)]
+        reference += [spectral_norm(h.coeff(n + 1) @ basis - h.coeff(n) @ p.omega2) for n in range(order)]
+        np.testing.assert_allclose(report.interp_residuals, reference, rtol=0, atol=1e-14)
 
     def test_zero_series_fails_at_constant_term(self):
         rng = np.random.default_rng(3)

@@ -110,6 +110,30 @@ class TestVerify:
         assert report.intertwine_ok
         assert report.max_retained_residual <= 1e-10
 
+    def test_zero_defect_of_tp(self):
+        # unitary T': no defect blocks, so every block residual is that of a 0-row block
+        d = random_dataset(np.random.default_rng(8), tp_unitary=True)
+        h = central_taylor(underlying_contraction(d), 5)
+        report = verify_rclt(d, interpolant_from_solution(d, h, 6), 6)
+        assert report.ok
+        assert report.retained_residuals[1:] == (0.0,) * 5 and report.boundary_residual == 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residuals_match_block_rows(self, seed):
+        d = krylov_dataset(np.random.default_rng(40 + seed), n=4, a_norm=0.7)
+        p = underlying_contraction(d)
+        fake = MatrixSeries(np.full((7, p.y_dim, p.u_dim), 0.1 / (seed + 1), dtype=complex), p.y_dim, p.u_dim)
+        b = interpolant_from_solution(d, fake, 7)
+        report = verify_rclt(d, b, 7)
+        lift = build_lifting(d.Tp, 7)
+        delta = lift.Uprime @ b @ d.R - b @ d.Q
+        hp, dt = lift.hp_dim, lift.defect_dim
+        reference = [spectral_norm(delta[:hp])]
+        reference += [spectral_norm(delta[hp + j * dt:hp + (j + 1) * dt]) for j in range(7)]
+        assert all(type(r) is float for r in report.retained_residuals)
+        np.testing.assert_allclose(report.retained_residuals + (report.boundary_residual,), reference,
+                                   rtol=0, atol=1e-14)
+
     def test_boundary_residual_reported_separately(self):
         d = krylov_dataset(np.random.default_rng(5), n=4, a_norm=0.7)
         p = underlying_contraction(d)

@@ -20,6 +20,7 @@ from rclkit.opcore import (
     psd_order_leq,
     range_closure_basis,
     spectral_norm,
+    spectral_norms,
 )
 
 
@@ -41,6 +42,17 @@ class TestSpectralNorm:
     def test_rejects_nan(self):
         with pytest.raises(InvalidInput):
             spectral_norm([[np.nan]])
+
+
+class TestSpectralNorms:
+    def test_matches_per_block_norms(self):
+        stack = np.stack([random_complex(np.random.default_rng(k), 3, 4) for k in range(5)])
+        np.testing.assert_allclose(spectral_norms(stack), [spectral_norm(m) for m in stack], rtol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(4, 0, 3), (4, 3, 0), (0, 2, 2)])
+    def test_zero_size_stacks(self, shape):
+        norms = spectral_norms(np.zeros(shape))
+        assert norms.shape == (shape[0],) and not norms.any()
 
 
 class TestDefect:

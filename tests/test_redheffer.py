@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ORACLE_REGIMES,
     backward_shift_problem,
     coisometric_problem,
     isometric_problem,
@@ -266,15 +267,6 @@ def random_schur_parameter(rng, realization: RedhefferRealization, degree: int) 
               for _ in range(degree + 1)]
     total = sum(spectral_norm(c) for c in coeffs)
     return SchurParameter(tuple(0.9 * c / total if total > 0 else c for c in coeffs))
-
-
-ORACLE_REGIMES = {
-    "generic": lambda rng: random_problem(rng, u_dim=6, y_dim=2, f_dim=3),
-    "no_output": lambda rng: random_problem(rng, u_dim=5, y_dim=0, f_dim=2),
-    "full_domain": lambda rng: random_problem(rng, u_dim=5, y_dim=2, f_dim=5),
-    "empty_domain": lambda rng: random_problem(rng, u_dim=4, y_dim=2, f_dim=0),
-    "zero_adjoint_defect": coisometric_problem,
-}
 
 
 class TestLftOracle:

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_complex
-from rclkit.errors import DimensionMismatch, NotInvertible
+from rclkit.errors import DimensionMismatch, InvalidInput, NotInvertible
 from rclkit.series import MatrixSeries, add, inv, mul, scale, shift
 
 
@@ -126,3 +126,23 @@ def test_scale_and_truncate():
     assert doubled.coeff(1)[0, 0] == 4.0
     padded = a.truncate(4)
     assert padded.order == 4 and padded.coeff(4)[0, 0] == 0.0
+
+
+def test_coefficients_are_one_array():
+    a = random_series(np.random.default_rng(2), 2, 3, 4)
+    assert isinstance(a.coeffs, np.ndarray)
+    assert a.coeffs.dtype == np.complex128 and a.coeffs.shape == (5, 2, 3)
+
+
+@pytest.mark.parametrize("coeffs,error", [
+    ((np.zeros((2, 3)), np.zeros((2, 2))), DimensionMismatch),    # ragged
+    ((np.zeros((3, 3)),), DimensionMismatch),                     # not out_dim x in_dim
+    (np.zeros((2, 3)), DimensionMismatch),                        # a matrix, not a stack
+    ((), InvalidInput),
+    (np.zeros((0, 2, 3)), InvalidInput),
+    ((np.full((2, 3), np.nan),), InvalidInput),
+    ((np.zeros((2, 3)), np.full((2, 3), np.inf)), InvalidInput),
+])
+def test_construction_rejects(coeffs, error):
+    with pytest.raises(error):
+        MatrixSeries(coeffs, 2, 3)

@@ -10,6 +10,7 @@ from rclkit.sysco import (
     gram_identity_audit,
     julia_system,
     observability_taylor,
+    orbit,
     stacked_operator,
     transfer_taylor,
 )
@@ -103,6 +104,21 @@ class TestTransferObservability:
         direct = s.D + lam * s.C @ resolvent
         tail = abs(lam) ** (order + 1) / (1 - abs(lam))
         assert spectral_norm(f.eval(lam) - direct) <= max(tail, 1e-12)
+
+
+class TestOrbit:
+    @pytest.mark.parametrize("rows,cols", [(2, 3), (0, 3), (2, 0), (0, 0)])
+    def test_shape_and_powers(self, rows, cols):
+        rng = np.random.default_rng(rows + cols)
+        c, a = random_contraction(rng, rows, cols), random_contraction(rng, cols, cols)
+        out = orbit(c, a, 5)
+        assert out.shape == (6, rows, cols) and out.dtype == np.complex128
+        for n in range(6):
+            np.testing.assert_allclose(out[n], c @ np.linalg.matrix_power(a, n), rtol=0, atol=1e-14)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(InvalidInput):
+            orbit(np.eye(2), np.eye(2), -1)
 
 
 class TestGramIdentityAudit:
