@@ -9,13 +9,14 @@ Problem files are JSON documents in exactly one of two forms::
 where a matrix ``M`` is a row-major nested array whose entries are
 two-element arrays ``[re, im]``. Both forms accept optional ``"tolerances"``
 (any of ``rank_tol``, ``contraction_slack``, ``identity_tol``) and an
-optional integer ``"seed"`` for the witness search. The environment
+optional integer ``"seed"``, which is checked and otherwise unused: the
+witness of ``unique --witness`` is deterministic. The environment
 variable ``RCLKIT_TOL`` overrides ``identity_tol`` last.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on parse error (with a
 diagnostic on standard error). All floating-point output is rendered in
-scientific notation with 17 significant digits, so identical inputs, flags
-and seed produce byte-identical reports.
+scientific notation with 17 significant digits, so identical inputs and
+flags produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -106,7 +107,10 @@ def _parse_entry(entry) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
     ):
         raise ParseFailure(f"matrix entry must be a two-element [re, im] array, got {entry!r}")
-    return complex(entry[0], entry[1])
+    try:
+        return complex(entry[0], entry[1])
+    except OverflowError as exc:   # a JSON integer beyond the float range
+        raise ParseFailure("matrix entry is too large for a float") from exc
 
 
 def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -156,7 +160,6 @@ class ProblemFile:
     data: dataset.DataSet | None
     omega: interp.InterpProblem | None
     tol: Tolerances
-    seed: int
 
     def problem(self) -> interp.InterpProblem:
         if self.omega is not None:
@@ -178,7 +181,10 @@ def _parse_tolerances(obj) -> Tolerances:
         for key, val in obj.items():
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ParseFailure(f"tolerance {key} must be a number")
-            values[key] = float(val)
+            try:
+                values[key] = float(val)
+            except OverflowError as exc:
+                raise ParseFailure(f"tolerance {key} is too large for a float") from exc
     env = os.environ.get("RCLKIT_TOL")
     if env is not None:
         try:
@@ -203,7 +209,7 @@ def load_problem_file(path: str) -> ProblemFile:
         raise ParseFailure("exactly one of the data-set form and the omega form must be present")
 
     tol = _parse_tolerances(doc.get("tolerances"))
-    seed = doc.get("seed", 0)
+    seed = doc.get("seed", 0)   # accepted for older files; the witness needs none
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ParseFailure("seed must be an integer")
 
@@ -217,7 +223,7 @@ def load_problem_file(path: str) -> ProblemFile:
                 parse_matrix(doc["R"]),
                 parse_matrix(doc["Q"]),
             )
-            return ProblemFile(data, None, tol, seed)
+            return ProblemFile(data, None, tol)
         om = doc["omega"]
         if not isinstance(om, dict):
             raise ParseFailure("omega form must be an object")
@@ -236,7 +242,7 @@ def load_problem_file(path: str) -> ProblemFile:
             parse_matrix(om.get("omega2"), rows=u_dim, cols=f.dim),
             tol,
         )
-        return ProblemFile(None, problem, tol, seed)
+        return ProblemFile(None, problem, tol)
     except RclkitError as exc:
         raise ParseFailure(f"problem file is structurally invalid: {exc}") from exc
 
@@ -283,7 +289,7 @@ def cmd_unique(pf: ProblemFile, args) -> tuple[int, dict]:
     if verdict.failing_n is not None:
         payload["failing_n"] = verdict.failing_n
     if args.witness and not verdict.unique:
-        witness = interp.second_solution_witness(problem, args.order, pf.seed, pf.tol)
+        witness = interp.second_solution_witness(problem, args.order, tol=pf.tol)
         payload["witness"] = {
             "parameter": matrix_to_json(witness.parameter),
             "first_diff_index": witness.first_diff_index,

@@ -17,7 +17,8 @@ solution
 (``P_F`` the projection of ``U`` onto ``F``) always exists; this module
 computes its Taylor coefficients (the ``sysco.orbit`` of ``w1 P_F`` under
 ``w2 P_F``), decides whether it is the only solution, and produces an
-explicit second solution whenever it is not.
+explicit second solution whenever it is not, one that first differs from
+``H_c`` where the co-isometry chain first fails.
 """
 
 from __future__ import annotations
@@ -240,14 +241,9 @@ class SecondSolution:
     gap: float
 
 
-_LAMBDA_GRID = (0.0, 0.3, -0.3, 0.3j, -0.3j, 0.6, -0.6, 0.6j, -0.6j)
-
-
-def _top_right_singular_vector(M: CMatrix) -> tuple[np.ndarray, float]:
-    if min(M.shape) == 0:
-        return np.zeros(M.shape[1], dtype=np.complex128), 0.0
-    _, s, vh = np.linalg.svd(M)
-    return vh[0].conj(), float(s[0])
+#: Power-iteration steps for the top singular direction of ``L_n``. The
+#: witness needs only ``L_n(V) != 0``, so the steps buy gap, not correctness.
+_POWER_STEPS = 30
 
 
 def second_solution_witness(
@@ -258,66 +254,55 @@ def second_solution_witness(
 ) -> SecondSolution | None:
     """Produce a verified second solution, or ``None`` when the solution is unique.
 
-    The construction follows the non-uniqueness mechanism directly: find a
-    point ``lam`` on a small grid inside the disc where both off-diagonal
-    coefficient functions of the solution family are nonzero, pick the
-    dominant singular vectors ``u`` of ``Phi12(lam)`` and ``h`` of
-    ``Phi21(lam)``, and build the rank-one contraction sending
-    ``Phi12(lam)u + delta*Phi11(lam)h`` to ``delta*h`` (zero on its
-    orthocomplement). The scale ``delta = |Phi12(lam)u| / (|Phi11(lam)h| + 2)``
-    keeps that map a contraction with margin. If the whole grid fails to
-    separate the solutions, a seeded random search over constant contractive
-    parameters takes over.
+    Every solution is ``H_V = H_c + Phi21 V (I - Phi11 V)^{-1} Phi12``, and
+    ``Phi11(0) = 0``. So for a constant ``V`` the solutions agree below the
+    chain-failure index ``n = uniqueness(problem).failing_n``, and their
+    difference at ``n`` is linear in ``V``:
+
+        ``L_n(V) = sum_{i+j=n} Phi21_i V Phi12_j``.
+
+    The witness parameter is ``0.9 V / |V|`` for ``V`` the top right
+    singular direction of ``L_n``, found by ``_POWER_STEPS`` steps of power
+    iteration with ``L_n`` and ``L_n*`` from the all-ones start (each step
+    is ``n + 1`` small products; the Kronecker matrix of ``L_n`` is never
+    formed). One ``lft_solution`` gives its solution.
+
+    The construction is deterministic. ``seed`` is ignored; it keeps its
+    place so that positional callers keep working.
+
+    Raises:
+        InvalidInput: when ``order`` is below ``n``, where no two solutions differ.
+        InternalContradiction: when ``L_n`` vanishes on the start or the
+            candidate does not separate from the central solution.
     """
     tol = _resolve_tol(tol)
     verdict = uniqueness(problem, tol)
     if verdict.unique:
         return None
+    n = verdict.failing_n
+    if order < n:
+        raise InvalidInput(
+            f"witness order {order} is below the chain-failure index {n}; no two solutions differ before it"
+        )
 
     from . import redheffer  # deferred: redheffer depends on this module's types
 
     realization = redheffer.realize(problem, tol)
-    d_dim, g_dim = realization.defect_dim, realization.complement_dim
-    if d_dim == 0 or g_dim == 0:
-        raise InternalContradiction("non-unique problem produced a degenerate solution family")
-    central = central_taylor(problem, order).coeffs
-    threshold = 10.0 * tol.identity_tol
+    _, phi12, phi21, _ = redheffer.phi_taylor(realization, n)
+    left, right = phi21.coeffs, phi12.coeffs[::-1]   # Phi21_i beside Phi12_(n-i)
+    left_adj, right_adj = adjoint(left), adjoint(right)
+    v = np.ones((realization.defect_dim, realization.complement_dim), dtype=np.complex128)
+    for _ in range(_POWER_STEPS):
+        image = (left @ v @ right).sum(axis=0)
+        size = np.linalg.norm(image)
+        if size == 0.0:
+            raise InternalContradiction(f"the difference map at chain-failure index {n} vanishes")
+        v = (left_adj @ (image / size) @ right_adj).sum(axis=0)
+    param = 0.9 * v / spectral_norm(v)
 
-    def assess(param: CMatrix) -> SecondSolution | None:
-        candidate = redheffer.lft_solution(
-            realization, redheffer.SchurParameter.constant(param, tol), order
-        )
-        gaps = spectral_norms(candidate.coeffs - central)
-        gap = float(gaps.max())
-        if gap <= threshold:
-            return None
-        first = int(np.argmax(gaps > threshold))
-        return SecondSolution(param, candidate, first, gap)
-
-    best: SecondSolution | None = None
-    for lam in _LAMBDA_GRID:
-        phi11, phi12, phi21, _ = redheffer.phi_eval(realization, lam)
-        u, s12 = _top_right_singular_vector(phi12)
-        h, s21 = _top_right_singular_vector(phi21)
-        if s12 < 1e-14 or s21 < 1e-14:
-            continue
-        f12u = phi12 @ u
-        f11h = phi11 @ h
-        delta = float(np.linalg.norm(f12u)) / (float(np.linalg.norm(f11h)) + 2.0)
-        w = f12u + delta * f11h
-        wnorm2 = float(np.vdot(w, w).real)
-        param = delta * np.outer(h, w.conj()) / wnorm2
-        found = assess(param)
-        if found is not None and (best is None or found.gap > best.gap):
-            best = found
-    if best is not None:
-        return best
-
-    rng = np.random.default_rng(seed)
-    for _ in range(64):
-        raw = rng.standard_normal((d_dim, g_dim)) + 1j * rng.standard_normal((d_dim, g_dim))
-        param = 0.9 * raw / max(spectral_norm(raw), 1e-30)
-        found = assess(param)
-        if found is not None:
-            return found
-    raise InternalContradiction("failed to separate two solutions of a non-unique problem")
+    candidate = redheffer.lft_solution(realization, redheffer.SchurParameter.constant(param, tol), order)
+    gaps = spectral_norms(candidate.coeffs - central_taylor(problem, order).coeffs)
+    separated = gaps > 10.0 * tol.identity_tol
+    if not separated.any():
+        raise InternalContradiction("failed to separate two solutions of a non-unique problem")
+    return SecondSolution(param, candidate, int(np.argmax(separated)), float(gaps.max()))

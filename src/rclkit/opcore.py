@@ -65,8 +65,8 @@ def as_cmatrix(value, rows: int | None = None, cols: int | None = None) -> CMatr
 
 
 def adjoint(M: CMatrix) -> CMatrix:
-    """Conjugate transpose."""
-    return M.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(M.conj(), -1, -2)
 
 
 def spectral_norm(M) -> float:

@@ -42,7 +42,6 @@ from .opcore import (
     adjoint,
     as_cmatrix,
     defect,
-    isometry_deficiency,
     spectral_norm,
 )
 from .series import MatrixSeries
@@ -50,10 +49,9 @@ from .sysco import (
     CoisometricSystem,
     coisometry_gap,
     gram_identity_audit,
-    observability_taylor,
     orbit,
     stacked_operator,
-    transfer_taylor,
+    transfer_from_orbit,
 )
 
 
@@ -140,13 +138,13 @@ def phi_taylor(realization: RedhefferRealization, order: int):
 
     The transfer coefficients of ``realization.system`` split into
     ``Phi11`` over ``Phi21``, its observability coefficients into ``Phi12``
-    over ``Phi22``: the ``Phi22`` coefficients are the central solution's,
-    and ``Phi11`` has zero constant term.
+    over ``Phi22``; one ``orbit`` gives both. The ``Phi22`` coefficients
+    are the central solution's, and ``Phi11`` has zero constant term.
     """
-    g, y = realization.complement_dim, realization.problem.y_dim
+    s, g, y = realization.system, realization.complement_dim, realization.problem.y_dim
     d, u = realization.defect_dim, realization.problem.u_dim
-    transfer = transfer_taylor(realization.system, order).coeffs
-    observ = observability_taylor(realization.system, order).coeffs
+    observ = orbit(s.C, s.A, order)
+    transfer = transfer_from_orbit(s, observ).coeffs
     return (
         MatrixSeries(transfer[:, :g], g, d),
         MatrixSeries(observ[:, :g], g, u),
@@ -180,24 +178,6 @@ def coefficient_matrix_audit(
         AuditFailure: when the deficiency exceeds ``identity_tol``.
     """
     return CoefficientAudit(blocks, gram_identity_audit(realization.system, blocks, tol))
-
-
-def coefficient_matrix_unitary_gap(realization: RedhefferRealization, blocks: int) -> float:
-    """Column-Gram gap of the leading coefficient columns of the truncation.
-
-    The full coefficient operator is unitary when the stacked contraction is
-    isometric and the state operator is pointwise stable. A truncation can
-    never witness that exactly: its trailing Toeplitz columns are cut off at
-    birth. The columns fed by coefficient zero - the first Toeplitz strip
-    together with the stacked-coefficient columns - do fill in as the block
-    count grows, and their Gram is a PSD-increasing partial sum bounded by
-    the identity, so the reported gap decreases with ``blocks``. Decay
-    toward 0 is the finite-size shadow of unitarity; this is a trend
-    indicator, never a verdict.
-    """
-    matrix = truncated_coefficient_matrix(realization, blocks)
-    d = realization.defect_dim
-    return isometry_deficiency(np.hstack([matrix[:, :d], matrix[:, blocks * d:]]))
 
 
 @dataclass(frozen=True)

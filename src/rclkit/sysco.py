@@ -119,21 +119,28 @@ def observability_taylor(system: CoisometricSystem, order: int) -> MatrixSeries:
     return MatrixSeries(orbit(system.C, system.A, order), system.out_dim, system.state_dim)
 
 
-def transfer_taylor(system: CoisometricSystem, order: int) -> MatrixSeries:
-    """Coefficients ``F_0 = D`` and ``F_n = C A^(n-1) B`` of the transfer function."""
-    observ = orbit(system.C, system.A, order)
+def transfer_from_orbit(system: CoisometricSystem, observ: np.ndarray) -> MatrixSeries:
+    """Transfer coefficients ``F_0 = D`` and ``F_n = C A^(n-1) B`` from the
+    observability coefficients ``orbit(C, A, order)``, to the same order."""
     coeffs = np.concatenate([system.D[None], observ[:-1] @ system.B])
     return MatrixSeries(coeffs, system.out_dim, system.in_dim)
 
 
+def transfer_taylor(system: CoisometricSystem, order: int) -> MatrixSeries:
+    """Coefficients ``F_0 = D`` and ``F_n = C A^(n-1) B`` of the transfer function."""
+    return transfer_from_orbit(system, orbit(system.C, system.A, order))
+
+
 def stacked_operator(system: CoisometricSystem, blocks: int) -> CMatrix:
-    """``[T_F, G_W]`` truncated to the given number of block rows."""
+    """``[T_F, G_W]`` truncated to the given number of block rows; one orbit
+    serves both parts."""
     if blocks < 1:
         raise InvalidInput(f"need at least one block, got {blocks}")
     v, w, x = system.in_dim, system.out_dim, system.state_dim
+    observ = orbit(system.C, system.A, blocks - 1)
     out = np.empty((blocks * w, blocks * v + x), dtype=np.complex128)
-    transfer_taylor(system, blocks - 1).toeplitz(blocks, out)
-    out[:, blocks * v:] = orbit(system.C, system.A, blocks - 1).reshape(blocks * w, x)
+    transfer_from_orbit(system, observ).toeplitz(blocks, out)
+    out[:, blocks * v:] = observ.reshape(blocks * w, x)
     return out
 
 

@@ -47,13 +47,6 @@ def random_problem(rng, u_max=8, y_max=3, norm=0.9, u_dim=None, y_dim=None, f_di
     return InterpProblem(u, y, basis, stacked[:y], stacked[y:])
 
 
-def isometric_problem(rng, u_dim, y_dim, f_dim):
-    """Problem whose stacked contraction is an isometry (orthonormal columns)."""
-    stacked = haar_isometry(rng, y_dim + u_dim, f_dim)
-    return InterpProblem(u_dim, y_dim, random_subspace(rng, u_dim, f_dim),
-                         stacked[:y_dim], stacked[y_dim:])
-
-
 def coisometric_problem(rng, u_max=6):
     """Problem whose stacked contraction is a co-isometry.
 

@@ -28,6 +28,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 class TestMatrixCodec:
     def test_round_trip(self):
         m = np.array([[1 + 2j, 0.5], [0, -1j]])
@@ -83,7 +88,7 @@ class TestParseErrors:
         assert code == EXIT_PARSE and err
 
     def test_both_forms_rejected(self, capsys, tmp_path):
-        doc = json.load(open(SHIFT6))
+        doc = load_json(SHIFT6)
         doc["A"] = matrix_to_json(np.zeros((1, 1)))
         path = tmp_path / "both.json"
         path.write_text(json.dumps(doc))
@@ -144,6 +149,12 @@ class TestUniqueCommand:
         witness = json.loads(out)["witness"]
         assert witness["first_diff_index"] >= 5
         assert float(witness["gap"]) > 1e-6
+
+    def test_witness_order_below_failing_index(self, capsys):
+        code, out, err = run(capsys, "unique", SHIFT6, "--witness", "--order", "3")
+        assert code == EXIT_INVALID and err == ""
+        message = json.loads(out)["error"]
+        assert message.startswith("InvalidInput:") and "order 3" in message and "index 5" in message
 
     @pytest.mark.parametrize("example", [CLASSICAL, SHIFT6, RELAXED], ids=["classical", "shift6", "relaxed"])
     @pytest.mark.parametrize("command", ["validate", "omega", "central", "unique", "solve", "verify", "audit"])
@@ -208,6 +219,31 @@ class TestSolveVerifyAudit:
                 "system": ["audit", RELAXED, "--system"]}[kind]
         code, out, err = run(capsys, *argv, str(aux))
         assert code == EXIT_PARSE and out == "" and err
+
+    @pytest.mark.parametrize("kind", ["problem", "tolerances", "param", "solution", "system"])
+    def test_integer_beyond_float_range_exits_two(self, capsys, tmp_path, kind):
+        huge = [[[10**400, 0]]]
+        problem = load_json(SHIFT6)
+        if kind == "problem":
+            problem["omega"]["omega1"][0][0] = huge[0][0]
+        elif kind == "tolerances":
+            problem["tolerances"] = {"identity_tol": 10**400}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        docs = {
+            "param": {"coeffs": [huge]},
+            "solution": {"order": 0, "out_dim": 1, "in_dim": 1, "coeffs": [huge]},
+            "system": {"A": huge, "B": huge, "C": huge, "D": huge},
+        }
+        argv = {"problem": ["unique", str(path)], "tolerances": ["unique", str(path)],
+                "param": ["solve", str(path), "--param"], "solution": ["verify", str(path), "--solution"],
+                "system": ["audit", str(path), "--system"]}[kind]
+        if kind in docs:
+            aux = tmp_path / f"{kind}.json"
+            aux.write_text(json.dumps(docs[kind]))
+            argv.append(str(aux))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE and out == "" and "too large for a float" in err
 
     def test_verify_accepts_central_solution(self, capsys, tmp_path):
         _, out, _ = run(capsys, "central", RELAXED, "--order", "16")
@@ -278,7 +314,7 @@ class TestToleranceOverrides:
         assert code == EXIT_PARSE and "RCLKIT_TOL" in err
 
     def test_file_tolerances_respected(self, capsys, tmp_path):
-        doc = json.load(open(CLASSICAL))
+        doc = load_json(CLASSICAL)
         doc["tolerances"] = {"identity_tol": 1e-15}
         path = tmp_path / "tight.json"
         path.write_text(json.dumps(doc))
@@ -317,7 +353,7 @@ class TestToleranceOverrides:
     @staticmethod
     def _slightly_expansive_parameter(tmp_path, tolerances=None):
         """A problem file and a constant parameter of norm ``1 + 1e-8`` for it."""
-        doc = json.load(open(RELAXED))
+        doc = load_json(RELAXED)
         if tolerances is not None:
             doc["tolerances"] = tolerances
         problem = tmp_path / "relaxed.json"

@@ -1,3 +1,5 @@
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from rclkit.interp import (
     uniqueness,
 )
 from rclkit.opcore import SubspaceBasis, Tolerances, psd_order_leq, spectral_norm
+from rclkit import redheffer
+from rclkit.cli import load_problem_file
 from rclkit.redheffer import SchurParameter, lft_solution, realize
 from rclkit.series import MatrixSeries
 
@@ -233,10 +237,65 @@ class TestSecondSolutionWitness:
         assert witness.first_diff_index >= 5
 
     def test_witness_deterministic_given_seed(self):
+        # the construction draws nothing at random: every seed gives one witness
         p = backward_shift_problem(5)
-        w1 = second_solution_witness(p, order=10, seed=42)
+        w1 = second_solution_witness(p, order=10, seed=0)
         w2 = second_solution_witness(p, order=10, seed=42)
         np.testing.assert_array_equal(w1.parameter, w2.parameter)
+        np.testing.assert_array_equal(w1.solution.coeffs, w2.solution.coeffs)
+
+    def test_order_below_failing_index_rejected(self, monkeypatch):
+        def no_realization(*args):
+            raise AssertionError("realization built for an order that cannot separate")
+
+        monkeypatch.setattr(redheffer, "realize", no_realization)
+        with pytest.raises(InvalidInput, match=r"order 3 .* index 5"):
+            second_solution_witness(backward_shift_problem(6), order=3)
+
+    def test_one_construction_per_witness(self, monkeypatch):
+        calls = {"phi_taylor": 0, "lft_solution": 0, "phi_eval": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(redheffer, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(redheffer, name, counted)
+
+        class NoRandom:
+            def __getattr__(self, attr):
+                raise AssertionError(f"numpy.random.{attr} used by the witness")
+
+        p = random_problem(np.random.default_rng(210), u_dim=7, y_dim=2, f_dim=4)
+        monkeypatch.setattr(np, "random", NoRandom())
+        assert second_solution_witness(p, order=16) is not None
+        assert calls == {"phi_taylor": 1, "lft_solution": 1, "phi_eval": 0}
+
+
+EXAMPLES = files("rclkit").joinpath("examples")
+
+#: Seeded problem makers: generic random problems with ``y`` in {1, 2, 3},
+#: backward shifts of every length 2..12 and the bundled examples.
+WITNESS_CASES = {
+    **{f"random-y{y}-{seed}": lambda y=y, seed=seed: random_problem(np.random.default_rng(1000 * y + seed), y_dim=y)
+       for y in (1, 2, 3) for seed in range(12)},
+    **{f"shift{n}": lambda n=n: backward_shift_problem(n) for n in range(2, 13)},
+    **{name: lambda name=name: load_problem_file(str(EXAMPLES / f"{name}.json")).problem()
+       for name in ("classical_cl", "ex22_trunc6", "relaxed_np_n4")},
+}
+
+
+@pytest.mark.parametrize("case", list(WITNESS_CASES))
+def test_solutions_first_differ_at_the_chain_failure_index(case):
+    # the paper's condition seen from the solution side: two solutions can
+    # first differ exactly where the co-isometry chain first fails
+    p = WITNESS_CASES[case]()
+    verdict = uniqueness(p)
+    witness = second_solution_witness(p, order=16)
+    if verdict.unique:
+        assert witness is None
+        return
+    assert witness.first_diff_index == verdict.failing_n
+    assert is_solution(p, witness.solution).ok
+    assert witness.gap > 0.5
 
 
 @pytest.mark.parametrize("seed", range(10))

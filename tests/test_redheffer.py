@@ -5,7 +5,6 @@ from helpers import (
     ORACLE_REGIMES,
     backward_shift_problem,
     coisometric_problem,
-    isometric_problem,
     random_complex,
     random_problem,
 )
@@ -24,7 +23,6 @@ from rclkit.redheffer import (
     RedhefferRealization,
     SchurParameter,
     coefficient_matrix_audit,
-    coefficient_matrix_unitary_gap,
     lft_solution,
     phi_eval,
     phi_taylor,
@@ -160,29 +158,6 @@ class TestCoefficientMatrixAudit:
         r = realize(coisometric_problem(np.random.default_rng(63)))
         assert r.defect_dim == 0
         assert coefficient_matrix_audit(r, 8).deficiency < 1e-9
-
-    def test_unitary_gap_decays_for_isometric_strict_case(self):
-        rng = np.random.default_rng(64)
-        p = isometric_problem(rng, u_dim=4, y_dim=2, f_dim=3)
-        r = realize(p)
-        assert spectral_norm(r.Z) < 1.0
-        gaps = [coefficient_matrix_unitary_gap(r, n) for n in (2, 6, 12, 20)]
-        assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
-        assert gaps[3] < 1e-3
-
-    def test_unitary_gap_monotone_for_strict_contraction(self):
-        rng = np.random.default_rng(65)
-        p = random_problem(rng, u_dim=4, f_dim=3, y_dim=1, norm=0.8)
-        r = realize(p)
-        gaps = [coefficient_matrix_unitary_gap(r, n) for n in (2, 6, 12)]
-        assert gaps[0] >= gaps[1] - 1e-12 and gaps[1] >= gaps[2] - 1e-12
-
-    def test_unitary_gap_vanishes_for_isometric_stable_case(self):
-        # isometric stacked contraction with nilpotent state operator: the
-        # infinite coefficient operator is unitary and the probe sees it
-        p = backward_shift_problem(5)
-        gap = coefficient_matrix_unitary_gap(realize(p), 12)
-        assert gap < 1e-12
 
 
 class TestSchurParameter:

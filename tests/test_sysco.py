@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import random_coisometric_system, random_contraction
+from rclkit import sysco
 from rclkit.errors import AuditFailure, InvalidInput
 from rclkit.opcore import psd_order_leq, spectral_norm
 from rclkit.sysco import (
@@ -119,6 +120,25 @@ class TestOrbit:
     def test_negative_order_rejected(self):
         with pytest.raises(InvalidInput):
             orbit(np.eye(2), np.eye(2), -1)
+
+
+@pytest.mark.parametrize("blocks", [1, 4, 9])
+def test_stacked_operator_runs_one_orbit(monkeypatch, blocks):
+    s = random_coisometric_system(np.random.default_rng(60 + blocks))
+    # two orbits, one per part, as the reference layout
+    reference = np.hstack([
+        transfer_taylor(s, blocks - 1).toeplitz(blocks),
+        observability_taylor(s, blocks - 1).coeffs.reshape(blocks * s.out_dim, s.state_dim),
+    ])
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return orbit(*args)
+
+    monkeypatch.setattr(sysco, "orbit", counted)
+    np.testing.assert_array_equal(stacked_operator(s, blocks), reference)
+    assert calls == [blocks - 1]
 
 
 class TestGramIdentityAudit:
