@@ -13,6 +13,11 @@ optional integer ``"seed"``, which is checked and otherwise unused: the
 witness of ``unique --witness`` is deterministic. The environment
 variable ``RCLKIT_TOL`` overrides ``identity_tol`` last.
 
+Each matrix crosses the JSON boundary as one ``(rows, cols, 2)`` float array
+of ``[re, im]`` pairs: decoded in one conversion, encoded as one piece of
+text. A report is formatted in full, then written to standard output piece
+by piece, so no full-size copy of it is built.
+
 Exit codes: 0 on success, 1 on validation failure, 2 on parse error (with a
 diagnostic on standard error). All floating-point output is rendered in
 scientific notation with 17 significant digits, so identical inputs and
@@ -46,35 +51,43 @@ class ParseFailure(Exception):
 # ---------------------------------------------------------------------------
 # JSON encoding: floats as %.16e, complex scalars as [re, im] pairs.
 
-def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ParseFailure(f"cannot serialize non-finite value {x!r}")
-    return f"{x:.16e}"
+def _dump_json(obj):
+    """The JSON text of ``obj`` in pieces, in order; each ``(rows, cols, 2)``
+    array from :func:`matrix_to_json` is one piece, from one row template."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 3:
+        if not np.all(np.isfinite(obj)):
+            raise ParseFailure(f"cannot serialize non-finite value {float(obj[~np.isfinite(obj)][0])!r}")
+        rows, cols, _ = obj.shape
+        row = "[" + ", ".join(["[%.16e, %.16e]"] * cols) + "]"
+        yield ("[" + ", ".join([row] * rows) + "]") % tuple(obj.ravel().tolist())
+    elif isinstance(obj, dict):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _dump_json(value)
+        yield "}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):   # a list, or a stack of matrices
+        yield "["
+        for i, value in enumerate(obj):
+            if i:
+                yield ", "
+            yield from _dump_json(value)
+        yield "]"
+    elif isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ParseFailure(f"cannot serialize non-finite value {float(obj)!r}")
+        yield f"{float(obj):.16e}"
+    elif obj is None or isinstance(obj, (int, np.integer, str)):   # bools are ints
+        yield json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
+    else:
+        raise ParseFailure(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _dump_json(obj) -> str:
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_dump_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dump_json(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise ParseFailure(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def matrix_to_json(M) -> list:
-    """Nested ``[re, im]`` lists of a matrix, or of a stack of matrices."""
+def matrix_to_json(M) -> np.ndarray:
+    """The ``(..., rows, cols, 2)`` float array of ``[re, im]`` pairs of a
+    matrix, or of a stack of matrices."""
     M = np.asarray(M, dtype=np.complex128)
-    return np.stack([M.real, M.imag], axis=-1).tolist()
+    return np.stack([M.real, M.imag], axis=-1)
 
 
 def series_to_json(s: MatrixSeries) -> dict:
@@ -100,39 +113,33 @@ def _read_json(path: str, what: str):
         raise ParseFailure(f"malformed JSON in {what} {path}: {exc}") from exc
 
 
-def _parse_entry(entry) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-    ):
-        raise ParseFailure(f"matrix entry must be a two-element [re, im] array, got {entry!r}")
-    try:
-        return complex(entry[0], entry[1])
-    except OverflowError as exc:   # a JSON integer beyond the float range
-        raise ParseFailure("matrix entry is too large for a float") from exc
+def _integer(doc: dict, key: str, default=None) -> int:
+    """``doc[key]`` if it is a JSON integer (bools are not), else ParseFailure;
+    ``default`` stands in for a missing key."""
+    value = doc.get(key, default)
+    if type(value) is not int:
+        raise ParseFailure(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Decode a nested-array matrix; empty row lists take ``cols`` from context."""
+    """Decode a nested-array matrix; ``[]`` takes ``cols`` from context."""
     if not isinstance(obj, list):
         raise ParseFailure(f"matrix must be a list of rows, got {type(obj).__name__}")
+    pairs = np.array(obj, dtype=object)
     if not obj:
-        out = np.zeros((0, cols or 0), dtype=np.complex128)
-    else:
-        parsed_rows = []
-        width = None
-        for row in obj:
-            if not isinstance(row, list):
-                raise ParseFailure("matrix rows must be lists")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseFailure("matrix rows have inconsistent lengths")
-            parsed_rows.append([_parse_entry(e) for e in row])
-        out = np.array(parsed_rows, dtype=np.complex128).reshape(len(obj), width or 0)
-        if not np.all(np.isfinite(out)):
-            raise ParseFailure("matrix has non-finite entries")
+        pairs = pairs.reshape(0, cols or 0, 2)
+    elif pairs.ndim == 2 and pairs.shape[1] == 0:   # rows with no entries
+        pairs = pairs.reshape(len(obj), 0, 2)
+    if pairs.ndim != 3 or pairs.shape[2] != 2 or not set(map(type, pairs.flat)) <= {int, float}:
+        raise ParseFailure("matrix must be a list of equal-length rows of [re, im] number pairs")
+    try:
+        pairs = pairs.astype(np.float64)
+    except OverflowError as exc:   # a JSON integer beyond the float range
+        raise ParseFailure("matrix entry is too large for a float") from exc
+    if not np.all(np.isfinite(pairs)):
+        raise ParseFailure("matrix has non-finite entries")
+    out = pairs.view(np.complex128)[..., 0]
     if rows is not None and out.shape[0] != rows:
         raise ParseFailure(f"expected {rows} rows, got {out.shape[0]}")
     if cols is not None and out.shape[1] != cols:
@@ -141,18 +148,14 @@ def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.nd
 
 
 def parse_series(obj) -> MatrixSeries:
-    try:
-        order = int(obj["order"])
-        out_dim = int(obj["out_dim"])
-        in_dim = int(obj["in_dim"])
-        raw = obj["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseFailure(f"malformed series object: {exc}") from exc
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+        raise ParseFailure("series must be an object with a 'coeffs' list")
+    order, out_dim, in_dim = (_integer(obj, key) for key in ("order", "out_dim", "in_dim"))
     if order < 0:
         raise ParseFailure(f"series order must be nonnegative, got {order}")
-    if not isinstance(raw, list) or len(raw) != order + 1:
+    if len(obj["coeffs"]) != order + 1:
         raise ParseFailure("series coefficient count does not match its order")
-    return MatrixSeries([parse_matrix(c, rows=out_dim, cols=in_dim) for c in raw], out_dim, in_dim)
+    return MatrixSeries([parse_matrix(c, rows=out_dim, cols=in_dim) for c in obj["coeffs"]], out_dim, in_dim)
 
 
 @dataclass
@@ -209,40 +212,23 @@ def load_problem_file(path: str) -> ProblemFile:
         raise ParseFailure("exactly one of the data-set form and the omega form must be present")
 
     tol = _parse_tolerances(doc.get("tolerances"))
-    seed = doc.get("seed", 0)   # accepted for older files; the witness needs none
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ParseFailure("seed must be an integer")
+    _integer(doc, "seed", 0)   # accepted for older files; the witness needs none
 
     try:
         if has_dataset:
             if not dataset_keys <= set(doc):
                 raise ParseFailure(f"data-set form needs all of {sorted(dataset_keys)}")
-            data = dataset.DataSet(
-                parse_matrix(doc["A"]),
-                parse_matrix(doc["Tprime"]),
-                parse_matrix(doc["R"]),
-                parse_matrix(doc["Q"]),
-            )
+            data = dataset.DataSet(*(parse_matrix(doc[key]) for key in ("A", "Tprime", "R", "Q")))
             return ProblemFile(data, None, tol)
         om = doc["omega"]
         if not isinstance(om, dict):
             raise ParseFailure("omega form must be an object")
-        try:
-            u_dim = int(om["u_dim"])
-            y_dim = int(om["y_dim"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseFailure(f"omega form needs integer u_dim and y_dim: {exc}") from exc
+        u_dim, y_dim = _integer(om, "u_dim"), _integer(om, "y_dim")
         basis = parse_matrix(om.get("F_basis"), rows=u_dim)
         f = SubspaceBasis(u_dim, basis)
-        problem = interp.InterpProblem(
-            u_dim,
-            y_dim,
-            f,
-            parse_matrix(om.get("omega1"), rows=y_dim, cols=f.dim),
-            parse_matrix(om.get("omega2"), rows=u_dim, cols=f.dim),
-            tol,
-        )
-        return ProblemFile(None, problem, tol)
+        omega1 = parse_matrix(om.get("omega1"), rows=y_dim, cols=f.dim)
+        omega2 = parse_matrix(om.get("omega2"), rows=u_dim, cols=f.dim)
+        return ProblemFile(None, interp.InterpProblem(u_dim, y_dim, f, omega1, omega2, tol), tol)
     except RclkitError as exc:
         raise ParseFailure(f"problem file is structurally invalid: {exc}") from exc
 
@@ -355,13 +341,7 @@ def cmd_audit(pf: ProblemFile, args) -> tuple[int, dict]:
         doc = _read_json(args.system, "system file")
         if not isinstance(doc, dict) or not {"A", "B", "C", "D"} <= set(doc):
             raise ParseFailure("system file must carry matrices A, B, C, D")
-        system = sysco.CoisometricSystem(
-            parse_matrix(doc["A"]),
-            parse_matrix(doc["B"]),
-            parse_matrix(doc["C"]),
-            parse_matrix(doc["D"]),
-            validate=False,
-        )
+        system = sysco.CoisometricSystem(*(parse_matrix(doc[key]) for key in "ABCD"), validate=False)
         try:
             payload["st_identity"] = sysco.gram_identity_audit(system, args.order, pf.tol)
         except AuditFailure as exc:
@@ -408,9 +388,10 @@ def main(argv=None) -> int:
         print(f"rclkit: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RclkitError as exc:
-        print(_dump_json({"error": f"{type(exc).__name__}: {exc}"}))
-        return EXIT_INVALID
-    print(_dump_json(payload))
+        code, payload = EXIT_INVALID, {"error": f"{type(exc).__name__}: {exc}"}
+    # every piece before the first write, so a value that cannot be
+    # serialized prints nothing
+    sys.stdout.writelines([*_dump_json(payload), "\n"])
     return code
 
 

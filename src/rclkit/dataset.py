@@ -171,16 +171,12 @@ def preset_relaxed_rq(n: int, v_dim: int) -> tuple[CMatrix, CMatrix]:
     return r, q
 
 
-def has_relaxed_rq_shape(data: DataSet, v_dim: int = 1, atol: float = 0.0) -> bool:
-    """Whether R and Q are exactly the sliding-block pair for the given V-dimension."""
-    h, h0 = data.dim_h, data.dim_h0
-    if v_dim < 1 or h % v_dim or h0 != h - v_dim:
+def has_relaxed_rq_shape(data: DataSet) -> bool:
+    """Whether R and Q are exactly the scalar sliding-block pair ``preset_relaxed_rq(h, 1)``."""
+    if data.dim_h0 != data.dim_h - 1:
         return False
-    r, q = preset_relaxed_rq(h // v_dim, v_dim)
-    return bool(
-        np.max(np.abs(data.R - r), initial=0.0) <= atol
-        and np.max(np.abs(data.Q - q), initial=0.0) <= atol
-    )
+    r, q = preset_relaxed_rq(data.dim_h, 1)
+    return np.array_equal(data.R, r) and np.array_equal(data.Q, q)
 
 
 class Decision(enum.Enum):
@@ -266,7 +262,7 @@ def norm_one_rq_uniqueness(data: DataSet, tol: Tolerances | None = None) -> Uniq
     ``abs(1 - norm(A)) <= identity_tol``.
     """
     tol = _resolve_tol(tol)
-    if not has_relaxed_rq_shape(data, v_dim=1):
+    if not has_relaxed_rq_shape(data):
         return UniquenessDecision(Decision.NOT_APPLICABLE, "R, Q lack the scalar sliding-block shape")
     if defect(data.Tp, tol)[1].dim == 0:
         return UniquenessDecision(Decision.NOT_APPLICABLE, "T' has trivial defect")

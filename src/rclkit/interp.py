@@ -148,10 +148,14 @@ def is_solution(problem: InterpProblem, H: MatrixSeries, tol: Tolerances | None 
             f"series maps {H.in_dim}->{H.out_dim}, problem needs {problem.u_dim}->{problem.y_dim}"
         )
     h = H.coeffs
+    stacked = h.reshape((H.order + 1) * H.out_dim, H.in_dim)
+    # |re|, |im| <= peak bounds each entry of gram + gram* by 4 · rows · peak²
+    peak = max(np.max(np.abs(h.real), initial=0.0), np.max(np.abs(h.imag), initial=0.0))
+    if peak > np.sqrt(np.finfo(np.float64).max / (4 * max(1, stacked.shape[0]))):
+        raise InvalidInput(f"candidate coefficients up to {peak:.3g} overflow the Gram sum_n h_n* h_n")
     # h_0 against w1, then h_(n+1) against h_n w2
     targets = np.concatenate([problem.omega1[None], h[:-1] @ problem.omega2])
     residuals = spectral_norms(h @ problem.F.basis - targets)
-    stacked = h.reshape((H.order + 1) * H.out_dim, H.in_dim)
     gram = adjoint(stacked) @ stacked
     # max(0, lambda_max - 1), and 0 when U = {0}
     excess = float(np.max(np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0), initial=1.0)) - 1.0

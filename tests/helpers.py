@@ -184,3 +184,9 @@ def krylov_dataset(rng, n=4, a_norm=0.7, hp=2, tp_norm=0.7):
     a = np.hstack(cols)
     a = a * (a_norm / spectral_norm(a))
     return DataSet(a, tp, r, q)
+
+
+def json_matrix(m):
+    """Nested ``[re, im]`` lists of a complex matrix, built entry by entry
+    so test files do not depend on the codec under test."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=np.complex128)]

@@ -4,17 +4,22 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+from helpers import ORACLE_REGIMES, json_matrix
 from rclkit import redheffer
 from rclkit.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_PARSE,
+    ParseFailure,
+    _dump_json,
     load_problem_file,
     main,
     matrix_to_json,
     parse_matrix,
     parse_series,
+    series_to_json,
 )
+from rclkit.series import MatrixSeries
 
 FIXTURES = files("rclkit").joinpath("examples")
 CLASSICAL = str(FIXTURES / "classical_cl.json")
@@ -33,10 +38,46 @@ def load_json(path):
         return json.load(fh)
 
 
+def encode(obj) -> str:
+    """The CLI's JSON text of ``obj``."""
+    return "".join(_dump_json(obj))
+
+
+def reference_text(m) -> str:
+    """A matrix in the CLI's layout, formatted float by float with f-strings."""
+    rows = ("[" + ", ".join(f"[{z.real:.16e}, {z.imag:.16e}]" for z in row) + "]" for row in m)
+    return "[" + ", ".join(rows) + "]"
+
+
+def _bad_entry(entry):
+    def put(m):
+        m[0][0] = entry
+        return m
+    return put
+
+
+#: Malformed variants of a matrix given as nested ``[re, im]`` lists.
+MALFORMED = {
+    "bool": _bad_entry([True, False]),
+    "bool_and_float": _bad_entry([True, 0.5]),
+    "string": _bad_entry(["1.0", 0.0]),
+    "null": _bad_entry([None, 0.0]),
+    "object": _bad_entry({"re": 1.0, "im": 0.0}),
+    "one_element": _bad_entry([1.0]),
+    "three_elements": _bad_entry([1.0, 0.0, 0.0]),
+    "empty_pair": _bad_entry([]),
+    "ragged_rows": lambda m: [m[0], m[1][:-1]] + m[2:],
+    "non_list_row": lambda m: [m[0], 1.0] + m[2:],
+    "one_level_too_deep": lambda m: [[[e] for e in row] for row in m],
+    "integer_beyond_float_range": _bad_entry([10**400, 0]),
+    "nan": _bad_entry([float("nan"), 0.0]),
+}
+
+
 class TestMatrixCodec:
     def test_round_trip(self):
         m = np.array([[1 + 2j, 0.5], [0, -1j]])
-        back = parse_matrix(matrix_to_json(m))
+        back = parse_matrix(json.loads(encode(matrix_to_json(m))))
         np.testing.assert_array_equal(back, m)
 
     def test_empty_rows_take_cols_from_context(self):
@@ -51,6 +92,55 @@ class TestMatrixCodec:
         with pytest.raises(Exception):
             parse_matrix([[1.0]])
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_matrix_exits_two(self, capsys, tmp_path, case):
+        doc = load_json(SHIFT6)
+        doc["omega"]["omega2"] = MALFORMED[case](doc["omega"]["omega2"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "omega", str(path))
+        assert code == EXIT_PARSE and out == "" and err
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_zero_size_round_trip(self, shape):
+        m = np.zeros(shape, dtype=np.complex128)
+        back = parse_matrix(json.loads(encode(matrix_to_json(m))), cols=shape[1])
+        assert back.shape == shape
+
+    def test_zero_row_stack_round_trip(self):
+        s = MatrixSeries.zero(0, 3, order=2)
+        back = parse_series(json.loads(encode(series_to_json(s))))
+        assert back.coeffs.shape == (3, 0, 3)
+
+    def test_encoded_text_matches_fstrings(self):
+        m = np.array([[complex(-0.0, 5e-324), complex(1e300, 1 / 3)]])
+        assert encode(matrix_to_json(m)) == reference_text(m)
+        assert encode([-0.0, 5e-324, 1e300, 1 / 3]) == f"[{-0.0:.16e}, {5e-324:.16e}, {1e300:.16e}, {1 / 3:.16e}]"
+
+    def test_non_finite_output_rejected(self):
+        with pytest.raises(ParseFailure):
+            encode({"x": [1.0, float("inf")]})
+        with pytest.raises(ParseFailure):
+            encode(matrix_to_json([[complex(0.0, float("nan"))]]))
+
+
+class TestByteGuard:
+    """``omega`` on a direct-form file only decodes and re-encodes it, so
+    full-precision input text must come back byte for byte on any BLAS."""
+
+    @pytest.mark.parametrize("regime", ["generic", "no_output", "full_domain", "empty_domain"])
+    def test_omega_reproduces_input_text(self, capsys, tmp_path, regime):
+        p = ORACLE_REGIMES[regime](np.random.default_rng(8))
+        text = (
+            f'{{"omega": {{"u_dim": {p.u_dim}, "y_dim": {p.y_dim}, '
+            f'"F_basis": {reference_text(p.F.basis)}, "omega1": {reference_text(p.omega1)}, '
+            f'"omega2": {reference_text(p.omega2)}}}}}'
+        )
+        path = tmp_path / "direct.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "omega", str(path))
+        assert (code, out, err) == (EXIT_OK, text + "\n", "")
+
 
 class TestValidateCommand:
     def test_valid_fixture(self, capsys):
@@ -61,10 +151,10 @@ class TestValidateCommand:
 
     def test_violation_exits_one(self, capsys, tmp_path):
         doc = {
-            "A": matrix_to_json(np.zeros((1, 1))),
-            "Tprime": matrix_to_json(np.zeros((1, 1))),
-            "R": matrix_to_json(np.eye(1)),
-            "Q": matrix_to_json(0.5 * np.eye(1)),
+            "A": json_matrix(np.zeros((1, 1))),
+            "Tprime": json_matrix(np.zeros((1, 1))),
+            "R": json_matrix(np.eye(1)),
+            "Q": json_matrix(0.5 * np.eye(1)),
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -89,7 +179,7 @@ class TestParseErrors:
 
     def test_both_forms_rejected(self, capsys, tmp_path):
         doc = load_json(SHIFT6)
-        doc["A"] = matrix_to_json(np.zeros((1, 1)))
+        doc["A"] = json_matrix(np.zeros((1, 1)))
         path = tmp_path / "both.json"
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "validate", str(path))
@@ -171,7 +261,7 @@ class TestUniqueCommand:
             r = redheffer.realize(pf.problem(), pf.tol)
             value = 0.5 * np.ones((r.defect_dim, r.complement_dim)) / max(1, r.defect_dim * r.complement_dim)
             param = tmp_path / "v.json"
-            param.write_text(json.dumps({"coeffs": [matrix_to_json(value), matrix_to_json(-value)]}))
+            param.write_text(json.dumps({"coeffs": [json_matrix(value), json_matrix(-value)]}))
             argv += ["--param", str(param), "--order", "12"]
         elif command == "verify":
             _, central, _ = run(capsys, "central", example, "--order", "12")
@@ -188,7 +278,7 @@ class TestUniqueCommand:
 class TestSolveVerifyAudit:
     def test_zero_parameter_reproduces_central(self, capsys, tmp_path):
         param = tmp_path / "v.json"
-        param.write_text(json.dumps({"coeffs": [matrix_to_json(np.zeros((2, 1)))]}))
+        param.write_text(json.dumps({"coeffs": [json_matrix(np.zeros((2, 1)))]}))
         code, out, _ = run(capsys, "solve", SHIFT6, "--param", str(param), "--order", "5")
         assert code == EXIT_OK
         solved = parse_series(json.loads(out))
@@ -199,7 +289,7 @@ class TestSolveVerifyAudit:
 
     def test_expansive_parameter_exits_one(self, capsys, tmp_path):
         param = tmp_path / "v.json"
-        param.write_text(json.dumps({"coeffs": [matrix_to_json(2.0 * np.ones((2, 1)))]}))
+        param.write_text(json.dumps({"coeffs": [json_matrix(2.0 * np.ones((2, 1)))]}))
         code, out, _ = run(capsys, "solve", SHIFT6, "--param", str(param))
         assert code == EXIT_INVALID
         assert "InvalidParameter" in json.loads(out)["error"]
@@ -207,7 +297,7 @@ class TestSolveVerifyAudit:
     @pytest.mark.parametrize("kind", ["param", "solution", "system"])
     def test_malformed_auxiliary_file_exits_two(self, capsys, tmp_path, kind):
         # json reads NaN literals; a negative order has no coefficient to hold
-        nan = matrix_to_json([[float("nan")]])
+        nan = json_matrix([[float("nan")]])
         docs = {
             "param": {"coeffs": [nan]},
             "solution": {"order": -1, "out_dim": 1, "in_dim": 6, "coeffs": []},
@@ -245,6 +335,37 @@ class TestSolveVerifyAudit:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_PARSE and out == "" and "too large for a float" in err
 
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [("solution", "order", 3.9), ("solution", "order", "3"), ("solution", "order", True),
+         ("solution", "out_dim", 1.0), ("solution", "in_dim", "6"),
+         ("problem", "u_dim", 6.7), ("problem", "u_dim", "6"), ("problem", "y_dim", True),
+         ("problem", "seed", 1.5), ("problem", "seed", True)],
+    )
+    def test_integer_fields_reject_non_integers(self, capsys, tmp_path, kind, key, value):
+        problem = load_json(SHIFT6)
+        _, central, _ = run(capsys, "central", SHIFT6, "--order", "3")
+        solution = json.loads(central)
+        if kind == "solution":
+            solution[key] = value
+        elif key == "seed":
+            problem[key] = value
+        else:
+            problem["omega"][key] = value
+        path, aux = tmp_path / "problem.json", tmp_path / "solution.json"
+        path.write_text(json.dumps(problem))
+        aux.write_text(json.dumps(solution))
+        code, out, err = run(capsys, "verify", str(path), "--solution", str(aux))
+        assert code == EXIT_PARSE and out == "" and err
+
+    def test_verify_overflowing_solution_exits_one(self, capsys, tmp_path):
+        huge = {"order": 2, "out_dim": 1, "in_dim": 6, "coeffs": [json_matrix(1e200 * np.ones((1, 6)))] * 3}
+        solution = tmp_path / "h.json"
+        solution.write_text(json.dumps(huge))
+        code, out, err = run(capsys, "verify", SHIFT6, "--solution", str(solution))
+        assert code == EXIT_INVALID and err == ""
+        assert json.loads(out)["error"].startswith("InvalidInput:")
+
     def test_verify_accepts_central_solution(self, capsys, tmp_path):
         _, out, _ = run(capsys, "central", RELAXED, "--order", "16")
         solution = tmp_path / "h.json"
@@ -258,7 +379,7 @@ class TestSolveVerifyAudit:
     def test_verify_rejects_zero_series(self, capsys, tmp_path):
         zero = {
             "order": 4, "out_dim": 1, "in_dim": 4,
-            "coeffs": [matrix_to_json(np.zeros((1, 4)))] * 5,
+            "coeffs": [json_matrix(np.zeros((1, 4)))] * 5,
         }
         solution = tmp_path / "h.json"
         solution.write_text(json.dumps(zero))
@@ -274,8 +395,8 @@ class TestSolveVerifyAudit:
     def test_audit_with_system_file(self, capsys, tmp_path):
         root = float(np.sqrt(3) / 2)
         doc = {
-            "A": matrix_to_json([[0.5]]), "B": matrix_to_json([[root]]),
-            "C": matrix_to_json([[root]]), "D": matrix_to_json([[-0.5]]),
+            "A": json_matrix([[0.5]]), "B": json_matrix([[root]]),
+            "C": json_matrix([[root]]), "D": json_matrix([[-0.5]]),
         }
         system = tmp_path / "sys.json"
         system.write_text(json.dumps(doc))
@@ -284,7 +405,7 @@ class TestSolveVerifyAudit:
         assert float(json.loads(out)["st_identity"]) < 1e-10
 
     def test_audit_flags_broken_system(self, capsys, tmp_path):
-        doc = {k: matrix_to_json(np.eye(2)) for k in ("A", "B", "C", "D")}
+        doc = {k: json_matrix(np.eye(2)) for k in ("A", "B", "C", "D")}
         system = tmp_path / "sys.json"
         system.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "audit", RELAXED, "--order", "6", "--system", str(system))
@@ -295,10 +416,10 @@ class TestSolveVerifyAudit:
 class TestToleranceOverrides:
     def test_env_var_loosens_identity_tolerance(self, capsys, tmp_path, monkeypatch):
         doc = {
-            "A": matrix_to_json(np.eye(1)),
-            "Tprime": matrix_to_json(0.999 * np.eye(1)),
-            "R": matrix_to_json(np.eye(1)),
-            "Q": matrix_to_json(np.eye(1)),
+            "A": json_matrix(np.eye(1)),
+            "Tprime": json_matrix(0.999 * np.eye(1)),
+            "R": json_matrix(np.eye(1)),
+            "Q": json_matrix(np.eye(1)),
         }
         path = tmp_path / "close.json"
         path.write_text(json.dumps(doc))
@@ -330,8 +451,8 @@ class TestToleranceOverrides:
         stacked *= (1.0 + 1e-8) / np.linalg.norm(stacked, 2)
         basis, _ = np.linalg.qr(rng.standard_normal((u, f)) + 1j * rng.standard_normal((u, f)))
         doc = {"omega": {
-            "u_dim": u, "y_dim": y, "F_basis": matrix_to_json(basis),
-            "omega1": matrix_to_json(stacked[:y]), "omega2": matrix_to_json(stacked[y:]),
+            "u_dim": u, "y_dim": y, "F_basis": json_matrix(basis),
+            "omega1": json_matrix(stacked[:y]), "omega2": json_matrix(stacked[y:]),
         }}
         if tolerances is not None:
             doc["tolerances"] = tolerances
@@ -363,7 +484,7 @@ class TestToleranceOverrides:
         value = np.zeros((r.defect_dim, r.complement_dim))
         value[0, 0] = 1.0 + 1e-8
         param = tmp_path / "param.json"
-        param.write_text(json.dumps({"coeffs": [matrix_to_json(value)]}))
+        param.write_text(json.dumps({"coeffs": [json_matrix(value)]}))
         return str(problem), str(param)
 
     def test_file_contraction_slack_admits_parameter_norm(self, capsys, tmp_path):

@@ -118,6 +118,13 @@ class TestIsSolution:
         reference += [spectral_norm(h.coeff(n + 1) @ basis - h.coeff(n) @ p.omega2) for n in range(order)]
         np.testing.assert_allclose(report.interp_residuals, reference, rtol=0, atol=1e-14)
 
+    def test_overflowing_gram_is_invalid_input(self):
+        p = backward_shift_problem(6)
+        large = is_solution(p, MatrixSeries(np.full((3, 1, 6), 1e153 + 0j), 1, 6))
+        assert not large.ball_ok and np.isfinite(large.gram_excess)
+        with pytest.raises(InvalidInput, match="overflow"):
+            is_solution(p, MatrixSeries(np.full((3, 1, 6), 1e200 + 0j), 1, 6))
+
     def test_zero_series_fails_at_constant_term(self):
         rng = np.random.default_rng(3)
         p = random_problem(rng, y_dim=1, f_dim=2, u_dim=3)
