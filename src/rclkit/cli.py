@@ -11,7 +11,8 @@ two-element arrays ``[re, im]``. Both forms accept optional ``"tolerances"``
 (any of ``rank_tol``, ``contraction_slack``, ``identity_tol``) and an
 optional integer ``"seed"``, which is checked and otherwise unused: the
 witness of ``unique --witness`` is deterministic. The environment
-variable ``RCLKIT_TOL`` overrides ``identity_tol`` last.
+variable ``RCLKIT_TOL`` overrides ``identity_tol`` last. The tolerances go
+into the loaded data set or problem, and every check reads them from there.
 
 Each matrix crosses the JSON boundary as one ``(rows, cols, 2)`` float array
 of ``[re, im]`` pairs: decoded in one conversion, encoded as one piece of
@@ -27,6 +28,7 @@ flags produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -160,14 +162,15 @@ def parse_series(obj) -> MatrixSeries:
 
 @dataclass
 class ProblemFile:
+    """Exactly one of the two forms; either carries the file's tolerances."""
+
     data: dataset.DataSet | None
     omega: interp.InterpProblem | None
-    tol: Tolerances
 
     def problem(self) -> interp.InterpProblem:
         if self.omega is not None:
             return self.omega
-        return dataset.underlying_contraction(self.data, self.tol)
+        return dataset.underlying_contraction(self.data)
 
     def require_dataset(self) -> dataset.DataSet:
         if self.data is None:
@@ -218,8 +221,8 @@ def load_problem_file(path: str) -> ProblemFile:
         if has_dataset:
             if not dataset_keys <= set(doc):
                 raise ParseFailure(f"data-set form needs all of {sorted(dataset_keys)}")
-            data = dataset.DataSet(*(parse_matrix(doc[key]) for key in ("A", "Tprime", "R", "Q")))
-            return ProblemFile(data, None, tol)
+            data = dataset.DataSet(*(parse_matrix(doc[key]) for key in ("A", "Tprime", "R", "Q")), tol)
+            return ProblemFile(data, None)
         om = doc["omega"]
         if not isinstance(om, dict):
             raise ParseFailure("omega form must be an object")
@@ -228,7 +231,7 @@ def load_problem_file(path: str) -> ProblemFile:
         f = SubspaceBasis(u_dim, basis)
         omega1 = parse_matrix(om.get("omega1"), rows=y_dim, cols=f.dim)
         omega2 = parse_matrix(om.get("omega2"), rows=u_dim, cols=f.dim)
-        return ProblemFile(None, interp.InterpProblem(u_dim, y_dim, f, omega1, omega2, tol), tol)
+        return ProblemFile(None, interp.InterpProblem(u_dim, y_dim, f, omega1, omega2, tol))
     except RclkitError as exc:
         raise ParseFailure(f"problem file is structurally invalid: {exc}") from exc
 
@@ -249,7 +252,7 @@ def problem_to_json(p: interp.InterpProblem) -> dict:
 # Subcommands. Each returns (exit_code, payload).
 
 def cmd_validate(pf: ProblemFile, args) -> tuple[int, dict]:
-    report = dataset.validate(pf.require_dataset(), pf.tol)
+    report = dataset.validate(pf.require_dataset())
     payload = {
         "valid": report.ok,
         "violations": [
@@ -270,12 +273,12 @@ def cmd_central(pf: ProblemFile, args) -> tuple[int, dict]:
 
 def cmd_unique(pf: ProblemFile, args) -> tuple[int, dict]:
     problem = pf.problem()
-    verdict = interp.uniqueness(problem, pf.tol)
+    verdict = interp.uniqueness(problem)
     payload: dict = {"verdict": verdict.kind.value}
     if verdict.failing_n is not None:
         payload["failing_n"] = verdict.failing_n
     if args.witness and not verdict.unique:
-        witness = interp.second_solution_witness(problem, args.order, tol=pf.tol)
+        witness = interp.second_solution_witness(problem, args.order)
         payload["witness"] = {
             "parameter": matrix_to_json(witness.parameter),
             "first_diff_index": witness.first_diff_index,
@@ -296,15 +299,15 @@ def _load_parameter(path: str, tol: Tolerances) -> redheffer.SchurParameter:
 
 
 def cmd_solve(pf: ProblemFile, args) -> tuple[int, dict]:
-    realization = redheffer.realize(pf.problem(), pf.tol)
-    h = redheffer.lft_solution(realization, _load_parameter(args.param, pf.tol), args.order)
+    realization = redheffer.realize(pf.problem())
+    h = redheffer.lft_solution(realization, _load_parameter(args.param, realization.problem.tol), args.order)
     return EXIT_OK, series_to_json(h)
 
 
 def cmd_verify(pf: ProblemFile, args) -> tuple[int, dict]:
     h = parse_series(_read_json(args.solution, "solution file"))
     problem = pf.problem()
-    report = interp.is_solution(problem, h, pf.tol)
+    report = interp.is_solution(problem, h)
     payload: dict = {
         "interp_ok": report.interp_ok,
         "ball_ok": report.ball_ok,
@@ -314,8 +317,8 @@ def cmd_verify(pf: ProblemFile, args) -> tuple[int, dict]:
     ok = report.ok
     if pf.data is not None:
         blocks = min(args.lifting_blocks, h.order + 1)
-        b = lifting.interpolant_from_solution(pf.data, h, blocks, pf.tol)
-        lift_report = lifting.verify_rclt(pf.data, b, blocks, pf.tol)
+        b = lifting.interpolant_from_solution(pf.data, h, blocks)
+        lift_report = lifting.verify_rclt(pf.data, b, blocks)
         payload["lifting"] = {
             "blocks": blocks,
             "projection_ok": lift_report.projection_ok,
@@ -328,11 +331,11 @@ def cmd_verify(pf: ProblemFile, args) -> tuple[int, dict]:
 
 
 def cmd_audit(pf: ProblemFile, args) -> tuple[int, dict]:
-    realization = redheffer.realize(pf.problem(), pf.tol)
+    realization = redheffer.realize(pf.problem())
     payload: dict = {"blocks": args.order}
     code = EXIT_OK
     try:
-        audit = redheffer.coefficient_matrix_audit(realization, args.order, pf.tol)
+        audit = redheffer.coefficient_matrix_audit(realization, args.order)
         payload["redheffer_deficiency"] = audit.deficiency
     except AuditFailure as exc:
         payload["redheffer_deficiency"] = exc.deviation
@@ -343,14 +346,16 @@ def cmd_audit(pf: ProblemFile, args) -> tuple[int, dict]:
             raise ParseFailure("system file must carry matrices A, B, C, D")
         system = sysco.CoisometricSystem(*(parse_matrix(doc[key]) for key in "ABCD"), validate=False)
         try:
-            payload["st_identity"] = sysco.gram_identity_audit(system, args.order, pf.tol)
+            payload["st_identity"] = sysco.gram_identity_audit(system, args.order, realization.problem.tol)
         except AuditFailure as exc:
             payload["st_identity"] = exc.deviation
             code = EXIT_INVALID
     return code, payload
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="rclkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

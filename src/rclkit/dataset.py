@@ -14,21 +14,24 @@ From a valid data set this module builds the underlying contraction
 ``w D_A Q = [D_T' A R ; D_A R]``, expressed in orthonormal coordinates on
 the two defect spaces, and provides the specialized uniqueness analyzers
 for the sub-optimal case and for the scalar sliding-block shape of R and Q.
+
+A data set carries its own :class:`~rclkit.opcore.Tolerances`: every check
+below reads ``data.tol``, and the underlying contraction inherits it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IllPosedData, InvalidInput
 from .interp import InterpProblem
 from .opcore import (
+    DEFAULT_TOL,
     CMatrix,
     Tolerances,
-    _resolve_tol,
     adjoint,
     as_cmatrix,
     defect,
@@ -44,12 +47,14 @@ OMEGA_RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DataSet:
-    """The four stored operators, with all space dimensions derived."""
+    """The four stored operators, with all space dimensions derived, and the
+    tolerances that every check on them uses."""
 
     A: CMatrix    # H -> H'
     Tp: CMatrix   # H' -> H'
     R: CMatrix    # H0 -> H
     Q: CMatrix    # H0 -> H
+    tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self):
         A = as_cmatrix(self.A)
@@ -88,21 +93,31 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(data: DataSet, tol: Tolerances | None = None) -> ValidationReport:
+def validate(data: DataSet) -> ValidationReport:
     """Check the three defining constraints, reporting residual magnitudes.
 
     Contraction residuals are the norm excess over 1; the intertwining
     residual is ``norm(T'AR - AQ)``; the order residual is the amount by
     which the smallest eigenvalue of ``Q*Q - R*R`` goes negative.
+
+    Raises:
+        InvalidInput: when the operator norms allow an entry of those
+            residuals, or of a product forming them, to overflow.
     """
-    tol = _resolve_tol(tol)
+    tol = data.tol
     violations = []
-    a_excess = spectral_norm(data.A) - 1.0
-    if a_excess > tol.contraction_slack:
-        violations.append(Violation("A_contraction", a_excess))
-    tp_excess = spectral_norm(data.Tp) - 1.0
-    if tp_excess > tol.contraction_slack:
-        violations.append(Violation("Tp_contraction", tp_excess))
+    a_norm, tp_norm = spectral_norm(data.A), spectral_norm(data.Tp)
+    for name, nrm in (("A_contraction", a_norm), ("Tp_contraction", tp_norm)):
+        if nrm - 1.0 > tol.contraction_slack:
+            violations.append(Violation(name, nrm - 1.0))
+    # T'A, T'AR, AQ, Q*Q and R*R, their partial sums and the residuals
+    # (Hermitized) stay below 4 * bound in modulus
+    r_norm, q_norm = spectral_norm(data.R), spectral_norm(data.Q)
+    rq = max(1.0, r_norm, q_norm)
+    bound = max(1.0, tp_norm) * max(1.0, a_norm) * rq * rq    # float products saturate at inf
+    if bound > np.finfo(np.float64).max / 4:
+        raise InvalidInput(f"norms of A, T', R, Q ({a_norm:.3g}, {tp_norm:.3g}, {r_norm:.3g}, {q_norm:.3g}) "
+                           "overflow the residuals T'AR - AQ and Q*Q - R*R")
     intertwine = spectral_norm(data.Tp @ data.A @ data.R - data.A @ data.Q)
     if intertwine > tol.identity_tol:
         violations.append(Violation("intertwining", intertwine))
@@ -115,7 +130,7 @@ def validate(data: DataSet, tol: Tolerances | None = None) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def underlying_contraction(data: DataSet, tol: Tolerances | None = None) -> InterpProblem:
+def underlying_contraction(data: DataSet) -> InterpProblem:
     """Build the underlying contraction of a valid data set.
 
     The defining identity only pins ``w`` on ``range(D_A Q)``; in finite
@@ -127,8 +142,8 @@ def underlying_contraction(data: DataSet, tol: Tolerances | None = None) -> Inte
         IllPosedData: when validation fails, the residual audit fails, or
             the solved operator is not a contraction.
     """
-    tol = _resolve_tol(tol)
-    report = validate(data, tol)
+    tol = data.tol
+    report = validate(data)
     if not report.ok:
         names = ", ".join(v.constraint for v in report.violations)
         raise IllPosedData(f"data set violates: {names}")
@@ -191,13 +206,13 @@ class UniquenessDecision:
     reason: str = ""
 
 
-def suboptimal_uniqueness(data: DataSet, tol: Tolerances | None = None) -> UniquenessDecision:
+def suboptimal_uniqueness(data: DataSet) -> UniquenessDecision:
     """Uniqueness in the sub-optimal case: strict ``A`` and left-invertible ``R``.
 
     When applicable, the interpolant is unique iff ``closure(Q H0) = H`` or
     ``T'`` has trivial defect (is an isometry).
     """
-    tol = _resolve_tol(tol)
+    tol = data.tol
     if spectral_norm(data.A) >= 1.0 - tol.identity_tol:
         return UniquenessDecision(Decision.NOT_APPLICABLE, "A is not a strict contraction")
     smin = 0.0
@@ -231,8 +246,8 @@ class PerpendicularityReport:
     kernel_dim: int
 
 
-def perpendicularity_report(data: DataSet, tol: Tolerances | None = None) -> PerpendicularityReport:
-    tol = _resolve_tol(tol)
+def perpendicularity_report(data: DataSet) -> PerpendicularityReport:
+    tol = data.tol
     d_a, space_a = defect(data.A, tol)
     domain_cols = space_a.coords() @ d_a @ data.Q
     f = range_closure_basis(domain_cols, tol)
@@ -253,7 +268,7 @@ def perpendicularity_report(data: DataSet, tol: Tolerances | None = None) -> Per
     )
 
 
-def norm_one_rq_uniqueness(data: DataSet, tol: Tolerances | None = None) -> UniquenessDecision:
+def norm_one_rq_uniqueness(data: DataSet) -> UniquenessDecision:
     """Uniqueness for the scalar sliding-block shape: decided by ``norm(A) = 1``.
 
     Applicable only when R and Q have the sliding-block shape with
@@ -261,11 +276,10 @@ def norm_one_rq_uniqueness(data: DataSet, tol: Tolerances | None = None) -> Uniq
     test is a knife-edge condition, so the tolerance is explicit:
     ``abs(1 - norm(A)) <= identity_tol``.
     """
-    tol = _resolve_tol(tol)
     if not has_relaxed_rq_shape(data):
         return UniquenessDecision(Decision.NOT_APPLICABLE, "R, Q lack the scalar sliding-block shape")
-    if defect(data.Tp, tol)[1].dim == 0:
+    if defect(data.Tp, data.tol)[1].dim == 0:
         return UniquenessDecision(Decision.NOT_APPLICABLE, "T' has trivial defect")
-    if abs(1.0 - spectral_norm(data.A)) <= tol.identity_tol:
+    if abs(1.0 - spectral_norm(data.A)) <= data.tol.identity_tol:
         return UniquenessDecision(Decision.UNIQUE)
     return UniquenessDecision(Decision.NOT_UNIQUE)

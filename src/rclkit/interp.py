@@ -18,7 +18,8 @@ solution
 computes its Taylor coefficients (the ``sysco.orbit`` of ``w1 P_F`` under
 ``w2 P_F``), decides whether it is the only solution, and produces an
 explicit second solution whenever it is not, one that first differs from
-``H_c`` where the co-isometry chain first fails.
+``H_c`` where the co-isometry chain first fails. Every threshold verdict
+uses the tolerances the problem carries (``InterpProblem.tol``).
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from .errors import (
     NotAContraction,
 )
 from .opcore import (
+    DEFAULT_TOL,
     CMatrix,
     SubspaceBasis,
     Tolerances,
-    _resolve_tol,
     adjoint,
     as_cmatrix,
     is_coisometry,
@@ -56,8 +57,9 @@ class InterpProblem:
 
     ``omega1`` (y_dim x dim F) and ``omega2`` (u_dim x dim F) act on
     F-coordinates; ``F.basis`` embeds those coordinates into ``C^u_dim``.
-    The stacked norm may exceed 1 by at most ``tol.contraction_slack``
-    (default tolerances when ``tol`` is None).
+    ``tol`` holds the thresholds of every check on the problem: the stacked
+    norm may exceed 1 by at most ``tol.contraction_slack``, and the verdicts
+    of this module and of :mod:`rclkit.redheffer` read it from here.
     """
 
     u_dim: int
@@ -65,7 +67,7 @@ class InterpProblem:
     F: SubspaceBasis
     omega1: CMatrix
     omega2: CMatrix
-    tol: Tolerances | None = field(default=None, compare=False, repr=False)
+    tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self):
         if self.F.ambient_dim != self.u_dim:
@@ -76,7 +78,7 @@ class InterpProblem:
         object.__setattr__(self, "omega1", as_cmatrix(self.omega1, rows=self.y_dim, cols=f))
         object.__setattr__(self, "omega2", as_cmatrix(self.omega2, rows=self.u_dim, cols=f))
         nrm = spectral_norm(np.vstack([self.omega1, self.omega2]))
-        if nrm > 1.0 + _resolve_tol(self.tol).contraction_slack:
+        if nrm > 1.0 + self.tol.contraction_slack:
             raise NotAContraction(f"stacked operator norm {nrm:.17g} exceeds 1 + slack")
 
     @property
@@ -133,14 +135,14 @@ class SolutionReport:
         return self.interp_ok and self.ball_ok
 
 
-def is_solution(problem: InterpProblem, H: MatrixSeries, tol: Tolerances | None = None) -> SolutionReport:
+def is_solution(problem: InterpProblem, H: MatrixSeries) -> SolutionReport:
     """Check the coefficient recursion and the coefficient-Gram ball bound.
 
     ``interp_ok`` holds iff ``h_0 F.basis = w1`` and
     ``h_{n+1} F.basis = h_n w2`` for every ``n < H.order`` within
-    ``identity_tol``; ``ball_ok`` holds iff ``sum_n h_n* h_n <= (1+tol) I``.
+    the problem's ``identity_tol``; ``ball_ok`` holds iff
+    ``sum_n h_n* h_n <= (1 + identity_tol) I``.
     """
-    tol = _resolve_tol(tol)
     if H.order < 1:
         raise InvalidInput("candidate series must carry at least coefficients h0 and h1")
     if (H.out_dim, H.in_dim) != (problem.y_dim, problem.u_dim):
@@ -159,8 +161,8 @@ def is_solution(problem: InterpProblem, H: MatrixSeries, tol: Tolerances | None 
     gram = adjoint(stacked) @ stacked
     # max(0, lambda_max - 1), and 0 when U = {0}
     excess = float(np.max(np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0), initial=1.0)) - 1.0
-    interp_ok = bool(np.all(residuals <= tol.identity_tol))
-    return SolutionReport(interp_ok, excess <= tol.identity_tol, tuple(residuals.tolist()), excess)
+    limit = problem.tol.identity_tol
+    return SolutionReport(bool(np.all(residuals <= limit)), excess <= limit, tuple(residuals.tolist()), excess)
 
 
 class UniquenessKind(enum.Enum):
@@ -194,7 +196,7 @@ def scan_bound(problem: InterpProblem) -> int:
     return problem.f_dim // problem.y_dim
 
 
-def uniqueness(problem: InterpProblem, tol: Tolerances | None = None) -> UniquenessVerdict:
+def uniqueness(problem: InterpProblem) -> UniquenessVerdict:
     """Decide whether the central solution is the only solution.
 
     The trichotomy is exact in finite dimensions: F = U, or Y = {0} (the
@@ -205,21 +207,20 @@ def uniqueness(problem: InterpProblem, tol: Tolerances | None = None) -> Uniquen
         InternalContradiction: if the scan exhausts its bound without a
             failure while ``y_dim > 0`` - a sign the tolerance is too loose.
     """
-    tol = _resolve_tol(tol)
     if problem.f_dim == problem.u_dim:
         return UniquenessVerdict(UniquenessKind.FULL_DOMAIN)
     if problem.y_dim == 0:
         return UniquenessVerdict(UniquenessKind.COISOMETRIC_CHAIN)
     step = problem.F.coords() @ problem.omega2  # P_F w2 on F-coordinates
     for n, chain in enumerate(orbit(problem.omega1, step, scan_bound(problem))):
-        if not is_coisometry(chain, tol):
+        if not is_coisometry(chain, problem.tol):
             return UniquenessVerdict(UniquenessKind.NOT_UNIQUE, failing_n=n)
     raise InternalContradiction(
         "co-isometry chain survived past its guaranteed failure bound; identity_tol is too loose"
     )
 
 
-def central_coefficients_coisometric(problem: InterpProblem, order: int, tol: Tolerances | None = None) -> bool:
+def central_coefficients_coisometric(problem: InterpProblem, order: int) -> bool:
     """Whether the stacked-coefficient operator of the central solution is a co-isometry.
 
     Checks ``h_i h_j* = delta_ij I_Y`` for all ``0 <= i, j <= order`` at once,
@@ -227,12 +228,11 @@ def central_coefficients_coisometric(problem: InterpProblem, order: int, tol: To
     caller must supply ``order >= floor(dim F / max(1, y_dim)) + 1`` so that
     a failure cannot hide beyond the truncation.
     """
-    tol = _resolve_tol(tol)
     needed = problem.f_dim // max(1, problem.y_dim) + 1
     if order < needed:
         raise InvalidInput(f"order {order} is below the decisive bound {needed}")
     stacked = central_taylor(problem, order).coeffs.reshape((order + 1) * problem.y_dim, problem.u_dim)
-    return is_coisometry(stacked, tol)
+    return is_coisometry(stacked, problem.tol)
 
 
 @dataclass(frozen=True)
@@ -250,12 +250,7 @@ class SecondSolution:
 _POWER_STEPS = 30
 
 
-def second_solution_witness(
-    problem: InterpProblem,
-    order: int = 32,
-    seed: int = 0,
-    tol: Tolerances | None = None,
-) -> SecondSolution | None:
+def second_solution_witness(problem: InterpProblem, order: int = 32, seed: int = 0) -> SecondSolution | None:
     """Produce a verified second solution, or ``None`` when the solution is unique.
 
     Every solution is ``H_V = H_c + Phi21 V (I - Phi11 V)^{-1} Phi12``, and
@@ -279,8 +274,7 @@ def second_solution_witness(
         InternalContradiction: when ``L_n`` vanishes on the start or the
             candidate does not separate from the central solution.
     """
-    tol = _resolve_tol(tol)
-    verdict = uniqueness(problem, tol)
+    verdict = uniqueness(problem)
     if verdict.unique:
         return None
     n = verdict.failing_n
@@ -291,7 +285,7 @@ def second_solution_witness(
 
     from . import redheffer  # deferred: redheffer depends on this module's types
 
-    realization = redheffer.realize(problem, tol)
+    realization = redheffer.realize(problem)
     _, phi12, phi21, _ = redheffer.phi_taylor(realization, n)
     left, right = phi21.coeffs, phi12.coeffs[::-1]   # Phi21_i beside Phi12_(n-i)
     left_adj, right_adj = adjoint(left), adjoint(right)
@@ -304,9 +298,9 @@ def second_solution_witness(
         v = (left_adj @ (image / size) @ right_adj).sum(axis=0)
     param = 0.9 * v / spectral_norm(v)
 
-    candidate = redheffer.lft_solution(realization, redheffer.SchurParameter.constant(param, tol), order)
+    candidate = redheffer.lft_solution(realization, redheffer.SchurParameter.constant(param, problem.tol), order)
     gaps = spectral_norms(candidate.coeffs - central_taylor(problem, order).coeffs)
-    separated = gaps > 10.0 * tol.identity_tol
+    separated = gaps > 10.0 * problem.tol.identity_tol
     if not separated.any():
         raise InternalContradiction("failed to separate two solutions of a non-unique problem")
     return SecondSolution(param, candidate, int(np.argmax(separated)), float(gaps.max()))

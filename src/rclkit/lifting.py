@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import DataSet
 from .errors import DimensionMismatch, InvalidInput, NotContractive
-from .opcore import CMatrix, SubspaceBasis, Tolerances, _resolve_tol, defect, spectral_norm, spectral_norms
+from .opcore import DEFAULT_TOL, CMatrix, SubspaceBasis, Tolerances, defect, spectral_norm, spectral_norms
 from .series import MatrixSeries
 
 
@@ -47,7 +47,7 @@ class TruncatedLifting:
         return self.Uprime.shape[0]
 
 
-def build_lifting(Tp, blocks: int, tol: Tolerances | None = None) -> TruncatedLifting:
+def build_lifting(Tp, blocks: int, tol: Tolerances = DEFAULT_TOL) -> TruncatedLifting:
     """Assemble the truncated shift extension of a contraction.
 
     Raises:
@@ -68,16 +68,20 @@ def build_lifting(Tp, blocks: int, tol: Tolerances | None = None) -> TruncatedLi
     return TruncatedLifting(Tp, blocks, u, space)
 
 
-def interpolant_from_solution(data: DataSet, H: MatrixSeries, blocks: int, tol: Tolerances | None = None) -> CMatrix:
+def interpolant_from_solution(data: DataSet, H: MatrixSeries, blocks: int) -> CMatrix:
     """Stack ``A`` over the blocks ``h_n D_A`` (in defect coordinates) for n < blocks.
 
     Raises:
-        InvalidInput: when ``H`` carries fewer than ``blocks`` coefficients
-            or its dimensions do not match the data set's defect spaces.
-        NotContractive: when the stacked interpolant exceeds norm 1 + slack,
-            which happens exactly when ``H`` leaves the coefficient ball.
+        InvalidInput: when ``blocks < 1``, when ``H`` carries fewer than
+            ``blocks`` coefficients or when its dimensions do not match the
+            data set's defect spaces.
+        NotContractive: when the stacked interpolant exceeds norm
+            1 + ``data.tol.contraction_slack``, which happens exactly when
+            ``H`` leaves the coefficient ball.
     """
-    tol = _resolve_tol(tol)
+    tol = data.tol
+    if blocks < 1:
+        raise InvalidInput(f"need at least one defect block, got {blocks}")
     if H.order < blocks - 1:
         raise InvalidInput(f"series order {H.order} cannot fill {blocks} blocks")
     d_a, space_a = defect(data.A, tol)
@@ -114,17 +118,16 @@ class LiftReport:
         return self.projection_ok and self.intertwine_ok
 
 
-def verify_rclt(data: DataSet, B, blocks: int, tol: Tolerances | None = None) -> LiftReport:
+def verify_rclt(data: DataSet, B, blocks: int) -> LiftReport:
     """Verify the two lifting identities for a candidate interpolant.
 
     ``projection_ok`` demands the top block of ``B`` equal ``A`` exactly;
     ``intertwine_ok`` demands every retained block row of ``U'BR - BQ``
-    vanish within ``identity_tol``. The final block row is reported
-    separately: its residual is bounded by the discarded coefficient tail,
-    not by the identity.
+    vanish within ``data.tol.identity_tol``. The final block row is
+    reported separately: its residual is bounded by the discarded
+    coefficient tail, not by the identity.
     """
-    tol = _resolve_tol(tol)
-    lift = build_lifting(data.Tp, blocks, tol)
+    lift = build_lifting(data.Tp, blocks, data.tol)
     hp, dt = lift.hp_dim, lift.defect_dim
     B = np.asarray(B, dtype=np.complex128)
     if B.shape != (lift.total_dim, data.dim_h):
@@ -139,7 +142,7 @@ def verify_rclt(data: DataSet, B, blocks: int, tol: Tolerances | None = None) ->
     retained = tuple(residuals[:-1])
     return LiftReport(
         projection_ok=projection_ok,
-        intertwine_ok=all(r <= tol.identity_tol for r in retained),
+        intertwine_ok=all(r <= data.tol.identity_tol for r in retained),
         retained_residuals=retained,
         boundary_residual=boundary,
     )

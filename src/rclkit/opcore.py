@@ -46,10 +46,6 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def _resolve_tol(tol: Tolerances | None) -> Tolerances:
-    return DEFAULT_TOL if tol is None else tol
-
-
 def as_cmatrix(value, rows: int | None = None, cols: int | None = None) -> CMatrix:
     """Coerce ``value`` to a finite 2-D complex128 array, optionally checking its shape."""
     M = np.asarray(value, dtype=np.complex128)
@@ -121,14 +117,13 @@ def full_space(n: int) -> SubspaceBasis:
     return SubspaceBasis(n, np.eye(n, dtype=np.complex128))
 
 
-def range_closure_basis(M, tol: Tolerances | None = None) -> SubspaceBasis:
+def range_closure_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the range of ``M``.
 
     Rank is decided by singular values exceeding ``rank_tol * sigma_max``
     (dimension 0 when ``sigma_max == 0``), which keeps the cut scale
     invariant.
     """
-    tol = _resolve_tol(tol)
     M = as_cmatrix(M)
     n = M.shape[0]
     if min(M.shape) == 0:
@@ -141,7 +136,7 @@ def range_closure_basis(M, tol: Tolerances | None = None) -> SubspaceBasis:
     return SubspaceBasis(n, u[:, :rank])
 
 
-def defect(N, tol: Tolerances | None = None) -> tuple[CMatrix, SubspaceBasis]:
+def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
     """Defect operator and defect space of a contraction.
 
     Returns ``(D, space)`` where ``D`` is the Hermitian PSD square root of
@@ -157,7 +152,6 @@ def defect(N, tol: Tolerances | None = None) -> tuple[CMatrix, SubspaceBasis]:
     Raises:
         NotAContraction: if ``spectral_norm(N) > 1 + contraction_slack``.
     """
-    tol = _resolve_tol(tol)
     N = as_cmatrix(N)
     nrm = spectral_norm(N)
     if nrm > 1.0 + tol.contraction_slack:
@@ -202,9 +196,8 @@ def coisometry_deficiency(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
 
 
-def is_coisometry(M, tol: Tolerances | None = None) -> bool:
+def is_coisometry(M, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``M M* = I`` within ``identity_tol``."""
-    tol = _resolve_tol(tol)
     return coisometry_deficiency(M) <= tol.identity_tol
 
 
@@ -214,19 +207,17 @@ def isometry_deficiency(M) -> float:
     return coisometry_deficiency(as_cmatrix(M).T)
 
 
-def is_isometry(M, tol: Tolerances | None = None) -> bool:
+def is_isometry(M, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``M* M = I`` within ``identity_tol``."""
-    tol = _resolve_tol(tol)
     return isometry_deficiency(M) <= tol.identity_tol
 
 
-def psd_order_leq(P, Q, tol: Tolerances | None = None) -> bool:
+def psd_order_leq(P, Q, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``Q - P`` is positive semidefinite up to ``identity_tol``.
 
     Both operands must be square of equal size; they are Hermitized before
     the eigenvalue test.
     """
-    tol = _resolve_tol(tol)
     P = as_cmatrix(P)
     Q = as_cmatrix(Q)
     if P.shape != Q.shape or P.shape[0] != P.shape[1]:
@@ -248,7 +239,7 @@ def orthocomplement(space: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis(n, adjoint(vh[k:, :]))
 
 
-def join(s1: SubspaceBasis, s2: SubspaceBasis, tol: Tolerances | None = None) -> SubspaceBasis:
+def join(s1: SubspaceBasis, s2: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """Closed linear span of two subspaces of the same ambient space."""
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch(f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}")

@@ -35,10 +35,10 @@ import numpy as np
 from .errors import DimensionMismatch, InternalContradiction, InvalidParameter, OutOfDisc
 from .interp import InterpProblem
 from .opcore import (
+    DEFAULT_TOL,
     CMatrix,
     SubspaceBasis,
     Tolerances,
-    _resolve_tol,
     adjoint,
     as_cmatrix,
     defect,
@@ -59,26 +59,17 @@ from .sysco import (
 class RedhefferRealization:
     """Shared state-space data realizing the four coefficient functions.
 
-    ``Dstar`` is the full (y+u) x (y+u) defect operator of the adjoint of
-    the padded contraction; ``DstarSpace`` spans its range closure. The
-    coordinates follow the stacking ``Y`` on top of ``U``.
+    ``DstarSpace`` spans the range closure of ``D*``, the defect operator of
+    the adjoint of the padded contraction, inside ``C^(y+u)`` (``Y`` on top
+    of ``U``); ``system.B`` and ``system.D`` hold ``D*`` on that space.
     """
 
     problem: InterpProblem
-    Z: CMatrix                      # u x u state operator w2 P_F
-    Dstar: CMatrix                  # (y+u) x (y+u)
-    DstarSpace: SubspaceBasis       # inside C^(y+u)
     G: SubspaceBasis                # complement of F inside C^u
-    #: ``{Z, D*_U, [P_G; w1 P_F], [0; D*_Y]}``: transfer function
-    #: ``[Phi11; Phi21]``, observability function ``[Phi12; Phi22]``.
-    system: CoisometricSystem = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        cols = self.defect_columns()
-        d_y, d_u = cols[:self.problem.y_dim], cols[self.problem.y_dim:]
-        output = np.vstack([self.G.coords(), self.problem.output_row()])
-        feedthrough = np.vstack([np.zeros((self.complement_dim, self.defect_dim), dtype=np.complex128), d_y])
-        object.__setattr__(self, "system", CoisometricSystem(self.Z, d_u, output, feedthrough, validate=False))
+    DstarSpace: SubspaceBasis       # inside C^(y+u)
+    #: ``{Z, D*_U, [P_G; w1 P_F], [0; D*_Y]}`` with ``Z = w2 P_F``: transfer
+    #: function ``[Phi11; Phi21]``, observability function ``[Phi12; Phi22]``.
+    system: CoisometricSystem
 
     @property
     def defect_dim(self) -> int:
@@ -88,27 +79,28 @@ class RedhefferRealization:
     def complement_dim(self) -> int:
         return self.G.dim
 
-    def defect_columns(self) -> CMatrix:
-        """``D*`` restricted to its defect space: a (y+u) x defect_dim matrix."""
-        return self.Dstar @ self.DstarSpace.basis
 
-
-def realize(problem: InterpProblem, tol: Tolerances | None = None) -> RedhefferRealization:
+def realize(problem: InterpProblem) -> RedhefferRealization:
     """Build the shared realization and audit its defining block identity.
 
     The block matrix ``[[Z, D*_U], [P_G, 0], [w1 P_F, D*_Y]]`` of
-    ``realization.system`` must be a co-isometry; a deviation beyond
-    ``identity_tol`` means the realization is internally inconsistent.
+    ``realization.system`` must be a co-isometry; a deviation beyond the
+    problem's ``identity_tol`` means the realization is internally
+    inconsistent.
     """
-    tol = _resolve_tol(tol)
+    tol = problem.tol
     dstar, dspace = defect(adjoint(problem.omega), tol)    # defect of the adjoint
-    realization = RedhefferRealization(problem, problem.state_operator(), dstar, dspace, problem.complement())
-    deviation = coisometry_gap(realization.system)
+    cols = dstar @ dspace.basis                              # D* on its defect space
+    g = problem.complement()
+    output = np.vstack([g.coords(), problem.output_row()])
+    feedthrough = np.vstack([np.zeros((g.dim, dspace.dim), dtype=np.complex128), cols[:problem.y_dim]])
+    system = CoisometricSystem(problem.state_operator(), cols[problem.y_dim:], output, feedthrough, validate=False)
+    deviation = coisometry_gap(system)
     if deviation > tol.identity_tol:
         raise InternalContradiction(
             f"realization block identity deviates by {deviation:.3e} (tol {tol.identity_tol:.1e})"
         )
-    return realization
+    return RedhefferRealization(problem, g, dspace, system)
 
 
 def phi_eval(realization: RedhefferRealization, lam: complex):
@@ -165,9 +157,7 @@ class CoefficientAudit:
     deficiency: float       # norm of (row Gram - identity)
 
 
-def coefficient_matrix_audit(
-    realization: RedhefferRealization, blocks: int, tol: Tolerances | None = None
-) -> CoefficientAudit:
+def coefficient_matrix_audit(realization: RedhefferRealization, blocks: int) -> CoefficientAudit:
     """Check the row Gram of the truncated coefficient operator against the identity.
 
     This is the stacked Gram identity of ``realization.system``. Every entry
@@ -175,9 +165,9 @@ def coefficient_matrix_audit(
     roundoff for any block count; a larger value is a hard failure.
 
     Raises:
-        AuditFailure: when the deficiency exceeds ``identity_tol``.
+        AuditFailure: when the deficiency exceeds the problem's ``identity_tol``.
     """
-    return CoefficientAudit(blocks, gram_identity_audit(realization.system, blocks, tol))
+    return CoefficientAudit(blocks, gram_identity_audit(realization.system, blocks, realization.problem.tol))
 
 
 @dataclass(frozen=True)
@@ -192,7 +182,7 @@ class SchurParameter:
     """
 
     coeffs: tuple[CMatrix, ...]
-    tol: Tolerances | None = field(default=None, compare=False, repr=False)
+    tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.coeffs:
@@ -200,11 +190,11 @@ class SchurParameter:
         series = MatrixSeries(self.coeffs, *as_cmatrix(self.coeffs[0]).shape)
         object.__setattr__(self, "coeffs", tuple(series.coeffs))
         nrm = spectral_norm(series.toeplitz(len(self.coeffs)))
-        if nrm > 1.0 + _resolve_tol(self.tol).contraction_slack:
+        if nrm > 1.0 + self.tol.contraction_slack:
             raise InvalidParameter(f"parameter multiplication norm {nrm:.17g} exceeds 1 + slack")
 
     @classmethod
-    def constant(cls, value, tol: Tolerances | None = None) -> "SchurParameter":
+    def constant(cls, value, tol: Tolerances = DEFAULT_TOL) -> "SchurParameter":
         return cls((as_cmatrix(value),), tol)
 
     @property

@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import AuditFailure, InvalidInput
 from .opcore import (
+    DEFAULT_TOL,
     CMatrix,
     Tolerances,
-    _resolve_tol,
     adjoint,
     as_cmatrix,
     coisometry_deficiency,
@@ -45,7 +45,7 @@ class CoisometricSystem:
     C: CMatrix  # state -> output
     D: CMatrix  # input -> output
     validate: InitVar[bool] = True
-    tol: InitVar[Tolerances | None] = None
+    tol: InitVar[Tolerances] = DEFAULT_TOL
 
     def __post_init__(self, validate, tol):
         A = as_cmatrix(self.A)
@@ -60,8 +60,7 @@ class CoisometricSystem:
         object.__setattr__(self, "D", as_cmatrix(self.D, rows=C.shape[0], cols=B.shape[1]))
         if validate:
             deviation = coisometry_gap(self)
-            limit = _resolve_tol(tol).identity_tol
-            if deviation > limit:
+            if deviation > tol.identity_tol:
                 raise AuditFailure(
                     f"system block matrix deviates from a co-isometry by {deviation:.3e}", deviation
                 )
@@ -86,7 +85,7 @@ def coisometry_gap(system: CoisometricSystem) -> float:
     return coisometry_deficiency(system.block_matrix())
 
 
-def julia_system(T, tol: Tolerances | None = None) -> CoisometricSystem:
+def julia_system(T, tol: Tolerances = DEFAULT_TOL) -> CoisometricSystem:
     """The canonical unitary dilation of a square contraction, as a system.
 
     ``A = T``, ``B`` the defect of ``T*``, ``C`` the defect of ``T`` and
@@ -144,7 +143,7 @@ def stacked_operator(system: CoisometricSystem, blocks: int) -> CMatrix:
     return out
 
 
-def gram_identity_audit(system: CoisometricSystem, blocks: int, tol: Tolerances | None = None) -> float:
+def gram_identity_audit(system: CoisometricSystem, blocks: int, tol: Tolerances = DEFAULT_TOL) -> float:
     """Max deviation of ``T_F T_F* + G_W G_W*`` from the identity.
 
     Every entry is a finite exact sum, so the deviation is pure roundoff
@@ -154,7 +153,6 @@ def gram_identity_audit(system: CoisometricSystem, blocks: int, tol: Tolerances 
         AuditFailure: when the deviation exceeds ``identity_tol``; this is
             the signal that the input system is not co-isometric.
     """
-    tol = _resolve_tol(tol)
     deviation = coisometry_deficiency(stacked_operator(system, blocks))
     if deviation > tol.identity_tol:
         raise AuditFailure(

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from rclkit.cli import (
     EXIT_PARSE,
     ParseFailure,
     _dump_json,
+    build_parser,
     load_problem_file,
     main,
     matrix_to_json,
@@ -164,6 +169,22 @@ class TestValidateCommand:
         assert payload["violations"][0]["constraint"] == "gram_order"
         assert float(payload["violations"][0]["residual"]) == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("a_scale, rq_scale", [(0.5, 1e200), (1e200, 1.0)], ids=["R_Q", "A_Tp"])
+    def test_overflowing_residuals_exit_one(self, capsys, tmp_path, a_scale, rq_scale):
+        e1 = np.eye(2)[:, :1]
+        doc = {
+            "A": json_matrix(a_scale * np.eye(2)),
+            "Tprime": json_matrix(a_scale * np.eye(2)),
+            "R": json_matrix(rq_scale * e1),
+            "Q": json_matrix(0.5 * rq_scale * e1),
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, err) == (EXIT_INVALID, "")
+        message = json.loads(out)["error"]
+        assert message.startswith("InvalidInput:") and "overflow" in message
+
     def test_omega_form_is_a_usage_error_here(self, capsys):
         code, _, err = run(capsys, "validate", SHIFT6)
         assert code == EXIT_PARSE
@@ -258,7 +279,7 @@ class TestUniqueCommand:
             argv += ["--witness", "--order", "12"]
         elif command == "solve":
             pf = load_problem_file(example)
-            r = redheffer.realize(pf.problem(), pf.tol)
+            r = redheffer.realize(pf.problem())
             value = 0.5 * np.ones((r.defect_dim, r.complement_dim)) / max(1, r.defect_dim * r.complement_dim)
             param = tmp_path / "v.json"
             param.write_text(json.dumps({"coeffs": [json_matrix(value), json_matrix(-value)]}))
@@ -365,6 +386,15 @@ class TestSolveVerifyAudit:
         code, out, err = run(capsys, "verify", SHIFT6, "--solution", str(solution))
         assert code == EXIT_INVALID and err == ""
         assert json.loads(out)["error"].startswith("InvalidInput:")
+
+    @pytest.mark.parametrize("blocks", ["-3", "0"])
+    def test_verify_nonpositive_lifting_blocks_exit_one(self, capsys, tmp_path, blocks):
+        _, out, _ = run(capsys, "central", RELAXED, "--order", "6")
+        solution = tmp_path / "h.json"
+        solution.write_text(out)
+        code, out, err = run(capsys, "verify", RELAXED, "--solution", str(solution), "--lifting-blocks", blocks)
+        assert (code, err) == (EXIT_INVALID, "")
+        assert json.loads(out)["error"].startswith("InvalidInput: need at least one defect block")
 
     def test_verify_accepts_central_solution(self, capsys, tmp_path):
         _, out, _ = run(capsys, "central", RELAXED, "--order", "16")
@@ -480,7 +510,7 @@ class TestToleranceOverrides:
         problem = tmp_path / "relaxed.json"
         problem.write_text(json.dumps(doc))
         pf = load_problem_file(str(problem))
-        r = redheffer.realize(pf.problem(), pf.tol)
+        r = redheffer.realize(pf.problem())
         value = np.zeros((r.defect_dim, r.complement_dim))
         value[0, 0] = 1.0 + 1e-8
         param = tmp_path / "param.json"
@@ -497,3 +527,43 @@ class TestToleranceOverrides:
         problem, param = self._slightly_expansive_parameter(tmp_path)
         code, out, _ = run(capsys, "solve", problem, "--param", param, "--order", "4")
         assert code == EXIT_INVALID and "InvalidParameter" in json.loads(out)["error"]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; reusing it must not
+    change any output or carry state from one call to the next."""
+
+    @staticmethod
+    def fresh(*argv):
+        """``rclkit`` run in a new interpreter."""
+        env = dict(os.environ, COLUMNS="80")
+        src = str(Path(files("rclkit")).parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "rclkit.cli", *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_match_fresh_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        commands = [
+            ("unique", SHIFT6, "--witness", "--order", "6"),
+            ("unique", SHIFT6),
+            ("validate", CLASSICAL),
+            ("central", RELAXED, "--order", "3"),
+            ("audit", RELAXED, "--order", "3"),
+            ("validate", SHIFT6),
+            ("omega", CLASSICAL),
+        ]
+        for argv in commands:
+            assert run(capsys, *argv) == self.fresh(*argv), argv
+
+    def test_help_text_matches_a_fresh_run(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in (["--help"], ["unique", "--help"], ["--help"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            captured = capsys.readouterr()
+            assert (excinfo.value.code, captured.out, captured.err) == self.fresh(*argv)

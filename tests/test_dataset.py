@@ -18,7 +18,7 @@ from rclkit.dataset import (
     underlying_contraction,
     validate,
 )
-from rclkit.errors import DimensionMismatch, IllPosedData
+from rclkit.errors import DimensionMismatch, IllPosedData, InvalidInput
 from rclkit.interp import UniquenessKind, uniqueness
 from rclkit.opcore import defect, is_isometry, spectral_norm
 
@@ -54,6 +54,21 @@ class TestValidate:
         report = validate(d)
         assert [v.constraint for v in report.violations] == ["intertwining"]
         assert report.violations[0].residual == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("a_scale, rq_scale", [(0.5, 1e200), (1e200, 1.0)], ids=["R_Q", "A_Tp"])
+    def test_overflowing_residuals_rejected(self, a_scale, rq_scale):
+        e1 = np.eye(2)[:, :1]
+        d = DataSet(a_scale * np.eye(2), a_scale * np.eye(2), rq_scale * e1, 0.5 * rq_scale * e1)
+        with pytest.raises(InvalidInput, match="overflow"):
+            validate(d)
+        with pytest.raises(InvalidInput, match="overflow"):
+            underlying_contraction(d)
+
+    def test_largest_representable_residuals_validate(self):
+        e1 = np.eye(2)[:, :1]
+        report = validate(DataSet(0.5 * np.eye(2), 0.5 * np.eye(2), 1e153 * e1, 0.5e153 * e1))
+        assert [v.constraint for v in report.violations] == ["gram_order"]
+        assert report.violations[0].residual == pytest.approx(0.75e306)
 
     def test_expansive_a_detected(self):
         d = DataSet(1.5 * np.eye(1), np.eye(1), np.eye(1), np.eye(1))

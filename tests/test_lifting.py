@@ -84,6 +84,12 @@ class TestInterpolantFromSolution:
         with pytest.raises(InvalidInput):
             interpolant_from_solution(d, central_taylor(p, 3), 8)
 
+    @pytest.mark.parametrize("blocks", [0, -2])
+    def test_nonpositive_blocks_rejected(self, blocks):
+        d = krylov_dataset(np.random.default_rng(3), n=3, a_norm=0.6)
+        with pytest.raises(InvalidInput, match="at least one defect block"):
+            interpolant_from_solution(d, central_taylor(underlying_contraction(d), 6), blocks)
+
     def test_ball_violation_rejected(self):
         d = krylov_dataset(np.random.default_rng(4), n=3, a_norm=0.6)
         p = underlying_contraction(d)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from rclkit.redheffer import (
     realize,
 )
 from rclkit.series import MatrixSeries
+from rclkit.sysco import CoisometricSystem
 
 
 class TestRealize:
@@ -39,28 +42,28 @@ class TestRealize:
     def test_backward_shift_state_operator(self):
         p = backward_shift_problem(6)
         r = realize(p)
-        z = r.Z.real
+        z = r.system.A.real
         # shifts e2..e5 down one slot, kills e0 and e1
         expected = np.zeros((6, 6))
         for k in range(2, 6):
             expected[k - 1, k] = 1.0
         np.testing.assert_allclose(z, expected, atol=1e-14)
-        assert spectral_norm(r.Z @ np.eye(6)[:, [1]]) < 1e-14
+        assert spectral_norm(r.system.A @ np.eye(6)[:, [1]]) < 1e-14
 
     @pytest.mark.parametrize("seed", range(6))
     def test_block_identity_holds_for_random_problems(self, seed):
         rng = np.random.default_rng(seed)
         p = random_problem(rng)
         r = realize(p)  # realize audits internally
-        dstar_sq = r.Dstar @ r.Dstar
+        d_cols = defect_columns(r)
         w_hat = p.omega @ p.F.coords()
-        gap = spectral_norm(dstar_sq - (np.eye(p.y_dim + p.u_dim) - w_hat @ w_hat.conj().T))
+        gap = spectral_norm(d_cols @ d_cols.conj().T - (np.eye(p.y_dim + p.u_dim) - w_hat @ w_hat.conj().T))
         assert gap <= 1e-10
 
     def test_broken_block_identity_is_an_internal_contradiction(self, monkeypatch):
         original = redheffer.defect
 
-        def inflated(n, tol=None):
+        def inflated(n, tol):
             dstar, space = original(n, tol)
             return 1.1 * dstar, space
 
@@ -285,11 +288,22 @@ class TestLftOracle:
             lft_solution(r, SchurParameter.constant(np.zeros((r.defect_dim, r.complement_dim))), -1)
 
 
+def defect_columns(r: RedhefferRealization) -> np.ndarray:
+    """``[D*_Y; D*_U]``: ``D*`` on its defect space, read back from the system."""
+    return np.vstack([r.system.D[r.complement_dim:], r.system.B])
+
+
+def with_state_operator(r: RedhefferRealization, z) -> RedhefferRealization:
+    """``r`` with its state operator replaced, unvalidated: a broken realization."""
+    s = r.system
+    return dataclasses.replace(r, system=CoisometricSystem(z, s.B, s.C, s.D, validate=False))
+
+
 def top_bottom_coefficient_matrix(r: RedhefferRealization, blocks: int) -> np.ndarray:
     """``[[T_Phi11, Gamma_Phi12], [T_Phi21, Gamma_Phi22]]`` from matrix powers of ``Z``."""
-    d_cols = r.defect_columns()
+    d_cols = defect_columns(r)
     d_y, d_u = d_cols[:r.problem.y_dim], d_cols[r.problem.y_dim:]
-    powers = [np.linalg.matrix_power(r.Z, n) for n in range(blocks)]
+    powers = [np.linalg.matrix_power(r.system.A, n) for n in range(blocks)]
 
     def strip(row, const):
         toeplitz = [const] + [row @ z @ d_u for z in powers[:-1]]
@@ -310,7 +324,7 @@ def test_audit_matches_top_bottom_layout(regime, blocks):
     expected = spectral_norm(matrix @ matrix.conj().T - np.eye(matrix.shape[0]))
     assert abs(coefficient_matrix_audit(r, blocks).deficiency - expected) <= 1e-12
     # the same comparison where the deficiency is far from roundoff
-    broken = r.__class__(r.problem, 0.5 * r.Z, r.Dstar, r.DstarSpace, r.G)
+    broken = with_state_operator(r, 0.5 * r.system.A)
     matrix = top_bottom_coefficient_matrix(broken, blocks)
     expected = spectral_norm(matrix @ matrix.conj().T - np.eye(matrix.shape[0]))
     try:
@@ -323,7 +337,7 @@ def test_audit_matches_top_bottom_layout(regime, blocks):
 def test_negative_control_breaks_the_audit():
     p = backward_shift_problem(5)
     r = realize(p)
-    broken = r.__class__(r.problem, r.Z + 0.05 * np.eye(5), r.Dstar, r.DstarSpace, r.G)
+    broken = with_state_operator(r, r.system.A + 0.05 * np.eye(5))
     with pytest.raises(AuditFailure) as excinfo:
         coefficient_matrix_audit(broken, 6)
     assert excinfo.value.deviation > 1e-3
