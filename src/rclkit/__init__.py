@@ -71,12 +71,9 @@ from .sysco import (
     CoisometricSystem,
     gram_identity_audit,
     julia_system,
-    observability_taylor,
-    transfer_taylor,
 )
 from .lifting import (
     LiftReport,
-    TruncatedLifting,
     build_lifting,
     interpolant_from_solution,
     verify_rclt,

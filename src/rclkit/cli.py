@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset, interp, lifting, redheffer, sysco
-from .errors import AuditFailure, RclkitError
+from .errors import AuditFailure, NotContractive, RclkitError
 from .opcore import SubspaceBasis, Tolerances
 from .series import MatrixSeries
 
@@ -317,7 +317,11 @@ def cmd_verify(pf: ProblemFile, args) -> tuple[int, dict]:
     ok = report.ok
     if pf.data is not None:
         blocks = min(args.lifting_blocks, h.order + 1)
-        b = lifting.interpolant_from_solution(pf.data, h, blocks)
+        try:
+            b = lifting.interpolant_from_solution(pf.data, h, blocks)
+        except NotContractive as exc:   # h leaves the coefficient ball: no interpolant to lift
+            payload["lifting"] = {"blocks": blocks, "error": f"NotContractive: {exc}"}
+            return EXIT_INVALID, payload
         lift_report = lifting.verify_rclt(pf.data, b, blocks)
         payload["lifting"] = {
             "blocks": blocks,

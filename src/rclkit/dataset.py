@@ -9,11 +9,17 @@ The isometric dilation of ``T'`` is never stored: the canonical
 shift-extension construction (module :mod:`rclkit.lifting`) is assumed
 throughout, which removes an unverifiable degree of freedom.
 
+A data set derives its defect geometry once, on the defect spaces ``U`` of
+``A`` and ``Y`` of ``T'``: ``DataSet.defect_a = (U.coords() @ D_A, U)`` and
+``DataSet.defect_tp = (Y.coords() @ D_T', Y)``. This module and
+:mod:`rclkit.lifting` read only these, so a solution and its lifting share
+one set of coordinates.
+
 From a valid data set this module builds the underlying contraction
-``w : F = closure(range(D_A Q)) -> defect(T') (+) defect(A)`` determined by
-``w D_A Q = [D_T' A R ; D_A R]``, expressed in orthonormal coordinates on
-the two defect spaces, and provides the specialized uniqueness analyzers
-for the sub-optimal case and for the scalar sliding-block shape of R and Q.
+``w : F = closure(range(D_A Q)) -> Y (+) U`` determined by
+``w D_A Q = [D_T' A R ; D_A R]``, and provides the specialized uniqueness
+analyzers for the sub-optimal case and for the scalar sliding-block shape of
+R and Q. All of them raise ``IllPosedData`` on data that fails :func:`validate`.
 
 A data set carries its own :class:`~rclkit.opcore.Tolerances`: every check
 below reads ``data.tol``, and the underlying contraction inherits it.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +38,7 @@ from .interp import InterpProblem
 from .opcore import (
     DEFAULT_TOL,
     CMatrix,
+    SubspaceBasis,
     Tolerances,
     adjoint,
     as_cmatrix,
@@ -45,10 +53,17 @@ from .opcore import (
 OMEGA_RESIDUAL_TOL = 1e-9
 
 
+def _read_only(M: CMatrix) -> CMatrix:
+    M = M.copy()
+    M.flags.writeable = False
+    return M
+
+
 @dataclass(frozen=True)
 class DataSet:
-    """The four stored operators, with all space dimensions derived, and the
-    tolerances that every check on them uses."""
+    """The four operators as read-only copies, which later changes to the
+    caller's arrays cannot reach; the space dimensions and the two defect
+    geometries derived from them, each once; the tolerances of every check."""
 
     A: CMatrix    # H -> H'
     Tp: CMatrix   # H' -> H'
@@ -59,11 +74,25 @@ class DataSet:
     def __post_init__(self):
         A = as_cmatrix(self.A)
         hp, h = A.shape
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "Tp", as_cmatrix(self.Tp, rows=hp, cols=hp))
+        Tp = as_cmatrix(self.Tp, rows=hp, cols=hp)
         R = as_cmatrix(self.R, rows=h)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "Q", as_cmatrix(self.Q, rows=h, cols=R.shape[1]))
+        Q = as_cmatrix(self.Q, rows=h, cols=R.shape[1])
+        for name, M in zip(("A", "Tp", "R", "Q"), (A, Tp, R, Q)):
+            object.__setattr__(self, name, _read_only(M))
+
+    def _geometry(self, N: CMatrix) -> tuple[CMatrix, SubspaceBasis]:
+        d, space = defect(N, self.tol)    # NotAContraction when N is not a contraction
+        return _read_only(space.coords() @ d), space
+
+    @cached_property
+    def defect_a(self) -> tuple[CMatrix, SubspaceBasis]:
+        """``(U.coords() @ D_A, U)``: ``D_A`` onto its defect space, in its coordinates."""
+        return self._geometry(self.A)
+
+    @cached_property
+    def defect_tp(self) -> tuple[CMatrix, SubspaceBasis]:
+        """``(Y.coords() @ D_T', Y)``: likewise for ``T'``."""
+        return self._geometry(self.Tp)
 
     @property
     def dim_h0(self) -> int:
@@ -130,6 +159,14 @@ def validate(data: DataSet) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def _require_valid(data: DataSet) -> None:
+    """Raise ``IllPosedData`` naming every constraint the data set violates."""
+    report = validate(data)
+    if not report.ok:
+        names = ", ".join(v.constraint for v in report.violations)
+        raise IllPosedData(f"data set violates: {names}")
+
+
 def underlying_contraction(data: DataSet) -> InterpProblem:
     """Build the underlying contraction of a valid data set.
 
@@ -143,22 +180,15 @@ def underlying_contraction(data: DataSet) -> InterpProblem:
             the solved operator is not a contraction.
     """
     tol = data.tol
-    report = validate(data)
-    if not report.ok:
-        names = ", ".join(v.constraint for v in report.violations)
-        raise IllPosedData(f"data set violates: {names}")
-
-    d_a, space_a = defect(data.A, tol)
-    d_tp, space_tp = defect(data.Tp, tol)
+    _require_valid(data)
+    d_a, space_a = data.defect_a
+    d_tp, space_tp = data.defect_tp
     u_dim, y_dim = space_a.dim, space_tp.dim
 
-    domain_cols = space_a.coords() @ d_a @ data.Q          # u_dim x h0
+    domain_cols = d_a @ data.Q                              # u_dim x h0
     f = range_closure_basis(domain_cols, tol)
     lhs = f.coords() @ domain_cols                          # F-coordinates of D_A Q
-    rhs = np.vstack([
-        space_tp.coords() @ d_tp @ data.A @ data.R,
-        space_a.coords() @ d_a @ data.R,
-    ])
+    rhs = np.vstack([d_tp @ data.A @ data.R, d_a @ data.R])
     if f.dim:
         omega = np.linalg.lstsq(lhs.T, rhs.T, rcond=None)[0].T
     else:
@@ -210,9 +240,10 @@ def suboptimal_uniqueness(data: DataSet) -> UniquenessDecision:
     """Uniqueness in the sub-optimal case: strict ``A`` and left-invertible ``R``.
 
     When applicable, the interpolant is unique iff ``closure(Q H0) = H`` or
-    ``T'`` has trivial defect (is an isometry).
+    ``T'`` has trivial defect (is an isometry). Invalid data raises ``IllPosedData``.
     """
     tol = data.tol
+    _require_valid(data)
     if spectral_norm(data.A) >= 1.0 - tol.identity_tol:
         return UniquenessDecision(Decision.NOT_APPLICABLE, "A is not a strict contraction")
     smin = 0.0
@@ -221,7 +252,7 @@ def suboptimal_uniqueness(data: DataSet) -> UniquenessDecision:
     if data.dim_h0 > 0 and smin <= tol.rank_tol:
         return UniquenessDecision(Decision.NOT_APPLICABLE, "R is not left invertible")
     q_onto = range_closure_basis(data.Q, tol).dim == data.dim_h
-    tp_isometry = defect(data.Tp, tol)[1].dim == 0
+    tp_isometry = data.defect_tp[1].dim == 0
     if q_onto or tp_isometry:
         return UniquenessDecision(Decision.UNIQUE)
     return UniquenessDecision(Decision.NOT_UNIQUE)
@@ -247,13 +278,14 @@ class PerpendicularityReport:
 
 
 def perpendicularity_report(data: DataSet) -> PerpendicularityReport:
+    """Measure the geometry of ``G``; invalid data raises ``IllPosedData``."""
     tol = data.tol
-    d_a, space_a = defect(data.A, tol)
-    domain_cols = space_a.coords() @ d_a @ data.Q
-    f = range_closure_basis(domain_cols, tol)
+    _require_valid(data)
+    d_a, space_a = data.defect_a
+    f = range_closure_basis(d_a @ data.Q, tol)
     g_in_h = space_a.basis @ orthocomplement(f).basis      # basis of G inside H
     kernel = orthocomplement(space_a)                      # Ker D_A = defect-space complement
-    image = d_a @ g_in_h
+    image = space_a.basis @ d_a @ g_in_h                   # D_A G, which lies in U
     q_residual = spectral_norm(adjoint(data.Q) @ image)
     kernel_residual = spectral_norm(kernel.coords() @ image)
     span = join(range_closure_basis(data.Q, tol), kernel, tol)
@@ -274,11 +306,12 @@ def norm_one_rq_uniqueness(data: DataSet) -> UniquenessDecision:
     Applicable only when R and Q have the sliding-block shape with
     one-dimensional blocks and ``T'`` has a nontrivial defect. The norm-one
     test is a knife-edge condition, so the tolerance is explicit:
-    ``abs(1 - norm(A)) <= identity_tol``.
+    ``abs(1 - norm(A)) <= identity_tol``. Invalid data raises ``IllPosedData``.
     """
+    _require_valid(data)
     if not has_relaxed_rq_shape(data):
         return UniquenessDecision(Decision.NOT_APPLICABLE, "R, Q lack the scalar sliding-block shape")
-    if defect(data.Tp, data.tol)[1].dim == 0:
+    if data.defect_tp[1].dim == 0:
         return UniquenessDecision(Decision.NOT_APPLICABLE, "T' has trivial defect")
     if abs(1.0 - spectral_norm(data.A)) <= data.tol.identity_tol:
         return UniquenessDecision(Decision.UNIQUE)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import redheffer
 from .errors import (
     DimensionMismatch,
     InternalContradiction,
@@ -282,8 +283,6 @@ def second_solution_witness(problem: InterpProblem, order: int = 32, seed: int =
         raise InvalidInput(
             f"witness order {order} is below the chain-failure index {n}; no two solutions differ before it"
         )
-
-    from . import redheffer  # deferred: redheffer depends on this module's types
 
     realization = redheffer.realize(problem)
     _, phi12, phi21, _ = redheffer.phi_taylor(realization, n)

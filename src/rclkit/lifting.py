@@ -1,15 +1,21 @@
 """Truncated isometric dilation and the solution-to-interpolant map.
 
 The canonical shift extension of a contraction ``T'`` on ``H'`` lives on
-``H'`` plus a stack of defect-space copies; keeping ``M`` copies gives the
-block matrix ``[[T', 0], [E D_T', S_M]]`` with ``E`` the embedding into the
-first copy and ``S_M`` the truncated block shift. The truncation breaks the
-isometry only on the final copy, whose outgoing image is dropped.
+``H'`` plus a stack of copies of its defect space ``Y``; keeping ``M``
+copies gives the block matrix ``[[T', 0], [D_T', S_M]]`` with ``D_T'``
+written in ``Y``-coordinates (it lands in the first copy) and ``S_M`` the
+truncated block shift. The truncation breaks the isometry only on the final
+copy, whose outgoing image is dropped.
 
 A solution ``H`` of the interpolation problem attached to a data set maps
 to the interpolant ``B = [A ; h_0 D_A ; h_1 D_A ; ...]``, which satisfies
 the projection identity exactly and the shift-intertwining identity
 ``U' B R = B Q`` on every retained block row.
+
+Every function here takes the data set and reads its defect geometry,
+``data.defect_a`` and ``data.defect_tp``, so the lifting uses the same
+coordinates on ``U = D_A`` and ``Y = D_T'`` as the underlying contraction
+of :mod:`rclkit.dataset`.
 """
 
 from __future__ import annotations
@@ -20,52 +26,31 @@ import numpy as np
 
 from .dataset import DataSet
 from .errors import DimensionMismatch, InvalidInput, NotContractive
-from .opcore import DEFAULT_TOL, CMatrix, SubspaceBasis, Tolerances, defect, spectral_norm, spectral_norms
+from .opcore import CMatrix, spectral_norm, spectral_norms
 from .series import MatrixSeries
 
 
-@dataclass(frozen=True)
-class TruncatedLifting:
-    """``Uprime`` acts on C^(hp + defect_dim * blocks); the final defect block
-    is the truncation boundary where the isometry fails."""
-
-    Tp: CMatrix
-    blocks: int
-    Uprime: CMatrix
-    defect_basis: SubspaceBasis   # defect space of T' inside H'
-
-    @property
-    def hp_dim(self) -> int:
-        return self.Tp.shape[0]
-
-    @property
-    def defect_dim(self) -> int:
-        return self.defect_basis.dim
-
-    @property
-    def total_dim(self) -> int:
-        return self.Uprime.shape[0]
-
-
-def build_lifting(Tp, blocks: int, tol: Tolerances = DEFAULT_TOL) -> TruncatedLifting:
-    """Assemble the truncated shift extension of a contraction.
+def build_lifting(data: DataSet, blocks: int) -> CMatrix:
+    """The truncated shift extension ``U'`` of ``data.Tp``, acting on
+    ``C^(dim H' + dim Y * blocks)``; the final defect block is the
+    truncation boundary where the isometry fails.
 
     Raises:
-        NotAContraction: via the defect computation, when ``Tp`` is not a
+        InvalidInput: when ``blocks < 1``.
+        NotAContraction: via ``data.defect_tp``, when ``T'`` is not a
             contraction.
     """
     if blocks < 1:
         raise InvalidInput(f"need at least one defect block, got {blocks}")
-    d_tp, space = defect(Tp, tol)
-    Tp = np.asarray(Tp, dtype=np.complex128)
-    hp, dt = Tp.shape[0], space.dim
+    d_tp, space = data.defect_tp
+    hp, dt = data.dim_hp, space.dim
     total = hp + dt * blocks
     u = np.zeros((total, total), dtype=np.complex128)
-    u[:hp, :hp] = Tp
-    u[hp:hp + dt, :hp] = space.coords() @ d_tp
+    u[:hp, :hp] = data.Tp
+    u[hp:hp + dt, :hp] = d_tp
     # the block shift: defect copy j feeds copy j + 1
     u[hp + dt:, hp:total - dt] = np.eye((blocks - 1) * dt)
-    return TruncatedLifting(Tp, blocks, u, space)
+    return u
 
 
 def interpolant_from_solution(data: DataSet, H: MatrixSeries, blocks: int) -> CMatrix:
@@ -79,22 +64,17 @@ def interpolant_from_solution(data: DataSet, H: MatrixSeries, blocks: int) -> CM
             1 + ``data.tol.contraction_slack``, which happens exactly when
             ``H`` leaves the coefficient ball.
     """
-    tol = data.tol
     if blocks < 1:
         raise InvalidInput(f"need at least one defect block, got {blocks}")
     if H.order < blocks - 1:
         raise InvalidInput(f"series order {H.order} cannot fill {blocks} blocks")
-    d_a, space_a = defect(data.A, tol)
-    _, space_tp = defect(data.Tp, tol)
-    if (H.out_dim, H.in_dim) != (space_tp.dim, space_a.dim):
-        raise InvalidInput(
-            f"series maps {H.in_dim}->{H.out_dim}, data set needs {space_a.dim}->{space_tp.dim}"
-        )
-    lift_rows = space_a.coords() @ d_a      # defect coordinates of D_A
-    lifted = (H.coeffs[:blocks] @ lift_rows).reshape(blocks * H.out_dim, data.dim_h)
+    d_a, u, y = data.defect_a[0], data.defect_a[1].dim, data.defect_tp[1].dim
+    if (H.out_dim, H.in_dim) != (y, u):
+        raise InvalidInput(f"series maps {H.in_dim}->{H.out_dim}, data set needs {u}->{y}")
+    lifted = (H.coeffs[:blocks] @ d_a).reshape(blocks * H.out_dim, data.dim_h)
     b = np.vstack([data.A, lifted])
     nrm = spectral_norm(b)
-    if nrm > 1.0 + tol.contraction_slack:
+    if nrm > 1.0 + data.tol.contraction_slack:
         raise NotContractive(f"interpolant norm {nrm:.17g} exceeds 1 + slack")
     return b
 
@@ -127,22 +107,15 @@ def verify_rclt(data: DataSet, B, blocks: int) -> LiftReport:
     reported separately: its residual is bounded by the discarded
     coefficient tail, not by the identity.
     """
-    lift = build_lifting(data.Tp, blocks, data.tol)
-    hp, dt = lift.hp_dim, lift.defect_dim
+    u_prime = build_lifting(data, blocks)
+    hp, dt = data.dim_hp, data.defect_tp[1].dim
     B = np.asarray(B, dtype=np.complex128)
-    if B.shape != (lift.total_dim, data.dim_h):
-        raise DimensionMismatch(
-            f"interpolant has shape {B.shape}, lifting expects {(lift.total_dim, data.dim_h)}"
-        )
+    if B.shape != (len(u_prime), data.dim_h):
+        raise DimensionMismatch(f"interpolant has shape {B.shape}, lifting expects {(len(u_prime), data.dim_h)}")
     projection_ok = bool(np.array_equal(B[:hp, :], data.A))
-    delta = lift.Uprime @ B @ data.R - B @ data.Q
+    delta = u_prime @ B @ data.R - B @ data.Q
     residuals = [spectral_norm(delta[:hp, :])]
     residuals += spectral_norms(delta[hp:].reshape(blocks, dt, data.dim_h0)).tolist()
-    boundary = residuals[-1]
-    retained = tuple(residuals[:-1])
-    return LiftReport(
-        projection_ok=projection_ok,
-        intertwine_ok=all(r <= data.tol.identity_tol for r in retained),
-        retained_residuals=retained,
-        boundary_residual=boundary,
-    )
+    *retained, boundary = residuals
+    intertwine_ok = all(r <= data.tol.identity_tol for r in retained)
+    return LiftReport(projection_ok, intertwine_ok, tuple(retained), boundary)

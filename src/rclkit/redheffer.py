@@ -29,11 +29,11 @@ small products (``lft_solution``); for constant ``V``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, InternalContradiction, InvalidParameter, OutOfDisc
-from .interp import InterpProblem
 from .opcore import (
     DEFAULT_TOL,
     CMatrix,
@@ -53,6 +53,9 @@ from .sysco import (
     stacked_operator,
     transfer_from_orbit,
 )
+
+if TYPE_CHECKING:
+    from .interp import InterpProblem
 
 
 @dataclass(frozen=True)
@@ -204,9 +207,6 @@ class SchurParameter:
     @property
     def in_dim(self) -> int:
         return self.coeffs[0].shape[1]
-
-    def as_series(self) -> MatrixSeries:
-        return MatrixSeries(self.coeffs, self.out_dim, self.in_dim)
 
 
 def lft_solution(

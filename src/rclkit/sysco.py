@@ -113,21 +113,11 @@ def orbit(C: CMatrix, A: CMatrix, n: int) -> np.ndarray:
     return out
 
 
-def observability_taylor(system: CoisometricSystem, order: int) -> MatrixSeries:
-    """Coefficients ``W_n = C A^n`` of the observability function."""
-    return MatrixSeries(orbit(system.C, system.A, order), system.out_dim, system.state_dim)
-
-
 def transfer_from_orbit(system: CoisometricSystem, observ: np.ndarray) -> MatrixSeries:
     """Transfer coefficients ``F_0 = D`` and ``F_n = C A^(n-1) B`` from the
     observability coefficients ``orbit(C, A, order)``, to the same order."""
     coeffs = np.concatenate([system.D[None], observ[:-1] @ system.B])
     return MatrixSeries(coeffs, system.out_dim, system.in_dim)
-
-
-def transfer_taylor(system: CoisometricSystem, order: int) -> MatrixSeries:
-    """Coefficients ``F_0 = D`` and ``F_n = C A^(n-1) B`` of the transfer function."""
-    return transfer_from_orbit(system, orbit(system.C, system.A, order))
 
 
 def stacked_operator(system: CoisometricSystem, blocks: int) -> CMatrix:

@@ -1,11 +1,14 @@
 """The benchmark in ``bench/`` drives the library from outside this suite.
 
 These tests pin what it relies on: every name ``bench/tracer.py`` wraps
-resolves on its ``rclkit`` module, and the call forms and result fields of
+resolves on its ``rclkit`` module, every dotted library name in a
+``bench/*.py`` file resolves, and the call forms and result fields of
 ``bench/workloads.py`` still bind, so a library change that would break the
-benchmark fails here. ``bench/tracer.py`` is loaded by path and only read.
+benchmark fails here. The ``bench/`` files are only read: ``tracer.py`` is
+loaded by path, the others are parsed.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -13,9 +16,13 @@ from pathlib import Path
 import numpy as np
 
 import rclkit as rk
+import rclkit.cli  # noqa: F401  (the benchmark loads it)
 from helpers import random_contraction, random_dataset, random_problem
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
+#: Names under which the ``bench/`` files refer to the ``rclkit`` package.
+PACKAGE_NAMES = ("rclkit", "rk")
 
 
 def load_tracer():
@@ -30,6 +37,32 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(f"rclkit.{short}")
         for name in names:
             assert callable(getattr(module, name, None)), f"rclkit.{short}.{name}"
+
+
+def library_names(path: Path) -> set[tuple[str, ...]]:
+    """Every attribute chain rooted at the package in one ``bench/`` file,
+    such as ``("DataSet",)`` for ``rk.DataSet`` or ``("cli", "main")``."""
+    chains = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in PACKAGE_NAMES:
+            chains.add(tuple(reversed(parts)))
+    return chains
+
+
+def test_every_library_name_in_bench_resolves():
+    resolved = 0
+    for path in sorted(BENCH.glob("*.py")):
+        for chain in library_names(path):
+            target = rk
+            for depth, name in enumerate(chain, 1):
+                assert hasattr(target, name), f"{path.name}: rclkit.{'.'.join(chain[:depth])}"
+                target = getattr(target, name)
+            resolved += 1
+    assert resolved >= 30   # the parse found the benchmark's uses
 
 
 def test_family_call_forms_bind():

@@ -406,6 +406,47 @@ class TestSolveVerifyAudit:
         assert payload["interp_ok"] and payload["ball_ok"]
         assert payload["lifting"]["projection_ok"] and payload["lifting"]["intertwine_ok"]
 
+    @pytest.mark.parametrize("blocks", ["32", "4"])
+    def test_verify_reports_a_series_outside_the_ball_in_both_forms(self, capsys, tmp_path, blocks):
+        # the central solution scaled by 3 leaves the coefficient ball, so it
+        # has no contractive interpolant to lift
+        _, out, _ = run(capsys, "central", RELAXED, "--order", "8")
+        doc = json.loads(out)
+        doc["coeffs"] = (3 * np.array(doc["coeffs"])).tolist()
+        solution = tmp_path / "h.json"
+        solution.write_text(json.dumps(doc))
+        _, out, _ = run(capsys, "omega", RELAXED)
+        direct = tmp_path / "omega.json"
+        direct.write_text(out)
+        argv = ("--solution", str(solution), "--lifting-blocks", blocks)
+        direct_code, direct_out, _ = run(capsys, "verify", str(direct), *argv)
+        code, out, err = run(capsys, "verify", RELAXED, *argv)
+        assert (direct_code, code, err) == (EXIT_INVALID, EXIT_INVALID, "")
+        payload = json.loads(out)
+        lift = payload.pop("lifting")
+        assert payload == json.loads(direct_out)
+        assert not payload["interp_ok"] and not payload["ball_ok"]
+        assert lift["blocks"] == min(int(blocks), 9)
+        assert lift["error"].startswith("NotContractive: interpolant norm")
+
+    def test_verify_derives_each_defect_once(self, capsys, tmp_path, monkeypatch):
+        _, out, _ = run(capsys, "central", RELAXED, "--order", "8")
+        solution = tmp_path / "h.json"
+        solution.write_text(out)
+        calls = []
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("rclkit") and hasattr(module, "defect"):
+                original = module.defect
+
+                def counted(*args, _original=original, **kwargs):
+                    calls.append(args[0].shape)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, "defect", counted)
+        code, _, _ = run(capsys, "verify", RELAXED, "--solution", str(solution))
+        assert code == EXIT_OK
+        assert len(calls) == 2     # D_A and D_T', each once
+
     def test_verify_rejects_zero_series(self, capsys, tmp_path):
         zero = {
             "order": 4, "out_dim": 1, "in_dim": 4,

@@ -8,6 +8,7 @@ from helpers import (
     q_onto_dataset,
     random_dataset,
 )
+from rclkit import dataset
 from rclkit.dataset import (
     DataSet,
     Decision,
@@ -31,6 +32,34 @@ class TestDataSet:
     def test_dims(self):
         d = random_dataset(np.random.default_rng(0), h0=2, h=4, hp=3)
         assert (d.dim_h0, d.dim_h, d.dim_hp) == (2, 4, 3)
+
+    def test_caller_arrays_do_not_reach_the_data_set(self):
+        d = random_dataset(np.random.default_rng(1))
+        arrays = [m.copy() for m in (d.A, d.Tp, d.R, d.Q)]
+        data = DataSet(*arrays)
+        d_a, space_a = data.defect_a            # derived before the change, d.defect_tp after
+        for m in arrays:
+            m *= 0.5
+        for stored, original in zip((data.A, data.Tp, data.R, data.Q), (d.A, d.Tp, d.R, d.Q)):
+            np.testing.assert_array_equal(stored, original)
+            with pytest.raises(ValueError):
+                stored[0, 0] = 7.0
+        assert data.defect_a[0] is d_a and data.defect_a[1] is space_a
+        np.testing.assert_array_equal(d_a, d.defect_a[0])
+        np.testing.assert_array_equal(data.defect_tp[0], d.defect_tp[0])
+        np.testing.assert_array_equal(data.defect_tp[1].basis, d.defect_tp[1].basis)
+
+    def test_defect_geometry_is_derived_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dataset, "defect", lambda *args: calls.append(args) or defect(*args))
+        d = random_dataset(np.random.default_rng(2))
+        for _ in range(3):
+            d_a, space_a = d.defect_a
+            d_tp, space_tp = d.defect_tp
+        assert len(calls) == 2
+        # each map is D in the coordinates of its own defect space
+        np.testing.assert_allclose(space_a.basis @ d_a, defect(d.A)[0] @ space_a.projector(), atol=1e-12)
+        assert d_tp.shape == (space_tp.dim, d.dim_hp)
 
 
 class TestValidate:
@@ -117,6 +146,15 @@ class TestUnderlyingContraction:
         d = DataSet(np.eye(1), 0.5 * np.eye(1), np.eye(1), np.eye(1))
         with pytest.raises(IllPosedData):
             underlying_contraction(d)
+
+
+@pytest.mark.parametrize("analyzer", [suboptimal_uniqueness, perpendicularity_report, norm_one_rq_uniqueness])
+def test_special_cases_reject_invalid_data(analyzer):
+    # R*R <= Q*Q fails: validate reports gram_order 0.75
+    e1 = np.eye(2)[:, :1]
+    d = DataSet(0.5 * np.eye(2), 0.5 * np.eye(2), e1, 0.5 * e1)
+    with pytest.raises(IllPosedData, match="gram_order"):
+        analyzer(d)
 
 
 class TestPresetRelaxedRQ:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import classical_dataset, haar_isometry, krylov_dataset, random_dataset
-from rclkit.dataset import underlying_contraction
+from rclkit.dataset import DataSet, underlying_contraction
 from rclkit.errors import InvalidInput, NotAContraction, NotContractive
 from rclkit.interp import central_taylor
 from rclkit.lifting import build_lifting, interpolant_from_solution, verify_rclt
@@ -10,48 +10,55 @@ from rclkit.opcore import spectral_norm
 from rclkit.series import MatrixSeries
 
 
+def tp_only(tp):
+    """The data set whose only nonzero operator is ``T'``: ``H = H0 = {0}``."""
+    n = tp.shape[0]
+    return DataSet(np.zeros((n, 0)), tp, np.zeros((0, 0)), np.zeros((0, 0)))
+
+
 class TestBuildLifting:
     def test_unitary_contraction_needs_no_extension(self):
         u = haar_isometry(np.random.default_rng(0), 3, 3)
-        lift = build_lifting(u, 8)
-        assert lift.defect_dim == 0
-        assert lift.total_dim == 3
-        np.testing.assert_array_equal(lift.Uprime, u)
+        data = tp_only(u)
+        u_prime = build_lifting(data, 8)
+        assert data.defect_tp[1].dim == 0
+        assert u_prime.shape == (3, 3)
+        np.testing.assert_array_equal(u_prime, u)
 
     def test_zero_scalar_gives_truncated_shift(self):
-        lift = build_lifting(np.zeros((1, 1)), 4)
+        u_prime = build_lifting(tp_only(np.zeros((1, 1))), 4)
         expected = np.zeros((5, 5))
         for i in range(4):
             expected[i + 1, i] = 1.0
-        np.testing.assert_allclose(lift.Uprime, expected, atol=1e-14)
+        np.testing.assert_allclose(u_prime, expected, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_projection_intertwining_is_exact(self, seed):
         rng = np.random.default_rng(seed)
         tp = 0.8 * haar_isometry(rng, 3, 3)
-        lift = build_lifting(tp, 6)
-        hp = lift.hp_dim
-        top_rows = lift.Uprime[:hp, :]
+        u_prime = build_lifting(tp_only(tp), 6)
+        hp = tp.shape[0]
+        top_rows = u_prime[:hp, :]
         np.testing.assert_allclose(top_rows[:, :hp], tp, atol=1e-12)
         assert spectral_norm(top_rows[:, hp:]) == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_isometric_off_the_final_block(self, seed):
         rng = np.random.default_rng(10 + seed)
-        tp = 0.7 * haar_isometry(rng, 2, 2)
-        lift = build_lifting(tp, 5)
-        dt = lift.defect_dim
-        kept = lift.Uprime[:, : lift.total_dim - dt]
+        data = tp_only(0.7 * haar_isometry(rng, 2, 2))
+        u_prime = build_lifting(data, 5)
+        dt = data.defect_tp[1].dim
+        kept = u_prime[:, : u_prime.shape[0] - dt]
         gram = kept.conj().T @ kept
         assert spectral_norm(gram - np.eye(kept.shape[1])) <= 1e-10
 
     def test_rejects_expansive_operator(self):
         with pytest.raises(NotAContraction):
-            build_lifting(1.2 * np.eye(2), 3)
+            build_lifting(tp_only(1.2 * np.eye(2)), 3)
 
     def test_rejects_zero_blocks(self):
         with pytest.raises(InvalidInput):
-            build_lifting(np.eye(2), 0)
+            build_lifting(tp_only(np.eye(2)), 0)
 
 
 class TestInterpolantFromSolution:
@@ -131,9 +138,8 @@ class TestVerify:
         fake = MatrixSeries(np.full((7, p.y_dim, p.u_dim), 0.1 / (seed + 1), dtype=complex), p.y_dim, p.u_dim)
         b = interpolant_from_solution(d, fake, 7)
         report = verify_rclt(d, b, 7)
-        lift = build_lifting(d.Tp, 7)
-        delta = lift.Uprime @ b @ d.R - b @ d.Q
-        hp, dt = lift.hp_dim, lift.defect_dim
+        delta = build_lifting(d, 7) @ b @ d.R - b @ d.Q
+        hp, dt = d.dim_hp, d.defect_tp[1].dim
         reference = [spectral_norm(delta[:hp])]
         reference += [spectral_norm(delta[hp + j * dt:hp + (j + 1) * dt]) for j in range(7)]
         assert all(type(r) is float for r in report.retained_residuals)

@@ -229,7 +229,7 @@ class TestLftSolution:
 def series_lft(realization: RedhefferRealization, parameter: SchurParameter, order: int) -> MatrixSeries:
     """Reference ``Phi22 + Phi21 V (I - Phi11 V)^{-1} Phi12`` in truncated series arithmetic."""
     phi11, phi12, phi21, phi22 = phi_taylor(realization, order)
-    v = parameter.as_series()
+    v = MatrixSeries(parameter.coeffs, parameter.out_dim, parameter.in_dim)
     inner = series.add(
         MatrixSeries.identity(realization.complement_dim, order),
         series.scale(series.mul(phi11, v, order), -1.0),

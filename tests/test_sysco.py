@@ -10,10 +10,9 @@ from rclkit.sysco import (
     coisometry_gap,
     gram_identity_audit,
     julia_system,
-    observability_taylor,
     orbit,
     stacked_operator,
-    transfer_taylor,
+    transfer_from_orbit,
 )
 
 
@@ -67,7 +66,7 @@ class TestJulia:
 
     def test_transfer_values_stay_contractive(self):
         s = dilation_of_half()
-        f = transfer_taylor(s, 40)
+        f = transfer_from_orbit(s, orbit(s.C, s.A, 40))
         assert spectral_norm(f.eval(0.5)) <= 1.0 + 1e-12
 
 
@@ -75,32 +74,32 @@ class TestTransferObservability:
     def test_zero_state_operator(self):
         s = random_coisometric_system(np.random.default_rng(1))
         flat = CoisometricSystem(np.zeros_like(s.A), s.B, s.C, s.D, validate=False)
-        f = transfer_taylor(flat, 4)
+        f = transfer_from_orbit(flat, orbit(flat.C, flat.A, 4))
         np.testing.assert_array_equal(f.coeff(0), s.D)
         np.testing.assert_array_equal(f.coeff(1), s.C @ s.B)
         assert spectral_norm(f.coeff(2)) == 0.0
-        w = observability_taylor(flat, 3)
-        np.testing.assert_array_equal(w.coeff(0), s.C)
-        assert spectral_norm(w.coeff(1)) == 0.0
+        w = orbit(flat.C, flat.A, 3)
+        np.testing.assert_array_equal(w[0], s.C)
+        assert spectral_norm(w[1]) == 0.0
 
     def test_zero_output_map(self):
         s = random_coisometric_system(np.random.default_rng(2))
         silent = CoisometricSystem(s.A, s.B, np.zeros_like(s.C), s.D, validate=False)
-        w = observability_taylor(silent, 5)
-        assert all(spectral_norm(w.coeff(n)) == 0.0 for n in range(6))
+        w = orbit(silent.C, silent.A, 5)
+        assert all(spectral_norm(w[n]) == 0.0 for n in range(6))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_observability_gram_in_unit_ball(self, seed):
         s = random_coisometric_system(np.random.default_rng(10 + seed))
-        w = observability_taylor(s, 25)
-        gram = sum(c.conj().T @ c for c in w.coeffs)
+        w = orbit(s.C, s.A, 25)
+        gram = sum(c.conj().T @ c for c in w)
         assert psd_order_leq(gram, np.eye(s.state_dim))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_transfer_series_matches_resolvent(self, seed):
         s = random_coisometric_system(np.random.default_rng(20 + seed))
         lam, order = 0.3, 40
-        f = transfer_taylor(s, order)
+        f = transfer_from_orbit(s, orbit(s.C, s.A, order))
         resolvent = np.linalg.solve(np.eye(s.state_dim) - lam * s.A, s.B)
         direct = s.D + lam * s.C @ resolvent
         tail = abs(lam) ** (order + 1) / (1 - abs(lam))
@@ -127,8 +126,8 @@ def test_stacked_operator_runs_one_orbit(monkeypatch, blocks):
     s = random_coisometric_system(np.random.default_rng(60 + blocks))
     # two orbits, one per part, as the reference layout
     reference = np.hstack([
-        transfer_taylor(s, blocks - 1).toeplitz(blocks),
-        observability_taylor(s, blocks - 1).coeffs.reshape(blocks * s.out_dim, s.state_dim),
+        transfer_from_orbit(s, orbit(s.C, s.A, blocks - 1)).toeplitz(blocks),
+        orbit(s.C, s.A, blocks - 1).reshape(blocks * s.out_dim, s.state_dim),
     ])
     calls = []
 

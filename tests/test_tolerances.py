@@ -41,8 +41,9 @@ def slightly_expansive_a(tol):
 
 
 def nearly_strict_a(tol):
-    """``norm(A) = 0.99``, left-invertible ``R``, ``Q`` onto ``H``."""
-    return DataSet(0.99 * np.eye(2), 0.5 * np.eye(2), np.eye(2), np.eye(2), tol)
+    """``norm(A) = 0.99``, left-invertible ``R``, ``Q`` onto ``H``; ``T' = I``
+    keeps ``T'AR = AQ`` exact."""
+    return DataSet(0.99 * np.eye(2), np.eye(2), np.eye(2), np.eye(2), tol)
 
 
 def small_defect_eigenvalue(tol):
@@ -51,9 +52,10 @@ def small_defect_eigenvalue(tol):
 
 
 def sliding_block(tol):
-    """Scalar sliding-block ``R, Q`` with ``norm(A) = 1 - 1e-4``."""
+    """Scalar sliding-block ``R, Q`` with ``norm(A) = 1 - 1e-4``; ``T'A R``
+    and ``A Q`` both vanish."""
     r, q = preset_relaxed_rq(2, 1)
-    return DataSet(np.diag([1 - 1e-4, 0.5]), 0.5 * np.eye(2), r, q, tol)
+    return DataSet(np.diag([1 - 1e-4, 0.0]), np.diag([0.0, 0.5]), r, q, tol)
 
 
 def zero_data(tol):
