@@ -236,15 +236,27 @@ class UniquenessDecision:
     reason: str = ""
 
 
+def _attains_norm_one(data: DataSet) -> bool:
+    """Whether ``norm(A) = 1``, decided at the cut that sets ``dim U`` for
+    the trichotomy: ``I - A*A`` keeps an eigenvalue at or below
+    ``rank_tol * max(1, mu_max)``, so the defect space of ``A`` misses a
+    direction of ``H``."""
+    return data.defect_a[1].dim < data.dim_h
+
+
 def suboptimal_uniqueness(data: DataSet) -> UniquenessDecision:
     """Uniqueness in the sub-optimal case: strict ``A`` and left-invertible ``R``.
+
+    ``A`` is strict when its defect space is all of ``H``: the ``defect``
+    cut that also decides ``dim U``, so no second threshold can split the
+    two verdicts.
 
     When applicable, the interpolant is unique iff ``closure(Q H0) = H`` or
     ``T'`` has trivial defect (is an isometry). Invalid data raises ``IllPosedData``.
     """
     tol = data.tol
     _require_valid(data)
-    if spectral_norm(data.A) >= 1.0 - tol.identity_tol:
+    if _attains_norm_one(data):
         return UniquenessDecision(Decision.NOT_APPLICABLE, "A is not a strict contraction")
     smin = 0.0
     if min(data.R.shape) > 0:
@@ -305,14 +317,16 @@ def norm_one_rq_uniqueness(data: DataSet) -> UniquenessDecision:
 
     Applicable only when R and Q have the sliding-block shape with
     one-dimensional blocks and ``T'`` has a nontrivial defect. The norm-one
-    test is a knife-edge condition, so the tolerance is explicit:
-    ``abs(1 - norm(A)) <= identity_tol``. Invalid data raises ``IllPosedData``.
+    test is a knife-edge condition, decided where the trichotomy decides
+    it: ``norm(A) = 1`` iff the ``defect`` cut at ``rank_tol`` drops a
+    direction of ``I - A*A``, so ``dim U < dim H``. Invalid data raises
+    ``IllPosedData``.
     """
     _require_valid(data)
     if not has_relaxed_rq_shape(data):
         return UniquenessDecision(Decision.NOT_APPLICABLE, "R, Q lack the scalar sliding-block shape")
     if data.defect_tp[1].dim == 0:
         return UniquenessDecision(Decision.NOT_APPLICABLE, "T' has trivial defect")
-    if abs(1.0 - spectral_norm(data.A)) <= data.tol.identity_tol:
+    if _attains_norm_one(data):
         return UniquenessDecision(Decision.UNIQUE)
     return UniquenessDecision(Decision.NOT_UNIQUE)

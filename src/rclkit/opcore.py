@@ -174,24 +174,17 @@ def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
     return D, SubspaceBasis(q, vecs[:, :rank])
 
 
-#: Columns per slab of a Gram sum: no conjugate copy of a whole operator is held.
-_GRAM_SLAB = 256
-
-
 def coisometry_deficiency(M) -> float:
     """``norm(M M* - I)``; 0 for a matrix with 0 rows (co-isometry onto {0}).
 
-    ``M M*`` is summed over column slabs and the identity subtracted in
-    place; the result is Hermitian, so its eigenvalues give the norm.
+    ``M M*`` has the identity subtracted in place; the result is Hermitian,
+    so its eigenvalues give the norm.
     """
     M = as_cmatrix(M)
     p = M.shape[0]
     if p == 0:
         return 0.0
-    gram = M[:, :_GRAM_SLAB] @ adjoint(M[:, :_GRAM_SLAB])
-    for j in range(_GRAM_SLAB, M.shape[1], _GRAM_SLAB):
-        slab = M[:, j:j + _GRAM_SLAB]
-        gram += slab @ adjoint(slab)
+    gram = M @ adjoint(M)
     gram.ravel()[:: p + 1] -= 1.0
     return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
 

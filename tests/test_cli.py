@@ -483,6 +483,20 @@ class TestSolveVerifyAudit:
         assert code == EXIT_INVALID
         assert float(json.loads(out)["st_identity"]) > 1.0
 
+    @pytest.mark.parametrize("scale, message", [
+        (1e10, "series has non-finite coefficients"),
+        (1e5, "stacked Gram identity overflows on 40 blocks"),
+    ])
+    def test_audit_overflowing_system_exits_one(self, capsys, tmp_path, scale, message):
+        doc = {k: json_matrix(np.eye(2)) for k in ("A", "B", "C", "D")}
+        doc["A"] = json_matrix(scale * np.eye(2))
+        system = tmp_path / "sys.json"
+        system.write_text(json.dumps(doc))
+        with pytest.warns(RuntimeWarning) as record:
+            code, out, err = run(capsys, "audit", RELAXED, "--order", "40", "--system", str(system))
+        assert any("overflow" in str(w.message) for w in record)
+        assert (code, out, err) == (EXIT_INVALID, f'{{"error": "InvalidInput: {message}"}}\n', "")
+
 
 class TestToleranceOverrides:
     def test_env_var_loosens_identity_tolerance(self, capsys, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     classical_dataset,
@@ -264,6 +266,20 @@ class TestNormOneUniqueness:
         result = norm_one_rq_uniqueness(d)
         assert result.decision is Decision.NOT_APPLICABLE
         assert "defect" in result.reason
+
+    @settings(max_examples=40, deadline=None)
+    @given(delta=st.floats(-13, -6).map(lambda e: 10.0 ** e), seed=st.integers(0, 10**6))
+    @example(delta=1e-10, seed=4002)
+    @example(delta=1e-9, seed=4002)
+    @example(delta=5e-9, seed=4002)
+    def test_knife_edge_agrees_with_the_trichotomy(self, delta, seed):
+        # I - A*A has its smallest eigenvalue near 2 delta, on either side of
+        # the rank cut; each analyzer decides "norm(A) = 1" at that cut
+        d = krylov_dataset(np.random.default_rng(seed), n=4, a_norm=1.0 - delta)
+        unique = uniqueness(underlying_contraction(d)).unique
+        assert (norm_one_rq_uniqueness(d).decision is Decision.UNIQUE) == unique
+        decision = suboptimal_uniqueness(d).decision
+        assert decision is Decision.NOT_APPLICABLE or (decision is Decision.UNIQUE) == unique
 
     @pytest.mark.parametrize("seed,a_norm", [(0, 0.5), (1, 0.9), (2, 1.0), (3, 1.0), (4, 0.7)])
     def test_agrees_with_interpolation_verdict(self, seed, a_norm):

@@ -146,8 +146,8 @@ class TestPredicates:
     @given(seed=st.integers(0, 10**6), rows=st.integers(0, 6),
            cols=st.sampled_from([0, 1, 2, 5, 255, 256, 257, 600]))
     def test_deficiencies_match_svd_norm(self, seed, rows, cols):
-        # wide matrices cross the Gram slab boundaries; the shared scale of
-        # roundoff is the norm of the Gram together with the identity
+        # narrow and wide matrices alike; the shared scale of roundoff is
+        # the norm of the Gram together with the identity
         rng = np.random.default_rng(seed)
         m = random_complex(rng, rows, cols) / np.sqrt(max(cols, 1))
         expected = spectral_norm(m @ m.conj().T - np.eye(rows))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_coisometric_system, random_contraction
+from helpers import haar_isometry, random_coisometric_system, random_contraction
 from rclkit import sysco
 from rclkit.errors import AuditFailure, InvalidInput
-from rclkit.opcore import psd_order_leq, spectral_norm
+from rclkit.opcore import DEFAULT_TOL, coisometry_deficiency, psd_order_leq, spectral_norm
 from rclkit.sysco import (
     CoisometricSystem,
     coisometry_gap,
@@ -178,3 +178,78 @@ class TestGramIdentityAudit:
             direct = c @ c.conj().T - c @ np.linalg.matrix_power(a, n) @ np.linalg.matrix_power(
                 a.conj().T, n) @ c.conj().T
             assert spectral_norm(acc - direct) < 1e-11
+
+
+def shaped_system(rng, x, w, v):
+    """A system with ``x`` states, ``w`` outputs and ``v`` inputs: co-isometric
+    when ``w <= v``, otherwise (no co-isometry exists) an unchecked contraction."""
+    if w <= v:
+        m, validate = haar_isometry(rng, x + v, x + w).conj().T, True
+    else:
+        m, validate = random_contraction(rng, x + w, x + v), False
+    return CoisometricSystem(m[:x, :x], m[:x, x:], m[x:, :x], m[x:, x:], validate=validate)
+
+
+#: name -> generator of a system from a random generator
+SOURCES = {
+    "coisometric": random_coisometric_system,
+    "julia": lambda rng: julia_system(random_contraction(rng, 3, 3, norm=float(rng.uniform(0.1, 1.0)))),
+    "out_dim_0": lambda rng: shaped_system(rng, 3, 0, 2),
+    "state_dim_0": lambda rng: shaped_system(rng, 0, 2, 3),
+    "in_dim_0": lambda rng: shaped_system(rng, 3, 2, 0),
+}
+
+#: name -> the unchecked system it makes of a given one
+DEFECTS = {
+    "none": lambda s: s,
+    "A_half": lambda s: CoisometricSystem(0.5 * s.A, s.B, s.C, s.D, validate=False),
+    "A_grown": lambda s: CoisometricSystem(1.05 * s.A, s.B, s.C, s.D, validate=False),
+    "D_shifted": lambda s: CoisometricSystem(s.A, s.B, s.C, s.D + 0.1, validate=False),
+}
+
+
+def audited_deviation(system, blocks):
+    try:
+        return gram_identity_audit(system, blocks)
+    except AuditFailure as exc:
+        return exc.deviation
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 9])
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_audit_matches_the_explicit_product(source, defect, blocks):
+    # the recursion against the Gram of the stacked operator itself
+    for seed in range(3):
+        system = DEFECTS[defect](SOURCES[source](np.random.default_rng(seed)))
+        got = audited_deviation(system, blocks)
+        want = coisometry_deficiency(stacked_operator(system, blocks))
+        roundoff = DEFAULT_TOL.identity_tol
+        assert (got <= roundoff and want <= roundoff) or got == pytest.approx(want, rel=1e-6), (got, want)
+
+
+def test_audit_never_forms_the_stacked_operator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the audit formed [T_F, G_W]")
+
+    monkeypatch.setattr(sysco, "stacked_operator", refuse)
+    s = random_coisometric_system(np.random.default_rng(70))
+    assert gram_identity_audit(s, 16) < 1e-10
+    with pytest.raises(AuditFailure):
+        gram_identity_audit(DEFECTS["A_grown"](s), 16)
+
+
+def test_audit_needs_a_block():
+    with pytest.raises(InvalidInput, match="at least one block"):
+        gram_identity_audit(dilation_of_half(), 0)
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1e10, "series has non-finite coefficients"),      # C A^n overflows
+    (1e5, "stacked Gram identity overflows on 40 blocks"),   # C A^n finite, W X W* not
+])
+def test_overflow_is_invalid_input(scale, message):
+    s = CoisometricSystem(scale * np.eye(2), np.eye(2), np.eye(2), np.eye(2), validate=False)
+    with pytest.warns(RuntimeWarning) as record, pytest.raises(InvalidInput, match=message):
+        gram_identity_audit(s, 40)
+    assert any("overflow" in str(w.message) for w in record)

@@ -100,13 +100,15 @@ CASES = {
         LOOSE_SLACK, lambda tol: dataset.underlying_contraction(slightly_expansive_a(tol)).tol,
         IllPosedData, LOOSE_SLACK),
     dataset.suboptimal_uniqueness: (
-        Tolerances(identity_tol=0.1), lambda tol: dataset.suboptimal_uniqueness(nearly_strict_a(tol)).decision,
+        # I - A*A = 0.0199 I: A is strict at the default cut, norm one at rank_tol 0.1
+        Tolerances(rank_tol=0.1), lambda tol: dataset.suboptimal_uniqueness(nearly_strict_a(tol)).decision,
         dataset.Decision.UNIQUE, dataset.Decision.NOT_APPLICABLE),
     dataset.perpendicularity_report: (
         Tolerances(rank_tol=1e-6), lambda tol: dataset.perpendicularity_report(small_defect_eigenvalue(tol)).kernel_dim,
         1, 2),
     dataset.norm_one_rq_uniqueness: (
-        Tolerances(identity_tol=1e-3), lambda tol: dataset.norm_one_rq_uniqueness(sliding_block(tol)).decision,
+        # I - A*A has the eigenvalue 2e-4: norm one at rank_tol 1e-3, with the trichotomy
+        Tolerances(rank_tol=1e-3), lambda tol: dataset.norm_one_rq_uniqueness(sliding_block(tol)).decision,
         dataset.Decision.NOT_UNIQUE, dataset.Decision.UNIQUE),
     lifting.interpolant_from_solution: (
         LOOSE_SLACK,
