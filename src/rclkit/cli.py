@@ -16,8 +16,11 @@ into the loaded data set or problem, and every check reads them from there.
 
 Each matrix crosses the JSON boundary as one ``(rows, cols, 2)`` float array
 of ``[re, im]`` pairs: decoded in one conversion, encoded as one piece of
-text. A report is formatted in full, then written to standard output piece
-by piece, so no full-size copy of it is built.
+text. A stack of matrices (a series' or a parameter's ``"coeffs"``) is
+decoded one matrix at a time, so reading a long series never holds a
+Python object per entry of the whole file. A report is formatted in full,
+then written to standard output piece by piece, so no full-size copy of it
+is built.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on parse error (with a
 diagnostic on standard error). All floating-point output is rendered in
@@ -31,8 +34,10 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
+from json.scanner import py_make_scanner
 
 import numpy as np
 
@@ -104,11 +109,81 @@ def series_to_json(s: MatrixSeries) -> dict:
 # ---------------------------------------------------------------------------
 # JSON decoding.
 
+_C_DECODER = json.JSONDecoder()
+_WS = re.compile(r"[ \t\n\r]*")
+#: The start of an array whose first entry is a matrix: a stack of matrices.
+_STACK = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[[ \t\n\r]*\[")
+
+
+def _float_pairs(obj) -> np.ndarray | None:
+    """The ``(rows, cols, 2)`` float array of a nonempty matrix whose entries
+    are all JSON floats, else None."""
+    pairs = np.array(obj, dtype=object)
+    if pairs.ndim == 3 and pairs.shape[2] == 2 and pairs.size and set(map(type, pairs.flat)) == {float}:
+        return pairs.astype(np.float64)
+    return None
+
+
+def _parse_array(s_and_end, scan_once):
+    """An array that is a value of an object (or the whole document).
+
+    A stack of matrices is decoded one entry at a time, and each entry that
+    is a nonempty matrix of floats becomes its float array of pairs at
+    once, so the decoded objects of one matrix at most are alive together.
+    Any other array is decoded in one call of the C decoder."""
+    s, end = s_and_end
+    if not _STACK.match(s, end - 1):
+        return _C_DECODER.raw_decode(s, end - 1)
+    items, pos = [], end
+    while True:
+        item, pos = _C_DECODER.raw_decode(s, _WS.match(s, pos).end())
+        pairs = _float_pairs(item)
+        items.append(item if pairs is None else pairs)
+        pos = _WS.match(s, pos).end()
+        if s[pos:pos + 1] == "]":
+            return items, pos + 1
+        if s[pos:pos + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", s, pos)
+        pos += 1
+
+
+class _StackDecoder(json.JSONDecoder):
+    """``json`` decoding in which a stack of matrices arrives as a list of
+    ``(rows, cols, 2)`` float arrays: a series file of any order never holds
+    a Python float and a list per entry of all its coefficients at once.
+    A document it cannot decode goes to the standard decoder, whose
+    diagnostic is reported."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.parse_array = _parse_array
+        self.scan_once = py_make_scanner(self)
+
+    def decode(self, s, *args):
+        try:
+            return super().decode(s, *args)
+        except (ValueError, RecursionError):
+            return _C_DECODER.decode(s)
+
+
+def _as_lists(obj):
+    """``obj`` with every matrix decoded to a float array back as nested
+    lists, as the standard decoder gives it."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, list):
+        return [_as_lists(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    return obj
+
+
 def _read_json(path: str, what: str):
-    """The JSON document in ``path``; ``what`` names the file in diagnostics."""
+    """The JSON document in ``path``; ``what`` names the file in diagnostics.
+    Stacks of matrices in it may hold float arrays (see ``_StackDecoder``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, cls=_StackDecoder)
     except OSError as exc:
         raise ParseFailure(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:   # malformed JSON or text that is not UTF-8
@@ -120,14 +195,16 @@ def _integer(doc: dict, key: str, default=None) -> int:
     ``default`` stands in for a missing key."""
     value = doc.get(key, default)
     if type(value) is not int:
-        raise ParseFailure(f"{key} must be an integer, got {value!r}")
+        raise ParseFailure(f"{key} must be an integer, got {_as_lists(value)!r}")
     return value
 
 
-def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Decode a nested-array matrix; ``[]`` takes ``cols`` from context."""
+def _pairs_of_list(obj, cols: int | None) -> np.ndarray:
+    """The float array of pairs of a nested-list matrix."""
     if not isinstance(obj, list):
         raise ParseFailure(f"matrix must be a list of rows, got {type(obj).__name__}")
+    # a stack where one matrix belongs fails the shape check as nested lists
+    obj = [item.tolist() if isinstance(item, np.ndarray) else item for item in obj]
     pairs = np.array(obj, dtype=object)
     if not obj:
         pairs = pairs.reshape(0, cols or 0, 2)
@@ -136,9 +213,19 @@ def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.nd
     if pairs.ndim != 3 or pairs.shape[2] != 2 or not set(map(type, pairs.flat)) <= {int, float}:
         raise ParseFailure("matrix must be a list of equal-length rows of [re, im] number pairs")
     try:
-        pairs = pairs.astype(np.float64)
+        return pairs.astype(np.float64)
     except OverflowError as exc:   # a JSON integer beyond the float range
         raise ParseFailure("matrix entry is too large for a float") from exc
+
+
+def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """Decode a nested-array matrix, or the ``(rows, cols, 2)`` float array
+    of pairs that ``_StackDecoder`` makes of one; ``[]`` takes ``cols`` from
+    context."""
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 3 and obj.shape[2] == 2:
+        pairs = np.ascontiguousarray(obj)
+    else:
+        pairs = _pairs_of_list(obj, cols)
     if not np.all(np.isfinite(pairs)):
         raise ParseFailure("matrix has non-finite entries")
     out = pairs.view(np.complex128)[..., 0]

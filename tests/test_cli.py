@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
@@ -15,7 +16,9 @@ from rclkit.cli import (
     EXIT_OK,
     EXIT_PARSE,
     ParseFailure,
+    _as_lists,
     _dump_json,
+    _read_json,
     build_parser,
     load_problem_file,
     main,
@@ -209,6 +212,96 @@ class TestParseErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent.json")
         assert code == EXIT_PARSE and err
+
+
+#: Documents whose stacks of matrices take every branch of the decoder.
+STACK_DOCUMENTS = {
+    "floats_and_whitespace": '{"coeffs": [ [ [ [1.5, -0.0] ] ] ,\n\t[[[2e3, 1E-2]],\r[[0.0, 5e-324]]]]}',
+    "integer_entry": '{"coeffs": [[[[1, 2.0]]], [[[0.5, 0.5]]]]}',
+    "empty_entries": '{"coeffs": [[[[1.0, 2.0]]], [], [[], []]]}',
+    "ragged_entries": '{"coeffs": [[[[1.0, 2.0]], [[3.0]]], [[[1.0, 2.0], [3.0, 4.0]]]]}',
+    "five_levels": '[[[[[1.0, 2.0]]]], [[[[3.0, 4.0]]]]]',
+    "brackets_in_strings": '{"a": [[["]]]", [1.0, 2.0]]]], "b": [[[["[", "]"]]], [[[0.5, 1.5]]]]}',
+    "nested_object": '{"omega": {"x": [[[[0.25, 0.5]]]], "y": [[1.0]]}, "seed": 3}',
+    "nan_entry": '{"coeffs": [[[[NaN, 0.0]]]]}',
+    "root_stack": '[[[[1.0, 2.0], [3.0, 4.0]]], [[[5.0, 6.0], [7.0, 8.0]]]]',
+    "mixed_list": '{"v": [1.0, [2.0, [3.0]], "s", null, true]}',
+}
+
+#: Malformed documents with a stack of matrices in them.
+BROKEN_STACKS = {
+    "trailing_comma": '{"coeffs": [[[[1.0, 2.0]]],]}',
+    "missing_comma": '{"coeffs": [[[[1.0, 2.0]]] [[[1.0, 2.0]]]]}',
+    "unterminated": '{"coeffs": [[[[1.0, 2.0]]]',
+    "extra_data": '{"coeffs": [[[[1.0, 2.0]]]]} [',
+    "bad_number": '{"coeffs": [[[[1.0, 2.]]]]}',
+    "byte_order_mark": '﻿{"coeffs": [[[[1.0, 2.0]]]]}',
+}
+
+
+class TestStackDecoding:
+    """A stack of matrices decodes one matrix at a time into float arrays,
+    while the document means what the standard decoder makes of it."""
+
+    @staticmethod
+    def read(tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        return _read_json(str(path), "test file"), path
+
+    def test_series_arrives_as_float_arrays(self, tmp_path):
+        rng = np.random.default_rng(3)
+        s = MatrixSeries(list(rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))), 3, 4)
+        text = encode(series_to_json(s))
+        doc, _ = self.read(tmp_path, text)
+        assert all(isinstance(c, np.ndarray) and c.shape == (3, 4, 2) for c in doc["coeffs"])
+        got, want = parse_series(doc).coeffs, parse_series(json.loads(text)).coeffs
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+    @pytest.mark.parametrize("case", sorted(STACK_DOCUMENTS))
+    def test_document_decodes_as_standard(self, tmp_path, case):
+        text = STACK_DOCUMENTS[case]
+        doc, _ = self.read(tmp_path, text)
+        assert json.dumps(_as_lists(doc)) == json.dumps(json.loads(text))
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_STACKS))
+    def test_malformed_document_reports_the_standard_diagnostic(self, tmp_path, case):
+        text = BROKEN_STACKS[case]
+        with pytest.raises(ValueError) as standard:
+            json.loads(text)
+        with pytest.raises(ParseFailure) as failure:
+            self.read(tmp_path, text)
+        assert str(failure.value) == f"malformed JSON in test file {tmp_path / 'doc.json'}: {standard.value}"
+
+    def test_stack_in_place_of_a_scalar_or_matrix_fails_as_nested_lists(self, tmp_path):
+        text = '{"order": [[[[1.5, 2.5]]]], "out_dim": 1, "in_dim": 1, "coeffs": [[[[1.0, 0.0]]]], "A": [[[[1.0, 0.0]]]]}'
+        doc, _ = self.read(tmp_path, text)
+        with pytest.raises(ParseFailure, match=r"order must be an integer, got \[\[\[\[1\.5, 2\.5\]\]\]\]$"):
+            parse_series(doc)
+        with pytest.raises(ParseFailure) as fast:
+            parse_matrix(doc["A"])
+        with pytest.raises(ParseFailure) as standard:
+            parse_matrix(json.loads(text)["A"])
+        assert str(fast.value) == str(standard.value)
+
+    def test_series_never_holds_an_object_per_entry(self, tmp_path):
+        rng = np.random.default_rng(4)
+        coeffs = rng.standard_normal((65, 16, 16)) + 1j * rng.standard_normal((65, 16, 16))
+        path = tmp_path / "series.json"
+        path.write_text(encode(series_to_json(MatrixSeries(list(coeffs), 16, 16))), encoding="utf-8")
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        text = peak(lambda: path.read_text(encoding="utf-8"))
+        standard = peak(lambda: load_json(path)) - text
+        stacked = peak(lambda: _read_json(str(path), "series file")) - text
+        assert stacked < 0.25 * standard
 
 
 class TestOmegaCommand:
