@@ -381,7 +381,9 @@ def _load_parameter(path: str, tol: Tolerances) -> redheffer.SchurParameter:
         raise ParseFailure("parameter file must be an object with a 'coeffs' list")
     if not doc["coeffs"]:
         raise ParseFailure("parameter file needs at least one coefficient")
-    mats = [parse_matrix(c) for c in doc["coeffs"]]
+    head = parse_matrix(doc["coeffs"][0])
+    rows, cols = head.shape
+    mats = [head] + [parse_matrix(c, rows=rows, cols=cols) for c in doc["coeffs"][1:]]
     return redheffer.SchurParameter(tuple(mats), tol)
 
 

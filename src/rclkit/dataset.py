@@ -9,17 +9,20 @@ The isometric dilation of ``T'`` is never stored: the canonical
 shift-extension construction (module :mod:`rclkit.lifting`) is assumed
 throughout, which removes an unverifiable degree of freedom.
 
-A data set derives its defect geometry once, on the defect spaces ``U`` of
-``A`` and ``Y`` of ``T'``: ``DataSet.defect_a = (U.coords() @ D_A, U)`` and
-``DataSet.defect_tp = (Y.coords() @ D_T', Y)``. This module and
+A data set derives its geometry once, at three rank cuts: the defect spaces
+``U`` of ``A`` and ``Y`` of ``T'``, as ``DataSet.defect_a = (U.coords() @ D_A, U)``
+and ``DataSet.defect_tp = (Y.coords() @ D_T', Y)``, and the domain
+``DataSet.domain = F = closure(range(D_A Q))`` in ``U``-coordinates. Every
+uniqueness verdict flips at one of them (``dim U``, ``dim F`` or ``dim Y``),
+and the analyzers below decide each fact there. This module and
 :mod:`rclkit.lifting` read only these, so a solution and its lifting share
 one set of coordinates.
 
 From a valid data set this module builds the underlying contraction
-``w : F = closure(range(D_A Q)) -> Y (+) U`` determined by
-``w D_A Q = [D_T' A R ; D_A R]``, and provides the specialized uniqueness
-analyzers for the sub-optimal case and for the scalar sliding-block shape of
-R and Q. All of them raise ``IllPosedData`` on data that fails :func:`validate`.
+``w : F -> Y (+) U`` determined by ``w D_A Q = [D_T' A R ; D_A R]``, and
+provides the specialized uniqueness analyzers for the sub-optimal case and
+for the scalar sliding-block shape of R and Q. All of them raise
+``IllPosedData`` on data that fails :func:`validate`.
 
 A data set carries its own :class:`~rclkit.opcore.Tolerances`: every check
 below reads ``data.tol``, and the underlying contraction inherits it.
@@ -43,7 +46,6 @@ from .opcore import (
     adjoint,
     as_cmatrix,
     defect,
-    join,
     orthocomplement,
     range_closure_basis,
     spectral_norm,
@@ -62,8 +64,9 @@ def _read_only(M: CMatrix) -> CMatrix:
 @dataclass(frozen=True)
 class DataSet:
     """The four operators as read-only copies, which later changes to the
-    caller's arrays cannot reach; the space dimensions and the two defect
-    geometries derived from them, each once; the tolerances of every check."""
+    caller's arrays cannot reach; the space dimensions, the two defect
+    geometries and the domain derived from them, each once; the tolerances of
+    every check."""
 
     A: CMatrix    # H -> H'
     Tp: CMatrix   # H' -> H'
@@ -93,6 +96,11 @@ class DataSet:
     def defect_tp(self) -> tuple[CMatrix, SubspaceBasis]:
         """``(Y.coords() @ D_T', Y)``: likewise for ``T'``."""
         return self._geometry(self.Tp)
+
+    @cached_property
+    def domain(self) -> SubspaceBasis:
+        """``F = closure(range(D_A Q))`` in ``U``-coordinates: the cut that sets ``dim F``."""
+        return range_closure_basis(self.defect_a[0] @ self.Q, self.tol)
 
     @property
     def dim_h0(self) -> int:
@@ -185,9 +193,8 @@ def underlying_contraction(data: DataSet) -> InterpProblem:
     d_tp, space_tp = data.defect_tp
     u_dim, y_dim = space_a.dim, space_tp.dim
 
-    domain_cols = d_a @ data.Q                              # u_dim x h0
-    f = range_closure_basis(domain_cols, tol)
-    lhs = f.coords() @ domain_cols                          # F-coordinates of D_A Q
+    f = data.domain
+    lhs = f.coords() @ (d_a @ data.Q)                       # F-coordinates of D_A Q
     rhs = np.vstack([d_tp @ data.A @ data.R, d_a @ data.R])
     if f.dim:
         omega = np.linalg.lstsq(lhs.T, rhs.T, rcond=None)[0].T
@@ -252,7 +259,9 @@ def suboptimal_uniqueness(data: DataSet) -> UniquenessDecision:
     two verdicts.
 
     When applicable, the interpolant is unique iff ``closure(Q H0) = H`` or
-    ``T'`` has trivial defect (is an isometry). Invalid data raises ``IllPosedData``.
+    ``T'`` has trivial defect (is an isometry). ``D_A`` is invertible for strict
+    ``A``, so the first reads ``dim F = dim U``, at the trichotomy's cut.
+    Invalid data raises ``IllPosedData``.
     """
     tol = data.tol
     _require_valid(data)
@@ -263,7 +272,7 @@ def suboptimal_uniqueness(data: DataSet) -> UniquenessDecision:
         smin = float(np.linalg.svd(data.R, compute_uv=False)[-1])
     if data.dim_h0 > 0 and smin <= tol.rank_tol:
         return UniquenessDecision(Decision.NOT_APPLICABLE, "R is not left invertible")
-    q_onto = range_closure_basis(data.Q, tol).dim == data.dim_h
+    q_onto = data.domain.dim == data.defect_a[1].dim
     tp_isometry = data.defect_tp[1].dim == 0
     if q_onto or tp_isometry:
         return UniquenessDecision(Decision.UNIQUE)
@@ -274,18 +283,16 @@ def suboptimal_uniqueness(data: DataSet) -> UniquenessDecision:
 class PerpendicularityReport:
     """Geometry of ``G = defect(A) (-) F`` inside ``H``.
 
-    ``D_A G`` is always perpendicular to both ``range(Q)`` and the kernel of
-    ``D_A``; consequently ``F`` fills the whole defect space whenever the
-    span of those two closes up to ``H``. The kernel basis is reported whole
-    rather than through any distinguished vector.
+    ``D_A G`` is perpendicular to ``range(Q)``, and to the kernel of ``D_A`` by
+    construction (it lies in ``U``). In finite dimensions ``range(Q)`` and
+    that kernel span ``H`` iff ``F = U``, so ``f_equals_defect_space`` reads
+    the lemma's hypothesis at the cut that sets ``dim F``;
+    ``kernel_dim = dim H - dim U``.
     """
 
     q_residual: float
-    kernel_residual: float
     g_image_perp_q: bool
-    g_image_perp_kernel: bool
     f_equals_defect_space: bool
-    span_covers_h: bool
     kernel_dim: int
 
 
@@ -294,21 +301,15 @@ def perpendicularity_report(data: DataSet) -> PerpendicularityReport:
     tol = data.tol
     _require_valid(data)
     d_a, space_a = data.defect_a
-    f = range_closure_basis(d_a @ data.Q, tol)
+    f = data.domain
     g_in_h = space_a.basis @ orthocomplement(f).basis      # basis of G inside H
-    kernel = orthocomplement(space_a)                      # Ker D_A = defect-space complement
     image = space_a.basis @ d_a @ g_in_h                   # D_A G, which lies in U
     q_residual = spectral_norm(adjoint(data.Q) @ image)
-    kernel_residual = spectral_norm(kernel.coords() @ image)
-    span = join(range_closure_basis(data.Q, tol), kernel, tol)
     return PerpendicularityReport(
         q_residual=q_residual,
-        kernel_residual=kernel_residual,
         g_image_perp_q=q_residual <= tol.identity_tol,
-        g_image_perp_kernel=kernel_residual <= tol.identity_tol,
         f_equals_defect_space=f.dim == space_a.dim,
-        span_covers_h=span.dim == data.dim_h,
-        kernel_dim=kernel.dim,
+        kernel_dim=data.dim_h - space_a.dim,
     )
 
 

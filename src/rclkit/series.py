@@ -77,22 +77,19 @@ class MatrixSeries:
             acc = c + lam * acc
         return acc
 
-    def toeplitz(self, blocks: int, out: CMatrix | None = None) -> CMatrix:
+    def toeplitz(self, blocks: int) -> CMatrix:
         """Lower block-Toeplitz matrix ``[c_(i-k)]`` with ``blocks`` block rows.
 
-        Blocks above the diagonal and coefficients beyond the order are
-        zero. With ``out``, the matrix fills the leading ``blocks * in_dim``
-        columns of ``out`` and the remaining columns are left untouched.
+        Blocks above the diagonal and coefficients beyond the order are zero.
         """
         h, w = self.out_dim, self.in_dim
-        if out is None:
-            out = np.empty((blocks * h, blocks * w), dtype=np.complex128)
+        out = np.empty((blocks * h, blocks * w), dtype=np.complex128)
         # block row i is a window of [c_(blocks-1), ..., c_1, c_0, 0, ..., 0]
         strip = np.zeros((h, (2 * blocks - 1) * w), dtype=np.complex128)
         k = min(blocks, self.order + 1)
         strip[:, (blocks - k) * w:blocks * w] = self.coeffs[k - 1::-1].transpose(1, 0, 2).reshape(h, k * w)
         for i in range(blocks):
-            out[i * h:(i + 1) * h, :blocks * w] = strip[:, (blocks - 1 - i) * w:(2 * blocks - 1 - i) * w]
+            out[i * h:(i + 1) * h] = strip[:, (blocks - 1 - i) * w:(2 * blocks - 1 - i) * w]
         return out
 
     def truncate(self, order: int) -> "MatrixSeries":

@@ -138,12 +138,9 @@ def stacked_operator(system: CoisometricSystem, blocks: int) -> CMatrix:
     serves both parts."""
     if blocks < 1:
         raise InvalidInput(f"need at least one block, got {blocks}")
-    v, w, x = system.in_dim, system.out_dim, system.state_dim
     observ = orbit(system.C, system.A, blocks - 1)
-    out = np.empty((blocks * w, blocks * v + x), dtype=np.complex128)
-    transfer_from_orbit(system, observ).toeplitz(blocks, out)
-    out[:, blocks * v:] = observ.reshape(blocks * w, x)
-    return out
+    transfer = transfer_from_orbit(system, observ).toeplitz(blocks)
+    return np.hstack([transfer, observ.reshape(blocks * system.out_dim, system.state_dim)])
 
 
 def gram_identity_audit(system: CoisometricSystem, blocks: int, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -245,10 +245,10 @@ def test_criterion_7_dataset_corollaries():
     for i, target in enumerate(norm_targets):
         d = krylov_dataset(np.random.default_rng(4000 + i), n=4, a_norm=target)
         report = perpendicularity_report(d)
-        worst_perp = max(worst_perp, report.q_residual, report.kernel_residual)
+        worst_perp = max(worst_perp, report.q_residual)
     for d in suboptimal_pool:
         report = perpendicularity_report(d)
-        worst_perp = max(worst_perp, report.q_residual, report.kernel_residual)
+        worst_perp = max(worst_perp, report.q_residual)
     assert worst_perp <= 1e-10
     watch.check()
     announce(7, "data-set corollaries",

@@ -424,6 +424,15 @@ class TestSolveVerifyAudit:
         code, out, err = run(capsys, *argv, str(aux))
         assert code == EXIT_PARSE and out == "" and err
 
+    @pytest.mark.parametrize("shape, message", [((1, 1), "expected 2 rows, got 1"),
+                                                ((2, 2), "expected 1 columns, got 2")])
+    def test_ragged_parameter_exits_two(self, capsys, tmp_path, shape, message):
+        # the later coefficients take their shape from the first, as in a series file
+        param = tmp_path / "v.json"
+        param.write_text(json.dumps({"coeffs": [json_matrix(np.zeros((2, 1))), json_matrix(np.zeros(shape))]}))
+        code, out, err = run(capsys, "solve", SHIFT6, "--param", str(param))
+        assert code == EXIT_PARSE and out == "" and message in err
+
     @pytest.mark.parametrize("kind", ["problem", "tolerances", "param", "solution", "system"])
     def test_integer_beyond_float_range_exits_two(self, capsys, tmp_path, kind):
         huge = [[[10**400, 0]]]

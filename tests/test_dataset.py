@@ -23,7 +23,7 @@ from rclkit.dataset import (
 )
 from rclkit.errors import DimensionMismatch, IllPosedData, InvalidInput
 from rclkit.interp import UniquenessKind, uniqueness
-from rclkit.opcore import defect, is_isometry, spectral_norm
+from rclkit.opcore import defect, is_isometry, join, orthocomplement, range_closure_basis, spectral_norm
 
 
 class TestDataSet:
@@ -62,6 +62,17 @@ class TestDataSet:
         # each map is D in the coordinates of its own defect space
         np.testing.assert_allclose(space_a.basis @ d_a, defect(d.A)[0] @ space_a.projector(), atol=1e-12)
         assert d_tp.shape == (space_tp.dim, d.dim_hp)
+
+    def test_domain_is_derived_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dataset, "range_closure_basis",
+                            lambda *args: calls.append(args) or range_closure_basis(*args))
+        d = random_dataset(np.random.default_rng(3))
+        p = underlying_contraction(d)
+        assert suboptimal_uniqueness(d).decision is not Decision.NOT_APPLICABLE
+        report = perpendicularity_report(d)
+        assert len(calls) == 1
+        assert p.F is d.domain and report.f_equals_defect_space == (p.f_dim == p.u_dim)
 
 
 class TestValidate:
@@ -207,6 +218,24 @@ class TestSuboptimalUniqueness:
         verdict = uniqueness(underlying_contraction(d))
         assert (result.decision is Decision.UNIQUE) == verdict.unique
 
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(-10, -9).map(lambda e: 10.0 ** e))
+    @example(s=1.2e-10)
+    @example(s=1.5e-10)
+    @example(s=1.9e-10)
+    def test_knife_edge_agrees_with_the_trichotomy(self, s):
+        # D_A Q = diag(0.87, 0.99 s) keeps its second direction at the cut
+        # that sets dim F for s above about 0.88e-10, while Q = diag(2, s)
+        # alone would keep it only for s above 2e-10: "Q onto H" is decided
+        # at the first cut
+        a = np.vstack([np.diag([0.9, 0.1]), np.zeros((1, 2))])
+        rq = np.diag([2.0, s])
+        d = DataSet(a, np.diag([1.0, 1.0, 0.5]), rq, rq)
+        assert validate(d).ok
+        decision = suboptimal_uniqueness(d).decision
+        unique = uniqueness(underlying_contraction(d)).unique
+        assert decision is Decision.NOT_APPLICABLE or (decision is Decision.UNIQUE) == unique
+
 
 class TestPerpendicularity:
     @pytest.mark.parametrize("seed", range(8))
@@ -215,20 +244,23 @@ class TestPerpendicularity:
         maker = [random_dataset, classical_dataset, krylov_dataset][seed % 3]
         report = perpendicularity_report(maker(rng))
         assert report.g_image_perp_q and report.q_residual <= 1e-10
-        assert report.g_image_perp_kernel and report.kernel_residual <= 1e-10
 
     def test_q_onto_fills_the_defect_space(self):
         report = perpendicularity_report(classical_dataset(np.random.default_rng(7)))
-        assert report.span_covers_h
-        assert report.f_equals_defect_space
+        assert report.f_equals_defect_space and report.q_residual <= 1e-10
 
     def test_span_implies_full_domain(self):
-        # whenever range(Q) and ker D_A together span H, F fills the defect space
+        # whenever range(Q) and ker D_A together span H, F fills the defect
+        # space; in finite dimensions the converse holds too. Norm-one A
+        # spans H with Q not onto, random data sets do not span it.
+        makers = [random_dataset, lambda rng: krylov_dataset(rng, n=4, a_norm=1.0), q_onto_dataset]
+        spans = 0
         for seed in range(12):
-            d = random_dataset(np.random.default_rng(50 + seed))
-            report = perpendicularity_report(d)
-            if report.span_covers_h:
-                assert report.f_equals_defect_space
+            d = makers[seed % 3](np.random.default_rng(50 + seed))
+            span = join(range_closure_basis(d.Q), orthocomplement(d.defect_a[1]))
+            spans += span.dim == d.dim_h
+            assert perpendicularity_report(d).f_equals_defect_space == (span.dim == d.dim_h)
+        assert spans == 8
 
     def test_engineered_gap_between_f_and_defect_space(self):
         # norm-one A whose norm-attaining vector avoids range(Q): the domain
@@ -241,8 +273,7 @@ class TestPerpendicularity:
         assert validate(d).ok
         report = perpendicularity_report(d)
         assert not report.f_equals_defect_space
-        assert not report.span_covers_h
-        assert report.g_image_perp_q and report.g_image_perp_kernel
+        assert report.g_image_perp_q and report.q_residual <= 1e-10
         assert report.kernel_dim == 1
 
 

@@ -3,10 +3,16 @@
 Problems and data sets are drawn with ``Y = {0}``, ``dim F`` in ``{0, u}``
 and zero defect beside the generic case. Over every draw: each witness is a
 verified solution, the uniqueness trichotomy agrees with the co-isometry of
-the central coefficients, and the paper's two special-case analyzers agree
-with the trichotomy wherever they apply (valid data sets only: both reject
-an invalid one).
+the central coefficients, a problem written as a file reads back through
+``rclkit omega`` as the same text, and the paper's two special-case
+analyzers agree with the trichotomy wherever they apply (valid data sets
+only: both reject an invalid one).
 """
+
+import contextlib
+import io
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -22,6 +28,7 @@ from helpers import (
     random_dataset,
     random_problem,
 )
+from rclkit.cli import EXIT_OK, _dump_json, main, problem_to_json
 from rclkit.dataset import (
     DataSet,
     Decision,
@@ -123,6 +130,23 @@ def test_uniqueness_agrees_with_coefficient_coisometry(regime, seed):
             assert coisometric or p.y_dim > 0
         else:
             assert coisometric == verdict.unique
+
+
+@settings(max_examples=30, deadline=None)
+@given(regime=st.sampled_from(PROBLEM_REGIMES), seed=st.integers(0, 10**6))
+@example(regime="empty_domain", seed=0)
+@example(regime="no_output", seed=0)
+def test_omega_round_trip_is_byte_identical(regime, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        for p in problems(regime, seed):
+            text = "".join(_dump_json(problem_to_json(p))) + "\n"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["omega", path]) == EXIT_OK
+            assert out.getvalue() == text
 
 
 @settings(max_examples=40, deadline=None)

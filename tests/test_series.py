@@ -112,14 +112,6 @@ def test_toeplitz_is_lower_block_toeplitz_with_zero_padding(out_dim, in_dim, blo
     np.testing.assert_array_equal(t, reference_toeplitz(a, blocks))
 
 
-def test_toeplitz_into_buffer_leaves_trailing_columns():
-    a = random_series(np.random.default_rng(1), 2, 3, 1)
-    out = np.full((8, 4 * 3 + 5), 7.0 + 1j)
-    assert a.toeplitz(4, out) is out
-    np.testing.assert_array_equal(out[:, :12], reference_toeplitz(a, 4))
-    assert np.all(out[:, 12:] == 7.0 + 1j)
-
-
 def test_scale_and_truncate():
     a = scalar_series(1.0, 2.0)
     doubled = scale(a, 2.0)
