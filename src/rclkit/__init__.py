@@ -25,7 +25,6 @@ from .opcore import (
     Tolerances,
     defect,
     is_coisometry,
-    is_isometry,
     join,
     orthocomplement,
     psd_order_leq,

@@ -244,7 +244,7 @@ def parse_series(obj) -> MatrixSeries:
         raise ParseFailure(f"series order must be nonnegative, got {order}")
     if len(obj["coeffs"]) != order + 1:
         raise ParseFailure("series coefficient count does not match its order")
-    return MatrixSeries([parse_matrix(c, rows=out_dim, cols=in_dim) for c in obj["coeffs"]], out_dim, in_dim)
+    return MatrixSeries([parse_matrix(c, rows=out_dim, cols=in_dim) for c in obj["coeffs"]])
 
 
 @dataclass

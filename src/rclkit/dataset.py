@@ -48,17 +48,12 @@ from .opcore import (
     defect,
     orthocomplement,
     range_closure_basis,
+    read_only,
     spectral_norm,
 )
 
 #: Residual allowed for the defining identity of the underlying contraction.
 OMEGA_RESIDUAL_TOL = 1e-9
-
-
-def _read_only(M: CMatrix) -> CMatrix:
-    M = M.copy()
-    M.flags.writeable = False
-    return M
 
 
 @dataclass(frozen=True)
@@ -81,11 +76,11 @@ class DataSet:
         R = as_cmatrix(self.R, rows=h)
         Q = as_cmatrix(self.Q, rows=h, cols=R.shape[1])
         for name, M in zip(("A", "Tp", "R", "Q"), (A, Tp, R, Q)):
-            object.__setattr__(self, name, _read_only(M))
+            object.__setattr__(self, name, read_only(M))
 
     def _geometry(self, N: CMatrix) -> tuple[CMatrix, SubspaceBasis]:
         d, space = defect(N, self.tol)    # NotAContraction when N is not a contraction
-        return _read_only(space.coords() @ d), space
+        return read_only(space.coords() @ d), space
 
     @cached_property
     def defect_a(self) -> tuple[CMatrix, SubspaceBasis]:

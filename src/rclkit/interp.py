@@ -45,6 +45,7 @@ from .opcore import (
     as_cmatrix,
     is_coisometry,
     orthocomplement,
+    read_only,
     spectral_norm,
     spectral_norms,
 )
@@ -58,9 +59,11 @@ class InterpProblem:
 
     ``omega1`` (y_dim x dim F) and ``omega2`` (u_dim x dim F) act on
     F-coordinates; ``F.basis`` embeds those coordinates into ``C^u_dim``.
-    ``tol`` holds the thresholds of every check on the problem: the stacked
-    norm may exceed 1 by at most ``tol.contraction_slack``, and the verdicts
-    of this module and of :mod:`rclkit.redheffer` read it from here.
+    Both are stored as read-only copies, which later writes to the caller's
+    arrays cannot reach. ``tol`` holds the thresholds of every check on the
+    problem: the stacked norm may exceed 1 by at most
+    ``tol.contraction_slack``, and the verdicts of this module and of
+    :mod:`rclkit.redheffer` read it from here.
     """
 
     u_dim: int
@@ -76,8 +79,8 @@ class InterpProblem:
                 f"F lives in C^{self.F.ambient_dim} but the problem has u_dim={self.u_dim}"
             )
         f = self.F.dim
-        object.__setattr__(self, "omega1", as_cmatrix(self.omega1, rows=self.y_dim, cols=f))
-        object.__setattr__(self, "omega2", as_cmatrix(self.omega2, rows=self.u_dim, cols=f))
+        object.__setattr__(self, "omega1", read_only(as_cmatrix(self.omega1, rows=self.y_dim, cols=f)))
+        object.__setattr__(self, "omega2", read_only(as_cmatrix(self.omega2, rows=self.u_dim, cols=f)))
         nrm = spectral_norm(np.vstack([self.omega1, self.omega2]))
         if nrm > 1.0 + self.tol.contraction_slack:
             raise NotAContraction(f"stacked operator norm {nrm:.17g} exceeds 1 + slack")
@@ -110,7 +113,7 @@ def central_taylor(problem: InterpProblem, order: int) -> MatrixSeries:
     The orbit of ``w1 P_F`` under ``w2 P_F``; no matrix inversion is involved.
     """
     coeffs = orbit(problem.output_row(), problem.state_operator(), order)
-    return MatrixSeries(coeffs, problem.y_dim, problem.u_dim)
+    return MatrixSeries(coeffs)
 
 
 @dataclass(frozen=True)

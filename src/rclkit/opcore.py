@@ -60,6 +60,16 @@ def as_cmatrix(value, rows: int | None = None, cols: int | None = None) -> CMatr
     return M
 
 
+def read_only(M: CMatrix) -> CMatrix:
+    """A copy of ``M`` that refuses writes, so no later write, to the
+    caller's array or through the copy, gets past the checks made when it
+    was stored. It keeps ``M``'s memory layout, and with it the bits of every
+    product formed from it."""
+    M = M.copy(order="K")
+    M.flags.writeable = False
+    return M
+
+
 def adjoint(M: CMatrix) -> CMatrix:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.swapaxes(M.conj(), -1, -2)
@@ -84,14 +94,15 @@ class SubspaceBasis:
     """A subspace of C^ambient_dim given by a matrix with orthonormal columns.
 
     ``basis`` has shape ``(ambient_dim, dim)``; ``basis* @ basis = I`` is
-    verified at construction within ``1e-12 * ambient_dim``.
+    verified at construction within ``1e-12 * ambient_dim``, on a read-only
+    copy that later writes to the caller's array cannot reach.
     """
 
     ambient_dim: int
     basis: CMatrix
 
     def __post_init__(self):
-        basis = as_cmatrix(self.basis, rows=self.ambient_dim)
+        basis = read_only(as_cmatrix(self.basis, rows=self.ambient_dim))
         object.__setattr__(self, "basis", basis)
         k = basis.shape[1]
         if k > self.ambient_dim:
@@ -103,18 +114,9 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> CMatrix:
-        """Orthogonal projector of C^ambient onto the subspace (ambient x ambient)."""
-        return self.basis @ adjoint(self.basis)
-
     def coords(self) -> CMatrix:
         """Projection onto the subspace viewed as a map onto it (dim x ambient)."""
         return adjoint(self.basis)
-
-
-def full_space(n: int) -> SubspaceBasis:
-    """The whole of C^n."""
-    return SubspaceBasis(n, np.eye(n, dtype=np.complex128))
 
 
 def range_closure_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
@@ -200,11 +202,6 @@ def isometry_deficiency(M) -> float:
     return coisometry_deficiency(as_cmatrix(M).T)
 
 
-def is_isometry(M, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff ``M* M = I`` within ``identity_tol``."""
-    return isometry_deficiency(M) <= tol.identity_tol
-
-
 def psd_order_leq(P, Q, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``Q - P`` is positive semidefinite up to ``identity_tol``.
 
@@ -226,7 +223,7 @@ def orthocomplement(space: SubspaceBasis) -> SubspaceBasis:
     """Orthogonal complement within the ambient space."""
     n, k = space.ambient_dim, space.dim
     if k == 0:
-        return full_space(n)
+        return SubspaceBasis(n, np.eye(n, dtype=np.complex128))
     # null space of basis*, i.e. the trailing right singular directions
     _, _, vh = np.linalg.svd(adjoint(space.basis), full_matrices=True)
     return SubspaceBasis(n, adjoint(vh[k:, :]))

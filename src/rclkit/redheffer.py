@@ -136,15 +136,14 @@ def phi_taylor(realization: RedhefferRealization, order: int):
     over ``Phi22``; one ``orbit`` gives both. The ``Phi22`` coefficients
     are the central solution's, and ``Phi11`` has zero constant term.
     """
-    s, g, y = realization.system, realization.complement_dim, realization.problem.y_dim
-    d, u = realization.defect_dim, realization.problem.u_dim
+    s, g = realization.system, realization.complement_dim
     observ = orbit(s.C, s.A, order)
     transfer = transfer_from_orbit(s, observ).coeffs
     return (
-        MatrixSeries(transfer[:, :g], g, d),
-        MatrixSeries(observ[:, :g], g, u),
-        MatrixSeries(transfer[:, g:], y, d),
-        MatrixSeries(observ[:, g:], y, u),
+        MatrixSeries(transfer[:, :g]),
+        MatrixSeries(observ[:, :g]),
+        MatrixSeries(transfer[:, g:]),
+        MatrixSeries(observ[:, g:]),
     )
 
 
@@ -177,22 +176,24 @@ def coefficient_matrix_audit(realization: RedhefferRealization, blocks: int) -> 
 class SchurParameter:
     """Polynomial free parameter with contractive multiplication operator.
 
-    ``coeffs[k]`` maps ``G`` into the adjoint defect space. Contractivity
+    ``coeffs`` is one ``(m + 1, d, g)`` complex128 array for a parameter of
+    degree ``m``, validated as a ``MatrixSeries``: ``coeffs[k]`` maps ``G``
+    (dimension ``g``) into the adjoint defect space (dimension ``d``). Contractivity
     (within ``tol.contraction_slack``) is checked on the block-Toeplitz
     truncation of all coefficients, which bounds the multiplication-operator
     norm from below; exact Schur-class membership of a polynomial would be a
     semi-infinite condition.
     """
 
-    coeffs: tuple[CMatrix, ...]
+    coeffs: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.coeffs:
+        if len(self.coeffs) == 0:
             raise InvalidParameter("parameter needs at least a constant coefficient")
-        series = MatrixSeries(self.coeffs, *as_cmatrix(self.coeffs[0]).shape)
-        object.__setattr__(self, "coeffs", tuple(series.coeffs))
-        nrm = spectral_norm(series.toeplitz(len(self.coeffs)))
+        series = MatrixSeries(self.coeffs)
+        object.__setattr__(self, "coeffs", series.coeffs)
+        nrm = spectral_norm(series.toeplitz(series.order + 1))
         if nrm > 1.0 + self.tol.contraction_slack:
             raise InvalidParameter(f"parameter multiplication norm {nrm:.17g} exceeds 1 + slack")
 
@@ -202,11 +203,11 @@ class SchurParameter:
 
     @property
     def out_dim(self) -> int:
-        return self.coeffs[0].shape[0]
+        return self.coeffs.shape[1]
 
     @property
     def in_dim(self) -> int:
-        return self.coeffs[0].shape[1]
+        return self.coeffs.shape[2]
 
 
 def lft_solution(
@@ -242,18 +243,18 @@ def lft_solution(
     s, g_dim = realization.system, realization.complement_dim
     u, y = s.state_dim, realization.problem.y_dim
     d_u, p_g, out_row, d_y = s.B, s.C[:g_dim], s.C[g_dim:], s.D[g_dim:]
-    v0, *v_tail = parameter.coeffs
+    v0, v_tail = parameter.coeffs[0], parameter.coeffs[1:]
     size = u + len(v_tail) * g_dim
 
     a = np.zeros((size, size), dtype=np.complex128)
     c = np.zeros((y, size), dtype=np.complex128)
     a[:u, :u] = s.A + d_u @ v0 @ p_g
     c[:, :u] = out_row + d_y @ v0 @ p_g
-    if v_tail:
+    if len(v_tail):
         v_rest = np.hstack(v_tail)
         a[:u, u:] = d_u @ v_rest
         c[:, u:] = d_y @ v_rest
         a[u:u + g_dim, :u] = p_g
         a[u + g_dim:, u:size - g_dim] = np.eye(size - u - g_dim)
 
-    return MatrixSeries(orbit(c, a, order)[:, :, :u], y, u)
+    return MatrixSeries(orbit(c, a, order)[:, :, :u])

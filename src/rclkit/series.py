@@ -4,10 +4,13 @@ Coefficients are exact for the truncated algebra: no approximation enters
 beyond floating-point roundoff. Truncation orders are explicit arguments
 everywhere, never ambient state.
 
-``MatrixSeries`` is the container every module returns: one complex
-array of shape ``(order + 1, out_dim, in_dim)``, so a whole series is
-multiplied, sliced, stacked or normed by one array operation. Its
-``toeplitz`` is the library's one block-Toeplitz assembly. The arithmetic
+``MatrixSeries(coeffs)`` is the container every module returns: one
+complex array of shape ``(order + 1, out_dim, in_dim)``, its only field, so
+the order and both dimensions are read off its shape and nothing can
+disagree with it; a whole series is multiplied, sliced, stacked or normed
+by one array operation. Its ``toeplitz`` is the library's one
+block-Toeplitz assembly; ``eval`` checks a series pointwise and
+``truncate`` pads or cuts it to an order. The arithmetic
 below (Cauchy products and inverses cost O(N^2) products to order ``N``)
 is a reference: the library itself generates solutions by state-space
 recursions, and the tests use these functions as an independent oracle.
@@ -23,52 +26,48 @@ from .errors import DimensionMismatch, InvalidInput, NotInvertible
 from .opcore import CMatrix
 
 
+def _shape_of(c) -> str:
+    try:
+        return str(np.shape(c))
+    except ValueError:  # the coefficient is itself a ragged nested list
+        return "ragged"
+
+
 @dataclass(frozen=True)
 class MatrixSeries:
     """Coefficients c0..cN of an analytic function, as one
-    ``(N + 1, out_dim, in_dim)`` complex128 array."""
+    ``(N + 1, out_dim, in_dim)`` complex128 array; the order and both
+    dimensions are read off its shape."""
 
     coeffs: np.ndarray
-    out_dim: int
-    in_dim: int
 
     def __post_init__(self):
         try:
             coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         except ValueError as exc:
-            raise DimensionMismatch(f"series coefficients do not form one array: {exc}") from exc
+            shapes = ", ".join(_shape_of(c) for c in self.coeffs)
+            raise DimensionMismatch(f"series coefficients do not form one complex array: shapes {shapes}") from exc
         if coeffs.shape[:1] == (0,):
             raise InvalidInput("a series needs at least the constant coefficient")
-        if coeffs.ndim != 3 or coeffs.shape[1:] != (self.out_dim, self.in_dim):
+        if coeffs.ndim != 3:
             raise DimensionMismatch(
-                f"expected coefficients of shape (order + 1, {self.out_dim}, {self.in_dim}), "
-                f"got {coeffs.shape}"
+                f"expected coefficients of shape (order + 1, out_dim, in_dim), got {coeffs.shape}"
             )
         if not np.all(np.isfinite(coeffs)):
             raise InvalidInput("series has non-finite coefficients")
         object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def zero(cls, out_dim: int, in_dim: int, order: int = 0) -> "MatrixSeries":
-        return cls(np.zeros((order + 1, out_dim, in_dim), dtype=np.complex128), out_dim, in_dim)
-
-    @classmethod
-    def identity(cls, dim: int, order: int = 0) -> "MatrixSeries":
-        coeffs = np.zeros((order + 1, dim, dim), dtype=np.complex128)
-        coeffs[0] = np.eye(dim)
-        return cls(coeffs, dim, dim)
-
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[0] - 1
 
-    def coeff(self, n: int) -> CMatrix:
-        """n-th coefficient; zero beyond the truncation order."""
-        if n < 0:
-            raise InvalidInput(f"coefficient index must be nonnegative, got {n}")
-        if n <= self.order:
-            return self.coeffs[n]
-        return np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
+    @property
+    def out_dim(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def in_dim(self) -> int:
+        return self.coeffs.shape[2]
 
     def eval(self, lam: complex) -> CMatrix:
         """Horner evaluation of the truncated polynomial at ``lam``."""
@@ -82,6 +81,8 @@ class MatrixSeries:
 
         Blocks above the diagonal and coefficients beyond the order are zero.
         """
+        if blocks < 1:
+            raise InvalidInput(f"need at least one block, got {blocks}")
         h, w = self.out_dim, self.in_dim
         out = np.empty((blocks * h, blocks * w), dtype=np.complex128)
         # block row i is a window of [c_(blocks-1), ..., c_1, c_0, 0, ..., 0]
@@ -97,17 +98,17 @@ class MatrixSeries:
         coeffs = np.zeros((order + 1, self.out_dim, self.in_dim), dtype=np.complex128)
         kept = min(order, self.order) + 1
         coeffs[:kept] = self.coeffs[:kept]
-        return MatrixSeries(coeffs, self.out_dim, self.in_dim)
+        return MatrixSeries(coeffs)
 
 
 def add(a: MatrixSeries, b: MatrixSeries, order: int) -> MatrixSeries:
     if (a.out_dim, a.in_dim) != (b.out_dim, b.in_dim):
         raise DimensionMismatch(f"cannot add {a.out_dim}x{a.in_dim} and {b.out_dim}x{b.in_dim} series")
-    return MatrixSeries(a.truncate(order).coeffs + b.truncate(order).coeffs, a.out_dim, a.in_dim)
+    return MatrixSeries(a.truncate(order).coeffs + b.truncate(order).coeffs)
 
 
 def scale(a: MatrixSeries, factor: complex) -> MatrixSeries:
-    return MatrixSeries(factor * a.coeffs, a.out_dim, a.in_dim)
+    return MatrixSeries(factor * a.coeffs)
 
 
 def mul(a: MatrixSeries, b: MatrixSeries, order: int) -> MatrixSeries:
@@ -119,7 +120,7 @@ def mul(a: MatrixSeries, b: MatrixSeries, order: int) -> MatrixSeries:
         for k in range(n + 1):
             if k <= a.order and n - k <= b.order:
                 out[n] += a.coeffs[k] @ b.coeffs[n - k]
-    return MatrixSeries(out, a.out_dim, b.in_dim)
+    return MatrixSeries(out)
 
 
 def inv(a: MatrixSeries, order: int) -> MatrixSeries:
@@ -133,7 +134,7 @@ def inv(a: MatrixSeries, order: int) -> MatrixSeries:
     d = a.out_dim
     a0 = a.coeffs[0]
     if d == 0:
-        return MatrixSeries.zero(0, 0, order)
+        return MatrixSeries(np.zeros((order + 1, 0, 0), dtype=np.complex128))
     svals = np.linalg.svd(a0, compute_uv=False)
     if svals[-1] == 0.0:
         raise NotInvertible("constant term is singular (condition number inf)")
@@ -150,7 +151,7 @@ def inv(a: MatrixSeries, order: int) -> MatrixSeries:
             if k <= a.order:
                 acc += a.coeffs[k] @ out[n - k]
         out[n] = -a0_inv @ acc
-    return MatrixSeries(out, d, d)
+    return MatrixSeries(out)
 
 
 def shift(a: MatrixSeries, k: int) -> MatrixSeries:
@@ -158,4 +159,4 @@ def shift(a: MatrixSeries, k: int) -> MatrixSeries:
     if k < 0:
         raise InvalidInput(f"shift exponent must be nonnegative, got {k}")
     zeros = np.zeros((k, a.out_dim, a.in_dim), dtype=np.complex128)
-    return MatrixSeries(np.concatenate([zeros, a.coeffs]), a.out_dim, a.in_dim)
+    return MatrixSeries(np.concatenate([zeros, a.coeffs]))

@@ -130,7 +130,7 @@ def transfer_from_orbit(system: CoisometricSystem, observ: np.ndarray) -> Matrix
     """Transfer coefficients ``F_0 = D`` and ``F_n = C A^(n-1) B`` from the
     observability coefficients ``orbit(C, A, order)``, to the same order."""
     coeffs = np.concatenate([system.D[None], observ[:-1] @ system.B])
-    return MatrixSeries(coeffs, system.out_dim, system.in_dim)
+    return MatrixSeries(coeffs)
 
 
 def stacked_operator(system: CoisometricSystem, blocks: int) -> CMatrix:

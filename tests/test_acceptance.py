@@ -106,9 +106,9 @@ def test_criterion_1_central_recursion():
         p = random_problem(rng, u_max=8, y_max=3)
         h = central_taylor(p, 21)
         basis = p.F.basis
-        worst = max(worst, spectral_norm(h.coeff(0) @ basis - p.omega1))
+        worst = max(worst, spectral_norm(h.coeffs[0] @ basis - p.omega1))
         for n in range(21):
-            worst = max(worst, spectral_norm(h.coeff(n + 1) @ basis - h.coeff(n) @ p.omega2))
+            worst = max(worst, spectral_norm(h.coeffs[n + 1] @ basis - h.coeffs[n] @ p.omega2))
     assert worst <= 1e-11
     watch.check()
     announce(1, "central-solution recursion", f"100 problems, max residual {worst:.2e}, {watch.elapsed:.2f}s")
@@ -205,8 +205,8 @@ def test_criterion_6_backward_shift_golden():
     for n in range(5):
         expected = np.zeros((1, 6))
         expected[0, n + 1] = 1.0
-        np.testing.assert_array_equal(h.coeff(n), expected)
-    np.testing.assert_array_equal(h.coeff(5), np.zeros((1, 6)))
+        np.testing.assert_array_equal(h.coeffs[n], expected)
+    np.testing.assert_array_equal(h.coeffs[5], np.zeros((1, 6)))
     verdict = uniqueness(p)
     assert verdict.kind is UniquenessKind.NOT_UNIQUE
     assert verdict.failing_n == 5

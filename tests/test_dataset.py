@@ -23,7 +23,7 @@ from rclkit.dataset import (
 )
 from rclkit.errors import DimensionMismatch, IllPosedData, InvalidInput
 from rclkit.interp import UniquenessKind, uniqueness
-from rclkit.opcore import defect, is_isometry, join, orthocomplement, range_closure_basis, spectral_norm
+from rclkit.opcore import defect, isometry_deficiency, join, orthocomplement, range_closure_basis, spectral_norm
 
 
 class TestDataSet:
@@ -60,7 +60,8 @@ class TestDataSet:
             d_tp, space_tp = d.defect_tp
         assert len(calls) == 2
         # each map is D in the coordinates of its own defect space
-        np.testing.assert_allclose(space_a.basis @ d_a, defect(d.A)[0] @ space_a.projector(), atol=1e-12)
+        projector = space_a.basis @ space_a.basis.conj().T
+        np.testing.assert_allclose(space_a.basis @ d_a, defect(d.A)[0] @ projector, atol=1e-12)
         assert d_tp.shape == (space_tp.dim, d.dim_hp)
 
     def test_domain_is_derived_once(self, monkeypatch):
@@ -132,7 +133,7 @@ class TestUnderlyingContraction:
     def test_classical_gives_isometry(self):
         d = classical_dataset(np.random.default_rng(1))
         p = underlying_contraction(d)
-        assert is_isometry(p.omega)
+        assert isometry_deficiency(p.omega) <= 1e-8
 
     def test_unitary_tp_gives_trivial_output_space(self):
         d = random_dataset(np.random.default_rng(2), tp_unitary=True)

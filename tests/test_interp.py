@@ -44,10 +44,23 @@ class TestProblemConstruction:
         p = InterpProblem(1, 1, basis, omega1, omega2, Tolerances(contraction_slack=1e-6))
         assert p == InterpProblem(1, 1, basis, omega1, omega2, Tolerances(contraction_slack=1e-7))
 
+    def test_later_writes_to_the_callers_arrays_do_not_reach_the_problem(self):
+        basis = np.eye(2, 1, dtype=complex)
+        w1, w2 = np.array([[0.5]], dtype=complex), np.array([[0.5], [0.0]], dtype=complex)
+        p = InterpProblem(2, 1, SubspaceBasis(2, basis), w1, w2)
+        for caller in (basis, w1, w2):
+            caller[0, 0] = 5.0
+        np.testing.assert_array_equal(p.omega, [[0.5], [0.5], [0.0]])
+        np.testing.assert_array_equal(p.F.basis, np.eye(2, 1))
+        for stored in (p.omega1, p.omega2, p.F.basis):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0, 0] = 5.0
+
     def test_empty_domain_is_legal(self):
         p = random_problem(np.random.default_rng(0), f_dim=0, u_dim=3, y_dim=2)
         assert p.f_dim == 0
-        assert central_taylor(p, 2).coeff(1).shape == (2, 3)
+        assert central_taylor(p, 2).coeffs[1].shape == (2, 3)
 
 
 class TestCentralTaylor:
@@ -57,9 +70,9 @@ class TestCentralTaylor:
         omega1 = np.array([[0.4, 0.1], [0.0, 0.2]])
         p = InterpProblem(3, 2, basis, omega1, np.zeros((3, 2)))
         h = central_taylor(p, 4)
-        assert spectral_norm(h.coeff(0) - omega1 @ basis.coords()) < 1e-14
+        assert spectral_norm(h.coeffs[0] - omega1 @ basis.coords()) < 1e-14
         for n in range(1, 5):
-            assert spectral_norm(h.coeff(n)) == 0.0
+            assert spectral_norm(h.coeffs[n]) == 0.0
 
     def test_backward_shift_golden_coefficients(self):
         p = backward_shift_problem(6)
@@ -68,7 +81,7 @@ class TestCentralTaylor:
         for n in range(5):
             expected[n, 0, n + 1] = 1.0
         for n in range(6):
-            np.testing.assert_array_equal(h.coeff(n), expected[n])
+            np.testing.assert_array_equal(h.coeffs[n], expected[n])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_partial_sum_matches_resolvent_oracle(self, seed):
@@ -114,21 +127,21 @@ class TestIsSolution:
         assert report.ok
         # the per-coefficient recursion residuals as reference
         basis = p.F.basis
-        reference = [spectral_norm(h.coeff(0) @ basis - p.omega1)]
-        reference += [spectral_norm(h.coeff(n + 1) @ basis - h.coeff(n) @ p.omega2) for n in range(order)]
+        reference = [spectral_norm(h.coeffs[0] @ basis - p.omega1)]
+        reference += [spectral_norm(h.coeffs[n + 1] @ basis - h.coeffs[n] @ p.omega2) for n in range(order)]
         np.testing.assert_allclose(report.interp_residuals, reference, rtol=0, atol=1e-14)
 
     def test_overflowing_gram_is_invalid_input(self):
         p = backward_shift_problem(6)
-        large = is_solution(p, MatrixSeries(np.full((3, 1, 6), 1e153 + 0j), 1, 6))
+        large = is_solution(p, MatrixSeries(np.full((3, 1, 6), 1e153 + 0j)))
         assert not large.ball_ok and np.isfinite(large.gram_excess)
         with pytest.raises(InvalidInput, match="overflow"):
-            is_solution(p, MatrixSeries(np.full((3, 1, 6), 1e200 + 0j), 1, 6))
+            is_solution(p, MatrixSeries(np.full((3, 1, 6), 1e200 + 0j)))
 
     def test_zero_series_fails_at_constant_term(self):
         rng = np.random.default_rng(3)
         p = random_problem(rng, y_dim=1, f_dim=2, u_dim=3)
-        report = is_solution(p, MatrixSeries.zero(1, 3, order=4))
+        report = is_solution(p, MatrixSeries(np.zeros((5, 1, 3))))
         assert not report.interp_ok
         assert report.interp_residuals[0] > 1e-3
         assert report.ball_ok
@@ -142,7 +155,7 @@ class TestIsSolution:
         bumped = coeffs[0].copy()
         bumped[0, 0] = 1.2  # e0 lies outside F, recursion is untouched
         coeffs[0] = bumped
-        report = is_solution(p, MatrixSeries(tuple(coeffs), 1, 4))
+        report = is_solution(p, MatrixSeries(tuple(coeffs)))
         assert report.interp_ok
         assert not report.ball_ok
         assert report.gram_excess > 0.1
@@ -153,7 +166,7 @@ class TestIsSolution:
         h = central_taylor(p, 15)
         prev = np.zeros((p.u_dim, p.u_dim), dtype=complex)
         for n in range(16):
-            gram = prev + h.coeff(n).conj().T @ h.coeff(n)
+            gram = prev + h.coeffs[n].conj().T @ h.coeffs[n]
             assert psd_order_leq(prev, gram)
             prev = gram
         assert psd_order_leq(prev, (1 + 1e-9) * np.eye(p.u_dim))
@@ -311,9 +324,9 @@ def test_recursion_identity_property(seed):
     p = random_problem(rng)
     h = central_taylor(p, 20)
     basis = p.F.basis
-    assert spectral_norm(h.coeff(0) @ basis - p.omega1) <= 1e-12
+    assert spectral_norm(h.coeffs[0] @ basis - p.omega1) <= 1e-12
     for n in range(20):
-        assert spectral_norm(h.coeff(n + 1) @ basis - h.coeff(n) @ p.omega2) <= 1e-12
+        assert spectral_norm(h.coeffs[n + 1] @ basis - h.coeffs[n] @ p.omega2) <= 1e-12
 
 
 def test_coisometric_problem_is_unique():

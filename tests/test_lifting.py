@@ -65,7 +65,7 @@ class TestInterpolantFromSolution:
     def test_zero_solution_stacks_a_over_nothing(self):
         d = krylov_dataset(np.random.default_rng(1), n=3, a_norm=0.6)
         p = underlying_contraction(d)
-        zero = MatrixSeries.zero(p.y_dim, p.u_dim, order=7)
+        zero = MatrixSeries(np.zeros((8, p.y_dim, p.u_dim)))
         b = interpolant_from_solution(d, zero, 8)
         np.testing.assert_array_equal(b[: d.dim_hp, :], d.A)
         assert spectral_norm(b[d.dim_hp:, :]) == 0.0
@@ -100,10 +100,7 @@ class TestInterpolantFromSolution:
     def test_ball_violation_rejected(self):
         d = krylov_dataset(np.random.default_rng(4), n=3, a_norm=0.6)
         p = underlying_contraction(d)
-        big = MatrixSeries(
-            tuple(np.full((p.y_dim, p.u_dim), 2.0, dtype=complex) for _ in range(6)),
-            p.y_dim, p.u_dim,
-        )
+        big = MatrixSeries(tuple(np.full((p.y_dim, p.u_dim), 2.0, dtype=complex) for _ in range(6)))
         with pytest.raises(NotContractive):
             interpolant_from_solution(d, big, 6)
 
@@ -135,7 +132,7 @@ class TestVerify:
     def test_residuals_match_block_rows(self, seed):
         d = krylov_dataset(np.random.default_rng(40 + seed), n=4, a_norm=0.7)
         p = underlying_contraction(d)
-        fake = MatrixSeries(np.full((7, p.y_dim, p.u_dim), 0.1 / (seed + 1), dtype=complex), p.y_dim, p.u_dim)
+        fake = MatrixSeries(np.full((7, p.y_dim, p.u_dim), 0.1 / (seed + 1), dtype=complex))
         b = interpolant_from_solution(d, fake, 7)
         report = verify_rclt(d, b, 7)
         delta = build_lifting(d, 7) @ b @ d.R - b @ d.Q
@@ -158,7 +155,7 @@ class TestVerify:
         d = krylov_dataset(np.random.default_rng(6), n=4, a_norm=0.7)
         p = underlying_contraction(d)
         constant = np.full((p.y_dim, p.u_dim), 0.1, dtype=complex)
-        fake = MatrixSeries(tuple(constant.copy() for _ in range(8)), p.y_dim, p.u_dim)
+        fake = MatrixSeries(tuple(constant.copy() for _ in range(8)))
         b = interpolant_from_solution(d, fake, 8)
         report = verify_rclt(d, b, 8)
         assert report.projection_ok

@@ -31,7 +31,7 @@ from rclkit.redheffer import (
     realize,
 )
 from rclkit.series import MatrixSeries
-from rclkit.sysco import CoisometricSystem
+from rclkit.sysco import CoisometricSystem, orbit, transfer_from_orbit
 
 
 class TestRealize:
@@ -84,7 +84,7 @@ class TestPhiEval:
         p = random_problem(rng, y_dim=2)
         r = realize(p)
         _, _, _, phi22 = phi_eval(r, 0.0)
-        np.testing.assert_allclose(phi22, central_taylor(p, 0).coeff(0), atol=1e-14)
+        np.testing.assert_allclose(phi22, central_taylor(p, 0).coeffs[0], atol=1e-14)
 
     def test_coisometric_contraction_kills_phi21(self):
         r = realize(coisometric_problem(np.random.default_rng(3)))
@@ -113,12 +113,12 @@ class TestPhiTaylor:
         _, _, _, phi22 = phi_taylor(realize(p), 12)
         central = central_taylor(p, 12)
         for n in range(13):
-            np.testing.assert_array_equal(phi22.coeff(n), central.coeff(n))
+            np.testing.assert_array_equal(phi22.coeffs[n], central.coeffs[n])
 
     def test_phi11_constant_term_is_zero(self):
         rng = np.random.default_rng(5)
         phi11, _, _, _ = phi_taylor(realize(random_problem(rng, y_dim=1)), 6)
-        assert spectral_norm(phi11.coeff(0)) == 0.0
+        assert spectral_norm(phi11.coeffs[0]) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_series_evaluation_matches_phi_eval(self, seed):
@@ -177,6 +177,21 @@ class TestSchurParameter:
             SchurParameter((np.array([[0.8]]), np.array([[0.8]])))
         SchurParameter((np.array([[0.6]]), np.array([[0.3]])))
 
+    @pytest.mark.parametrize("coeffs", [
+        (np.full((2, 3), 0.1), np.full((2, 3), 0.05), np.zeros((2, 3))),
+        np.stack([np.full((2, 3), 0.1), np.full((2, 3), 0.05), np.zeros((2, 3))]),
+        [[[0.1, 0.1, 0.1], [0.1, 0.1, 0.1]], np.full((2, 3), 0.05), np.zeros((2, 3))],
+    ])
+    def test_coefficients_are_one_array(self, coeffs):
+        v = SchurParameter(coeffs)
+        assert isinstance(v.coeffs, np.ndarray) and v.coeffs.dtype == np.complex128
+        assert v.coeffs.shape == (3, 2, 3) and (v.out_dim, v.in_dim) == (2, 3)
+        np.testing.assert_array_equal(v.coeffs[1], np.full((2, 3), 0.05))
+
+    def test_three_dimensional_coefficient_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            SchurParameter((np.zeros((1, 2, 2)),))
+
 
 class TestLftSolution:
     @pytest.mark.parametrize("seed", range(5))
@@ -188,7 +203,7 @@ class TestLftSolution:
         h = lft_solution(r, zero, 10)
         central = central_taylor(p, 10)
         for n in range(11):
-            assert spectral_norm(h.coeff(n) - central.coeff(n)) <= 1e-12
+            assert spectral_norm(h.coeffs[n] - central.coeffs[n]) <= 1e-12
 
     def test_zero_adjoint_defect_pins_every_parameter(self):
         r = realize(coisometric_problem(np.random.default_rng(71)))
@@ -196,7 +211,7 @@ class TestLftSolution:
         h = lft_solution(r, v, 8)
         central = central_taylor(r.problem, 8)
         for n in range(9):
-            assert spectral_norm(h.coeff(n) - central.coeff(n)) <= 1e-14
+            assert spectral_norm(h.coeffs[n] - central.coeffs[n]) <= 1e-14
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_constant_parameter_yields_solution(self, seed):
@@ -229,9 +244,10 @@ class TestLftSolution:
 def series_lft(realization: RedhefferRealization, parameter: SchurParameter, order: int) -> MatrixSeries:
     """Reference ``Phi22 + Phi21 V (I - Phi11 V)^{-1} Phi12`` in truncated series arithmetic."""
     phi11, phi12, phi21, phi22 = phi_taylor(realization, order)
-    v = MatrixSeries(parameter.coeffs, parameter.out_dim, parameter.in_dim)
+    v = MatrixSeries(parameter.coeffs)
+    g = realization.complement_dim
     inner = series.add(
-        MatrixSeries.identity(realization.complement_dim, order),
+        MatrixSeries(np.concatenate([np.eye(g)[None], np.zeros((order, g, g))])),
         series.scale(series.mul(phi11, v, order), -1.0),
         order,
     )
@@ -269,7 +285,7 @@ class TestLftOracle:
         assert fast.order == order
         assert (fast.out_dim, fast.in_dim) == (reference.out_dim, reference.in_dim)
         for n in range(order + 1):
-            assert np.max(np.abs(fast.coeff(n) - reference.coeff(n)), initial=0.0) <= 1e-13
+            assert np.max(np.abs(fast.coeffs[n] - reference.coeffs[n]), initial=0.0) <= 1e-13
 
     def test_uses_no_series_products_or_inverses(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -341,3 +357,21 @@ def test_negative_control_breaks_the_audit():
     with pytest.raises(AuditFailure) as excinfo:
         coefficient_matrix_audit(broken, 6)
     assert excinfo.value.deviation > 1e-3
+
+
+@pytest.mark.parametrize("regime", sorted(ORACLE_REGIMES))
+def test_every_series_has_the_dimensions_of_its_map(regime):
+    """A series reads its dimensions off its coefficient array; each library
+    series must still map the spaces the paper's function maps."""
+    rng = np.random.default_rng(140 + sorted(ORACLE_REGIMES).index(regime))
+    p = ORACLE_REGIMES[regime](rng)
+    r = realize(p)
+    y, u, g, d, order = p.y_dim, p.u_dim, r.complement_dim, r.defect_dim, 6
+    assert central_taylor(p, order).coeffs.shape == (order + 1, y, u)
+    shapes = [phi.coeffs.shape for phi in phi_taylor(r, order)]
+    assert shapes == [(order + 1, g, d), (order + 1, g, u), (order + 1, y, d), (order + 1, y, u)]
+    for degree in (0, 2):
+        h = lft_solution(r, random_schur_parameter(rng, r, degree), order)
+        assert h.coeffs.shape == (order + 1, y, u)
+    transfer = transfer_from_orbit(r.system, orbit(r.system.C, r.system.A, order))
+    assert transfer.coeffs.shape == (order + 1, g + y, d)

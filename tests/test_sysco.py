@@ -75,9 +75,9 @@ class TestTransferObservability:
         s = random_coisometric_system(np.random.default_rng(1))
         flat = CoisometricSystem(np.zeros_like(s.A), s.B, s.C, s.D, validate=False)
         f = transfer_from_orbit(flat, orbit(flat.C, flat.A, 4))
-        np.testing.assert_array_equal(f.coeff(0), s.D)
-        np.testing.assert_array_equal(f.coeff(1), s.C @ s.B)
-        assert spectral_norm(f.coeff(2)) == 0.0
+        np.testing.assert_array_equal(f.coeffs[0], s.D)
+        np.testing.assert_array_equal(f.coeffs[1], s.C @ s.B)
+        assert spectral_norm(f.coeffs[2]) == 0.0
         w = orbit(flat.C, flat.A, 3)
         np.testing.assert_array_equal(w[0], s.C)
         assert spectral_norm(w[1]) == 0.0

@@ -75,7 +75,7 @@ def near_coisometric_w1(tol):
 def perturbed_central(tol):
     """The central solution of :func:`near_coisometric_w1` with 1e-4 added to ``h_0``."""
     h = interp.central_taylor(near_coisometric_w1(tol), 4)
-    return MatrixSeries(h.coeffs + 1e-4 * (np.arange(5) == 0)[:, None, None], 1, 2)
+    return MatrixSeries(h.coeffs + 1e-4 * (np.arange(5) == 0)[:, None, None])
 
 
 def nearly_coisometric_omega(tol):
@@ -112,7 +112,7 @@ CASES = {
         dataset.Decision.NOT_UNIQUE, dataset.Decision.UNIQUE),
     lifting.interpolant_from_solution: (
         LOOSE_SLACK,
-        lambda tol: lifting.interpolant_from_solution(zero_data(tol), MatrixSeries([[[1 + 1e-8]]], 1, 1), 1).shape,
+        lambda tol: lifting.interpolant_from_solution(zero_data(tol), MatrixSeries([[[1 + 1e-8]]]), 1).shape,
         NotContractive, (2, 1)),
     lifting.verify_rclt: (
         LOOSE_IDENTITY, lambda tol: lifting.verify_rclt(near_intertwining(tol), np.array([[1.0], [0.0]]), 1).intertwine_ok,
