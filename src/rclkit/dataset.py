@@ -153,12 +153,11 @@ def validate(data: DataSet) -> ValidationReport:
     intertwine = spectral_norm(data.Tp @ data.A @ data.R - data.A @ data.Q)
     if intertwine > tol.identity_tol:
         violations.append(Violation("intertwining", intertwine))
-    if data.dim_h0:
-        gram_gap = adjoint(data.Q) @ data.Q - adjoint(data.R) @ data.R
-        gram_gap = (gram_gap + adjoint(gram_gap)) / 2.0
-        deficit = -float(np.linalg.eigvalsh(gram_gap)[0])
-        if deficit > tol.identity_tol:
-            violations.append(Violation("gram_order", deficit))
+    gram_gap = adjoint(data.Q) @ data.Q - adjoint(data.R) @ data.R
+    gram_gap = (gram_gap + adjoint(gram_gap)) / 2.0
+    deficit = -float(np.linalg.eigvalsh(gram_gap).min(initial=np.inf))
+    if deficit > tol.identity_tol:
+        violations.append(Violation("gram_order", deficit))
     return ValidationReport(tuple(violations))
 
 
@@ -191,10 +190,7 @@ def underlying_contraction(data: DataSet) -> InterpProblem:
     f = data.domain
     lhs = f.coords() @ (d_a @ data.Q)                       # F-coordinates of D_A Q
     rhs = np.vstack([d_tp @ data.A @ data.R, d_a @ data.R])
-    if f.dim:
-        omega = np.linalg.lstsq(lhs.T, rhs.T, rcond=None)[0].T
-    else:
-        omega = np.zeros((y_dim + u_dim, 0), dtype=np.complex128)
+    omega = np.linalg.lstsq(lhs.T, rhs.T, rcond=None)[0].T
     residual = spectral_norm(omega @ lhs - rhs)
     if residual > OMEGA_RESIDUAL_TOL:
         raise IllPosedData(f"defining identity residual {residual:.3e} exceeds {OMEGA_RESIDUAL_TOL:.1e}")
@@ -251,21 +247,19 @@ def suboptimal_uniqueness(data: DataSet) -> UniquenessDecision:
 
     ``A`` is strict when its defect space is all of ``H``: the ``defect``
     cut that also decides ``dim U``, so no second threshold can split the
-    two verdicts.
+    two verdicts. ``R`` is left invertible when ``dim H0`` of its singular
+    values exceed ``rank_tol``, an absolute cut; a wide ``R``
+    (``dim H0 > dim H``) never is.
 
     When applicable, the interpolant is unique iff ``closure(Q H0) = H`` or
     ``T'`` has trivial defect (is an isometry). ``D_A`` is invertible for strict
     ``A``, so the first reads ``dim F = dim U``, at the trichotomy's cut.
     Invalid data raises ``IllPosedData``.
     """
-    tol = data.tol
     _require_valid(data)
     if _attains_norm_one(data):
         return UniquenessDecision(Decision.NOT_APPLICABLE, "A is not a strict contraction")
-    smin = 0.0
-    if min(data.R.shape) > 0:
-        smin = float(np.linalg.svd(data.R, compute_uv=False)[-1])
-    if data.dim_h0 > 0 and smin <= tol.rank_tol:
+    if np.sum(np.linalg.svd(data.R, compute_uv=False) > data.tol.rank_tol) != data.dim_h0:
         return UniquenessDecision(Decision.NOT_APPLICABLE, "R is not left invertible")
     q_onto = data.domain.dim == data.defect_a[1].dim
     tp_isometry = data.defect_tp[1].dim == 0

@@ -4,11 +4,15 @@ subspace algebra, and contraction/isometry/co-isometry predicates.
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 Zero-dimensional matrices (0 rows and/or 0 columns) are first-class: they
 represent maps into or out of the zero space, and every operation below
-handles them without caller-side branching.
+takes them through the same code as any other matrix, with no branch on a
+zero dimension. Each reduction over a possibly empty spectrum names the
+value of its empty case (``initial=``).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +43,11 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_tol", "contraction_slack", "identity_tol"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
+            try:
+                ok = isinstance(value, numbers.Real) and 0 <= float(value) < math.inf
+            except OverflowError:     # an int beyond the float range
+                ok = False
+            if not ok:
                 raise InvalidInput(f"tolerance {name} must be a nonnegative finite real, got {value!r}")
 
 
@@ -48,10 +56,13 @@ DEFAULT_TOL = Tolerances()
 
 def as_cmatrix(value, rows: int | None = None, cols: int | None = None) -> CMatrix:
     """Coerce ``value`` to a finite 2-D complex128 array, optionally checking its shape."""
-    M = np.asarray(value, dtype=np.complex128)
+    try:
+        M = np.asarray(value, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput("matrix entries do not form one 2-D array of complex numbers") from exc
     if M.ndim != 2:
         raise InvalidInput(f"expected a 2-D matrix, got ndim={M.ndim}")
-    if M.size and not np.all(np.isfinite(M)):
+    if not np.all(np.isfinite(M)):
         raise InvalidInput("matrix has non-finite entries")
     if rows is not None and M.shape[0] != rows:
         raise DimensionMismatch(f"expected {rows} rows, got {M.shape[0]}")
@@ -84,9 +95,7 @@ def spectral_norms(stack) -> np.ndarray:
     """Largest singular value of each matrix of a ``(k, rows, cols)`` stack,
     by one batched SVD; 0 for every block of a zero-size stack."""
     stack = np.asarray(stack, dtype=np.complex128)
-    if stack.size == 0:
-        return np.zeros(stack.shape[0])
-    return np.linalg.norm(stack, 2, axis=(1, 2))
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -127,15 +136,9 @@ def range_closure_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     invariant.
     """
     M = as_cmatrix(M)
-    n = M.shape[0]
-    if min(M.shape) == 0:
-        return SubspaceBasis(n, np.zeros((n, 0), dtype=np.complex128))
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol.rank_tol * s[0]))
-    return SubspaceBasis(n, u[:, :rank])
+    rank = int(np.sum(s > tol.rank_tol * s.max(initial=0.0)))
+    return SubspaceBasis(M.shape[0], u[:, :rank])
 
 
 def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
@@ -161,9 +164,6 @@ def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
     q = N.shape[1]
     gram = np.eye(q, dtype=np.complex128) - adjoint(N) @ N
     gram = (gram + adjoint(gram)) / 2.0
-    if q == 0:
-        D = np.zeros((0, 0), dtype=np.complex128)
-        return D, SubspaceBasis(0, D)
     mu, vecs = np.linalg.eigh(gram)
     mu = np.clip(mu, 0.0, None)
     # descending order for deterministic bases
@@ -171,7 +171,7 @@ def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
     mu, vecs = mu[order], vecs[:, order]
     D = (vecs * np.sqrt(mu)) @ adjoint(vecs)
     D = (D + adjoint(D)) / 2.0
-    cut = tol.rank_tol * max(1.0, float(mu[0]))
+    cut = tol.rank_tol * float(mu.max(initial=1.0))
     rank = int(np.sum(mu > cut))
     return D, SubspaceBasis(q, vecs[:, :rank])
 
@@ -183,12 +183,9 @@ def coisometry_deficiency(M) -> float:
     so its eigenvalues give the norm.
     """
     M = as_cmatrix(M)
-    p = M.shape[0]
-    if p == 0:
-        return 0.0
     gram = M @ adjoint(M)
-    gram.ravel()[:: p + 1] -= 1.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
+    gram.ravel()[:: M.shape[0] + 1] -= 1.0
+    return float(np.abs(np.linalg.eigvalsh(gram)).max(initial=0.0))
 
 
 def is_coisometry(M, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -212,21 +209,17 @@ def psd_order_leq(P, Q, tol: Tolerances = DEFAULT_TOL) -> bool:
     Q = as_cmatrix(Q)
     if P.shape != Q.shape or P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"psd_order_leq needs equal square shapes, got {P.shape} and {Q.shape}")
-    if P.shape[0] == 0:
-        return True
     diff = Q - P
     diff = (diff + adjoint(diff)) / 2.0
-    return float(np.linalg.eigvalsh(diff)[0]) >= -tol.identity_tol
+    return float(np.linalg.eigvalsh(diff).min(initial=np.inf)) >= -tol.identity_tol
 
 
 def orthocomplement(space: SubspaceBasis) -> SubspaceBasis:
     """Orthogonal complement within the ambient space."""
-    n, k = space.ambient_dim, space.dim
-    if k == 0:
-        return SubspaceBasis(n, np.eye(n, dtype=np.complex128))
     # null space of basis*, i.e. the trailing right singular directions
+    # (all of them, I_n, when the subspace is {0})
     _, _, vh = np.linalg.svd(adjoint(space.basis), full_matrices=True)
-    return SubspaceBasis(n, adjoint(vh[k:, :]))
+    return SubspaceBasis(space.ambient_dim, adjoint(vh[space.dim:, :]))
 
 
 def join(s1: SubspaceBasis, s2: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:

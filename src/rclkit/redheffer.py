@@ -189,8 +189,6 @@ class SchurParameter:
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise InvalidParameter("parameter needs at least a constant coefficient")
         series = MatrixSeries(self.coeffs)
         object.__setattr__(self, "coeffs", series.coeffs)
         nrm = spectral_norm(series.toeplitz(series.order + 1))

@@ -31,6 +31,10 @@ class TestDataSet:
         with pytest.raises(DimensionMismatch):
             DataSet(np.eye(2), np.eye(2), np.eye(3), np.eye(3))
 
+    def test_ragged_operator_rejected(self):
+        with pytest.raises(InvalidInput):
+            DataSet([[1], [1, 2]], np.eye(2), np.eye(1), np.eye(1))
+
     def test_dims(self):
         d = random_dataset(np.random.default_rng(0), h0=2, h=4, hp=3)
         assert (d.dim_h0, d.dim_h, d.dim_hp) == (2, 4, 3)
@@ -207,6 +211,23 @@ class TestSuboptimalUniqueness:
     def test_not_unique_case(self):
         d = krylov_dataset(np.random.default_rng(6), n=3, a_norm=0.6)
         assert suboptimal_uniqueness(d).decision is Decision.NOT_UNIQUE
+
+    @pytest.mark.parametrize("rq, left_invertible", [
+        (np.zeros((2, 0)), True),                  # H0 = {0}: vacuously
+        (np.diag([1.0, 2e-10]), True),             # smallest singular value above rank_tol
+        (np.diag([1.0, 1e-10]), False),            # ... at rank_tol, an absolute cut
+        (np.eye(2)[:, :1], True),                  # tall
+        (np.eye(2, 3), False),                     # wide: full row rank, and a kernel
+        (np.ones((2, 2)) / 2, False),              # square, rank one
+        (np.zeros((0, 2)), False),                 # H = {0}, dim H0 = 2
+    ])
+    def test_left_invertibility_counts_singular_values(self, rq, left_invertible):
+        # A strict, T' = I and Q = R keep every constraint exact
+        h = rq.shape[0]
+        d = DataSet(0.5 * np.eye(h), np.eye(h), rq, rq)
+        assert validate(d).ok
+        result = suboptimal_uniqueness(d)
+        assert (result.reason == "R is not left invertible") != left_invertible
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_interpolation_verdict(self, seed):

@@ -1,7 +1,8 @@
 """End-to-end properties over the degenerate regimes.
 
 Problems and data sets are drawn with ``Y = {0}``, ``dim F`` in ``{0, u}``
-and zero defect beside the generic case. Over every draw: each witness is a
+and zero defect beside the generic case, and data sets also with a wide
+``R`` (``dim H0 > dim H``). Over every draw: each witness is a
 verified solution, the uniqueness trichotomy agrees with the co-isometry of
 the central coefficients, a problem written as a file reads back through
 ``rclkit omega`` as the same text, and the paper's two special-case
@@ -24,6 +25,7 @@ from helpers import (
     haar_isometry,
     krylov_dataset,
     q_onto_dataset,
+    random_complex,
     random_contraction,
     random_dataset,
     random_problem,
@@ -80,6 +82,22 @@ def shift_dataset(rng):
     return DataSet(a * np.eye(hp, n), np.eye(hp, k=-1), r, q)
 
 
+def wide_r_dataset(rng):
+    """``R = Q`` wide (``dim H0 > dim H``) of rank ``k <= dim H``, with ``T'``
+    the identity on the range of ``A``, so ``T'AR = AQ`` to roundoff. ``A`` is
+    strict, so ``dim F = k``; ``R`` has a kernel and is never left invertible."""
+    h = int(rng.integers(1, 4))
+    h0, hp, k = h + int(rng.integers(1, 3)), h + int(rng.integers(0, 3)), int(rng.integers(0, h + 1))
+    v = haar_isometry(rng, hp, hp)
+    a = v[:, :h] @ random_contraction(rng, h, h, float(rng.uniform(0.2, 0.9)))
+    blocks = np.zeros((hp, hp), dtype=np.complex128)
+    blocks[:h, :h] = np.eye(h)
+    blocks[h:, h:] = random_contraction(rng, hp - h, hp - h, float(rng.uniform(0.2, 0.9)))
+    rq = random_complex(rng, h, k) @ random_complex(rng, k, h0)
+    rq = rq / max(1.0, spectral_norm(rq))
+    return DataSet(a, v @ blocks @ v.conj().T, rq, rq)
+
+
 #: Data-set makers for the generic case and each degenerate regime.
 DATASET_REGIMES = {
     "generic": lambda rng: random_dataset(rng),
@@ -90,6 +108,7 @@ DATASET_REGIMES = {
     "zero_defect": shift_dataset,                                        # D_A = 0 when a = 1
     "sliding_block": lambda rng: krylov_dataset(rng, n=int(rng.integers(2, 5)),
                                                 a_norm=float(rng.choice([0.5, 0.9, 1.0]))),
+    "wide_r": wide_r_dataset,                                            # dim H0 > dim H
 }
 
 PROBLEM_REGIMES = ["generic", "no_output", "empty_domain", "full_domain", "zero_adjoint_defect"]
@@ -153,6 +172,7 @@ def test_omega_round_trip_is_byte_identical(regime, seed):
 @given(regime=st.sampled_from(sorted(DATASET_REGIMES)), seed=st.integers(0, 10**6))
 @example(regime="zero_defect", seed=0)
 @example(regime="empty_domain", seed=0)
+@example(regime="wide_r", seed=0)
 def test_special_cases_agree_with_the_trichotomy(regime, seed):
     data = DATASET_REGIMES[regime](np.random.default_rng(seed))
     assert validate(data).ok
@@ -161,5 +181,7 @@ def test_special_cases_agree_with_the_trichotomy(regime, seed):
         decision = analyzer(data).decision
         if decision is not Decision.NOT_APPLICABLE:
             assert (decision is Decision.UNIQUE) == unique, analyzer.__name__
+    if regime == "wide_r":
+        assert suboptimal_uniqueness(data).reason == "R is not left invertible"
     if regime == "zero_defect" and spectral_norm(data.A) == 1.0:
         assert data.defect_a[1].dim == 0 and norm_one_rq_uniqueness(data).decision is Decision.UNIQUE

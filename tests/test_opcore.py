@@ -10,6 +10,7 @@ from rclkit.errors import DimensionMismatch, InvalidInput, NotAContraction
 from rclkit.opcore import (
     SubspaceBasis,
     Tolerances,
+    as_cmatrix,
     coisometry_deficiency,
     defect,
     is_coisometry,
@@ -36,8 +37,8 @@ class TestSpectralNorm:
         assert spectral_norm([[3, 0], [4, 0]]) == pytest.approx(5.0)
 
     def test_empty_dimensions(self):
-        assert spectral_norm(np.zeros((0, 3))) == 0.0
-        assert spectral_norm(np.zeros((3, 0))) == 0.0
+        for shape in [(0, 3), (3, 0), (0, 0)]:
+            assert spectral_norm(np.zeros(shape)) == 0.0
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidInput):
@@ -49,7 +50,7 @@ class TestSpectralNorms:
         stack = np.stack([random_complex(np.random.default_rng(k), 3, 4) for k in range(5)])
         np.testing.assert_allclose(spectral_norms(stack), [spectral_norm(m) for m in stack], rtol=1e-15)
 
-    @pytest.mark.parametrize("shape", [(4, 0, 3), (4, 3, 0), (0, 2, 2)])
+    @pytest.mark.parametrize("shape", [(4, 0, 3), (4, 3, 0), (0, 2, 2), (3, 0, 0), (0, 0, 0)])
     def test_zero_size_stacks(self, shape):
         norms = spectral_norms(np.zeros(shape))
         assert norms.shape == (shape[0],) and not norms.any()
@@ -60,6 +61,15 @@ class TestDefect:
         d, space = defect(np.zeros((2, 2)))
         np.testing.assert_allclose(d, np.eye(2), atol=1e-14)
         assert space.dim == 2
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3), (2, 3)])
+    def test_zero_size_and_zero_maps(self, shape):
+        # D = I on the domain, which is all defect space; C^0 has D = 0x0
+        cols = shape[1]
+        d, space = defect(np.zeros(shape))
+        assert d.shape == (cols, cols) and d.dtype == np.complex128
+        np.testing.assert_array_equal(d, np.eye(cols))
+        assert (space.ambient_dim, space.dim) == (cols, cols)
 
     def test_unitary_has_no_defect(self):
         rng = np.random.default_rng(5)
@@ -95,7 +105,9 @@ class TestDefect:
 
 class TestRangeClosure:
     def test_zero_matrix(self):
-        assert range_closure_basis(np.zeros((3, 2))).dim == 0
+        for shape in [(3, 2), (0, 0), (0, 3), (3, 0)]:
+            basis = range_closure_basis(np.zeros(shape))
+            assert basis.ambient_dim == shape[0] and basis.basis.shape == (shape[0], 0)
 
     def test_diagonal(self):
         basis = range_closure_basis(np.diag([1.0, 0.0]))
@@ -127,11 +139,21 @@ class TestPredicates:
 
     def test_zero_rows_is_coisometry(self):
         # co-isometry onto the zero space, vacuously
-        assert is_coisometry(np.zeros((0, 3)))
-        assert coisometry_deficiency(np.zeros((0, 3))) == 0.0
+        for shape in [(0, 3), (0, 0)]:
+            assert is_coisometry(np.zeros(shape))
+            assert coisometry_deficiency(np.zeros(shape)) == 0.0
 
     def test_zero_cols_is_isometry(self):
-        assert isometry_deficiency(np.zeros((3, 0))) == 0.0
+        for shape in [(3, 0), (0, 0)]:
+            assert isometry_deficiency(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 3), (0, 2)])
+    def test_zero_maps_miss_by_one(self, shape):
+        # M M* - I = -I on a nonzero codomain, and M* M - I = -I on a nonzero domain
+        m = np.zeros(shape)
+        assert coisometry_deficiency(m) == (1.0 if shape[0] else 0.0)
+        assert isometry_deficiency(m) == (1.0 if shape[1] else 0.0)
+        assert is_coisometry(m) == (shape[0] == 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_coisometry_iff_adjoint_isometry(self, seed):
@@ -160,8 +182,12 @@ class TestPredicates:
     def test_psd_order(self):
         assert psd_order_leq(np.zeros((2, 2)), np.eye(2))
         assert not psd_order_leq(np.eye(2), np.zeros((2, 2)))
+        assert psd_order_leq(np.zeros((2, 2)), np.zeros((2, 2)))
+        assert psd_order_leq(np.zeros((0, 0)), np.zeros((0, 0)))
         with pytest.raises(DimensionMismatch):
             psd_order_leq(np.zeros((2, 2)), np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            psd_order_leq(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 class TestSubspaces:
@@ -200,7 +226,14 @@ class TestSubspaces:
         s = random_subspace(rng, 6, 2)
         assert orthocomplement(s).dim == 4
 
-    @pytest.mark.parametrize("dim", [0, 1, 3])
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_orthocomplement_of_zero_space_is_the_identity(self, n):
+        comp = orthocomplement(SubspaceBasis(n, np.zeros((n, 0))))
+        assert comp.basis.shape == (n, n) and comp.basis.dtype == np.complex128
+        np.testing.assert_array_equal(comp.basis, np.eye(n))
+        assert orthocomplement(comp).basis.shape == (n, 0)
+
+    @pytest.mark.parametrize("dim", [0, 1, 3, 4])
     def test_orthocomplement_involution(self, dim):
         rng = np.random.default_rng(10 + dim)
         s = random_subspace(rng, 4, dim)
@@ -226,3 +259,35 @@ def test_defect_identity_property(seed, rows, cols, norm):
 def test_tolerances_reject_negative():
     with pytest.raises(InvalidInput):
         Tolerances(rank_tol=-1.0)
+
+
+@pytest.mark.parametrize("value", [None, "1e-3", 1j, 1e-3 + 0j, math.nan, math.inf, 10**400])
+@pytest.mark.parametrize("name", ["rank_tol", "contraction_slack", "identity_tol"])
+def test_tolerances_reject_what_is_not_a_finite_real(name, value):
+    with pytest.raises(InvalidInput, match=name):
+        Tolerances(**{name: value})
+
+
+@pytest.mark.parametrize("value", [[[1], [1, 2]], [["a"], ["b"]], [[{}]], "ab"])
+def test_as_cmatrix_rejects_what_is_not_a_numeric_matrix(value):
+    with pytest.raises(InvalidInput):
+        as_cmatrix(value)
+    with pytest.raises(InvalidInput):
+        SubspaceBasis(2, value)
+
+
+def test_numpy_linear_algebra_takes_zero_size_input():
+    # opcore and dataset take zero-size matrices through the general code on
+    # these facts; checked on numpy 2.4.6
+    for n in (0, 1, 3):
+        _, s, vh = np.linalg.svd(np.zeros((0, n), dtype=np.complex128), full_matrices=True)
+        assert s.shape == (0,) and vh.shape == (n, n)
+        np.testing.assert_array_equal(vh, np.eye(n))
+    w, v = np.linalg.eigh(np.zeros((0, 0), dtype=np.complex128))
+    assert w.shape == (0,) and v.shape == (0, 0)
+    assert np.linalg.eigvalsh(np.zeros((0, 0), dtype=np.complex128)).shape == (0,)
+    x = np.linalg.lstsq(np.zeros((3, 0), dtype=np.complex128), np.ones((3, 2)), rcond=None)[0]
+    assert x.shape == (0, 2)
+    x = np.linalg.lstsq(np.zeros((0, 3), dtype=np.complex128), np.zeros((0, 2)), rcond=None)[0]
+    assert x.shape == (3, 2) and not x.any()
+    assert np.linalg.svd(np.zeros((4, 2, 0), dtype=np.complex128), compute_uv=False).shape == (4, 0)

@@ -192,6 +192,15 @@ class TestSchurParameter:
         with pytest.raises(DimensionMismatch):
             SchurParameter((np.zeros((1, 2, 2)),))
 
+    @pytest.mark.parametrize("coeffs, error", [
+        (0.5, DimensionMismatch),
+        (None, DimensionMismatch),
+        ((), InvalidInput),             # shape checks are the series': no constant coefficient
+    ])
+    def test_non_sequences_and_empty_parameters_rejected(self, coeffs, error):
+        with pytest.raises(error):
+            SchurParameter(coeffs)
+
 
 class TestLftSolution:
     @pytest.mark.parametrize("seed", range(5))

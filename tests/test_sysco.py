@@ -33,6 +33,10 @@ class TestConstruction:
         with pytest.raises(InvalidInput):
             CoisometricSystem(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 3)), np.zeros((1, 1)))
 
+    def test_ragged_block_rejected(self):
+        with pytest.raises(InvalidInput):
+            CoisometricSystem(np.zeros((2, 2)), [[1.0], [1.0, 2.0]], np.zeros((1, 2)), np.zeros((1, 1)))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_generator_produces_coisometries(self, seed):
         s = random_coisometric_system(np.random.default_rng(seed))
