@@ -25,9 +25,7 @@ from .opcore import (
     Tolerances,
     defect,
     is_coisometry,
-    join,
     orthocomplement,
-    psd_order_leq,
     range_closure_basis,
     spectral_norm,
 )

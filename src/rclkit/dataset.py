@@ -247,8 +247,9 @@ def suboptimal_uniqueness(data: DataSet) -> UniquenessDecision:
 
     ``A`` is strict when its defect space is all of ``H``: the ``defect``
     cut that also decides ``dim U``, so no second threshold can split the
-    two verdicts. ``R`` is left invertible when ``dim H0`` of its singular
-    values exceed ``rank_tol``, an absolute cut; a wide ``R``
+    two verdicts. ``R`` is left invertible when its range closure has
+    dimension ``dim H0``, at the relative cut of ``range_closure_basis``, so
+    scaling ``R`` and ``Q`` together leaves the verdict alone; a wide ``R``
     (``dim H0 > dim H``) never is.
 
     When applicable, the interpolant is unique iff ``closure(Q H0) = H`` or
@@ -259,7 +260,7 @@ def suboptimal_uniqueness(data: DataSet) -> UniquenessDecision:
     _require_valid(data)
     if _attains_norm_one(data):
         return UniquenessDecision(Decision.NOT_APPLICABLE, "A is not a strict contraction")
-    if np.sum(np.linalg.svd(data.R, compute_uv=False) > data.tol.rank_tol) != data.dim_h0:
+    if range_closure_basis(data.R, data.tol).dim != data.dim_h0:
         return UniquenessDecision(Decision.NOT_APPLICABLE, "R is not left invertible")
     q_onto = data.domain.dim == data.defect_a[1].dim
     tp_isometry = data.defect_tp[1].dim == 0

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataSet
-from .errors import DimensionMismatch, InvalidInput, NotContractive
-from .opcore import CMatrix, spectral_norm, spectral_norms
+from .errors import InvalidInput, NotContractive
+from .opcore import CMatrix, as_cmatrix, spectral_norm, spectral_norms
 from .series import MatrixSeries
 
 
@@ -106,12 +106,14 @@ def verify_rclt(data: DataSet, B, blocks: int) -> LiftReport:
     vanish within ``data.tol.identity_tol``. The final block row is
     reported separately: its residual is bounded by the discarded
     coefficient tail, not by the identity.
+
+    Raises:
+        InvalidInput: when ``B`` is not one finite 2-D complex array.
+        DimensionMismatch: when its shape is not that of the lifting.
     """
     u_prime = build_lifting(data, blocks)
     hp, dt = data.dim_hp, data.defect_tp[1].dim
-    B = np.asarray(B, dtype=np.complex128)
-    if B.shape != (len(u_prime), data.dim_h):
-        raise DimensionMismatch(f"interpolant has shape {B.shape}, lifting expects {(len(u_prime), data.dim_h)}")
+    B = as_cmatrix(B, rows=len(u_prime), cols=data.dim_h)
     projection_ok = bool(np.array_equal(B[:hp, :], data.A))
     delta = u_prime @ B @ data.R - B @ data.Q
     residuals = [spectral_norm(delta[:hp, :])]

@@ -199,31 +199,9 @@ def isometry_deficiency(M) -> float:
     return coisometry_deficiency(as_cmatrix(M).T)
 
 
-def psd_order_leq(P, Q, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff ``Q - P`` is positive semidefinite up to ``identity_tol``.
-
-    Both operands must be square of equal size; they are Hermitized before
-    the eigenvalue test.
-    """
-    P = as_cmatrix(P)
-    Q = as_cmatrix(Q)
-    if P.shape != Q.shape or P.shape[0] != P.shape[1]:
-        raise DimensionMismatch(f"psd_order_leq needs equal square shapes, got {P.shape} and {Q.shape}")
-    diff = Q - P
-    diff = (diff + adjoint(diff)) / 2.0
-    return float(np.linalg.eigvalsh(diff).min(initial=np.inf)) >= -tol.identity_tol
-
-
 def orthocomplement(space: SubspaceBasis) -> SubspaceBasis:
     """Orthogonal complement within the ambient space."""
     # null space of basis*, i.e. the trailing right singular directions
     # (all of them, I_n, when the subspace is {0})
     _, _, vh = np.linalg.svd(adjoint(space.basis), full_matrices=True)
     return SubspaceBasis(space.ambient_dim, adjoint(vh[space.dim:, :]))
-
-
-def join(s1: SubspaceBasis, s2: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """Closed linear span of two subspaces of the same ambient space."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatch(f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}")
-    return range_closure_basis(np.hstack([s1.basis, s2.basis]), tol)

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalContradiction, InvalidParameter, OutOfDisc
+from .errors import AuditFailure, DimensionMismatch, InternalContradiction, InvalidParameter, OutOfDisc
 from .opcore import (
     DEFAULT_TOL,
     CMatrix,
@@ -47,7 +47,6 @@ from .opcore import (
 from .series import MatrixSeries
 from .sysco import (
     CoisometricSystem,
-    coisometry_gap,
     gram_identity_audit,
     orbit,
     stacked_operator,
@@ -84,12 +83,16 @@ class RedhefferRealization:
 
 
 def realize(problem: InterpProblem) -> RedhefferRealization:
-    """Build the shared realization and audit its defining block identity.
+    """Build the shared realization; its system's constructor audits the
+    defining block identity.
 
     The block matrix ``[[Z, D*_U], [P_G, 0], [w1 P_F, D*_Y]]`` of
     ``realization.system`` must be a co-isometry; a deviation beyond the
     problem's ``identity_tol`` means the realization is internally
     inconsistent.
+
+    Raises:
+        InternalContradiction: when that audit fails.
     """
     tol = problem.tol
     dstar, dspace = defect(adjoint(problem.omega), tol)    # defect of the adjoint
@@ -97,12 +100,12 @@ def realize(problem: InterpProblem) -> RedhefferRealization:
     g = problem.complement()
     output = np.vstack([g.coords(), problem.output_row()])
     feedthrough = np.vstack([np.zeros((g.dim, dspace.dim), dtype=np.complex128), cols[:problem.y_dim]])
-    system = CoisometricSystem(problem.state_operator(), cols[problem.y_dim:], output, feedthrough, validate=False)
-    deviation = coisometry_gap(system)
-    if deviation > tol.identity_tol:
+    try:
+        system = CoisometricSystem(problem.state_operator(), cols[problem.y_dim:], output, feedthrough, tol=tol)
+    except AuditFailure as exc:
         raise InternalContradiction(
-            f"realization block identity deviates by {deviation:.3e} (tol {tol.identity_tol:.1e})"
-        )
+            f"realization block identity deviates by {exc.deviation:.3e} (tol {tol.identity_tol:.1e})"
+        ) from exc
     return RedhefferRealization(problem, g, dspace, system)
 
 
@@ -173,39 +176,28 @@ def coefficient_matrix_audit(realization: RedhefferRealization, blocks: int) -> 
 
 
 @dataclass(frozen=True)
-class SchurParameter:
+class SchurParameter(MatrixSeries):
     """Polynomial free parameter with contractive multiplication operator.
 
-    ``coeffs`` is one ``(m + 1, d, g)`` complex128 array for a parameter of
-    degree ``m``, validated as a ``MatrixSeries``: ``coeffs[k]`` maps ``G``
-    (dimension ``g``) into the adjoint defect space (dimension ``d``). Contractivity
-    (within ``tol.contraction_slack``) is checked on the block-Toeplitz
-    truncation of all coefficients, which bounds the multiplication-operator
-    norm from below; exact Schur-class membership of a polynomial would be a
-    semi-infinite condition.
+    A ``MatrixSeries`` of degree ``m``: ``coeffs[k]`` maps ``G`` (dimension
+    ``in_dim``) into the adjoint defect space (dimension ``out_dim``).
+    Contractivity (within ``tol.contraction_slack``) is checked on the
+    block-Toeplitz truncation of all coefficients, which bounds the
+    multiplication-operator norm from below; exact Schur-class membership of
+    a polynomial would be a semi-infinite condition.
     """
 
-    coeffs: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self):
-        series = MatrixSeries(self.coeffs)
-        object.__setattr__(self, "coeffs", series.coeffs)
-        nrm = spectral_norm(series.toeplitz(series.order + 1))
+        super().__post_init__()
+        nrm = spectral_norm(self.toeplitz(self.order + 1))
         if nrm > 1.0 + self.tol.contraction_slack:
             raise InvalidParameter(f"parameter multiplication norm {nrm:.17g} exceeds 1 + slack")
 
     @classmethod
     def constant(cls, value, tol: Tolerances = DEFAULT_TOL) -> "SchurParameter":
         return cls((as_cmatrix(value),), tol)
-
-    @property
-    def out_dim(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def in_dim(self) -> int:
-        return self.coeffs.shape[2]
 
 
 def lft_solution(

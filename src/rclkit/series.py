@@ -47,6 +47,8 @@ class MatrixSeries:
         except ValueError as exc:
             shapes = ", ".join(_shape_of(c) for c in self.coeffs)
             raise DimensionMismatch(f"series coefficients do not form one complex array: shapes {shapes}") from exc
+        except TypeError as exc:
+            raise InvalidInput("series coefficients are not complex numbers") from exc
         if coeffs.shape[:1] == (0,):
             raise InvalidInput("a series needs at least the constant coefficient")
         if coeffs.ndim != 3:

@@ -50,8 +50,10 @@ from .series import MatrixSeries
 
 @dataclass(frozen=True)
 class CoisometricSystem:
-    """Validated at construction; pass ``validate=False`` to build a
-    deliberately broken system for negative-control audits."""
+    """Validated at construction: ``AuditFailure``, carrying the deviation,
+    when the block matrix misses a co-isometry by more than ``identity_tol``.
+    Pass ``validate=False`` to build a deliberately broken system for
+    negative-control audits."""
 
     A: CMatrix  # state -> state
     B: CMatrix  # input -> state
@@ -72,7 +74,7 @@ class CoisometricSystem:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", as_cmatrix(self.D, rows=C.shape[0], cols=B.shape[1]))
         if validate:
-            deviation = coisometry_gap(self)
+            deviation = coisometry_deficiency(self.block_matrix())
             if deviation > tol.identity_tol:
                 raise AuditFailure(
                     f"system block matrix deviates from a co-isometry by {deviation:.3e}", deviation
@@ -92,10 +94,6 @@ class CoisometricSystem:
 
     def block_matrix(self) -> CMatrix:
         return np.block([[self.A, self.B], [self.C, self.D]])
-
-
-def coisometry_gap(system: CoisometricSystem) -> float:
-    return coisometry_deficiency(system.block_matrix())
 
 
 def julia_system(T, tol: Tolerances = DEFAULT_TOL) -> CoisometricSystem:

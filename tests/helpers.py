@@ -186,6 +186,14 @@ def krylov_dataset(rng, n=4, a_norm=0.7, hp=2, tp_norm=0.7):
     return DataSet(a, tp, r, q)
 
 
+def residual_audit_dataset():
+    """Valid data whose ``D_A Q = diag(0.87, 0.87e-12)`` loses its second
+    direction at the F cut while ``R`` keeps it at 5e-5, so the defining
+    identity ``w D_A Q = [D_T' A R; D_A R]`` of the underlying contraction
+    misses by ``norm([D_T' A R; D_A R] e2) = 5e-5``."""
+    return DataSet(0.5 * np.eye(2), np.diag([1.0, 2e-8]), np.diag([1.0, 5e-5]), np.diag([1.0, 1e-12]))
+
+
 def json_matrix(m):
     """Nested ``[re, im]`` lists of a complex matrix, built entry by entry
     so test files do not depend on the codec under test."""

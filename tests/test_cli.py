@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ORACLE_REGIMES, json_matrix
+from helpers import ORACLE_REGIMES, json_matrix, residual_audit_dataset
 from rclkit import redheffer
 from rclkit.cli import (
     EXIT_INVALID,
@@ -322,6 +322,17 @@ class TestOmegaCommand:
         path.write_text(out)
         pf = load_problem_file(str(path))
         assert pf.omega.u_dim == 4 and pf.omega.y_dim == 1 and pf.omega.f_dim == 3
+
+    def test_residual_audit_failure_exits_one(self, capsys, tmp_path):
+        d = residual_audit_dataset()
+        path = tmp_path / "dropped.json"
+        doc = {key: json_matrix(m) for key, m in zip(("A", "Tprime", "R", "Q"), (d.A, d.Tp, d.R, d.Q))}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, err) == (EXIT_OK, "") and json.loads(out)["valid"] is True
+        code, out, err = run(capsys, "omega", str(path))
+        assert (code, err) == (EXIT_INVALID, "")
+        assert json.loads(out)["error"] == "IllPosedData: defining identity residual 5.000e-05 exceeds 1.0e-09"
 
 
 class TestCentralCommand:

@@ -9,6 +9,7 @@ from helpers import (
     krylov_dataset,
     q_onto_dataset,
     random_dataset,
+    residual_audit_dataset,
 )
 from rclkit import dataset
 from rclkit.dataset import (
@@ -23,7 +24,7 @@ from rclkit.dataset import (
 )
 from rclkit.errors import DimensionMismatch, IllPosedData, InvalidInput
 from rclkit.interp import UniquenessKind, uniqueness
-from rclkit.opcore import defect, isometry_deficiency, join, orthocomplement, range_closure_basis, spectral_norm
+from rclkit.opcore import defect, isometry_deficiency, orthocomplement, range_closure_basis, spectral_norm
 
 
 class TestDataSet:
@@ -76,7 +77,8 @@ class TestDataSet:
         p = underlying_contraction(d)
         assert suboptimal_uniqueness(d).decision is not Decision.NOT_APPLICABLE
         report = perpendicularity_report(d)
-        assert len(calls) == 1
+        # F once; the one other cut is the left invertibility of R
+        assert [args[0] is d.R for args in calls] == [False, True]
         assert p.F is d.domain and report.f_equals_defect_space == (p.f_dim == p.u_dim)
 
 
@@ -165,6 +167,12 @@ class TestUnderlyingContraction:
         with pytest.raises(IllPosedData):
             underlying_contraction(d)
 
+    def test_residual_audit_catches_a_dropped_direction(self):
+        d = residual_audit_dataset()
+        assert validate(d).ok
+        with pytest.raises(IllPosedData, match=r"^defining identity residual 5\.000e-05 exceeds 1\.0e-09$"):
+            underlying_contraction(d)
+
 
 @pytest.mark.parametrize("analyzer", [suboptimal_uniqueness, perpendicularity_report, norm_one_rq_uniqueness])
 def test_special_cases_reject_invalid_data(analyzer):
@@ -214,12 +222,13 @@ class TestSuboptimalUniqueness:
 
     @pytest.mark.parametrize("rq, left_invertible", [
         (np.zeros((2, 0)), True),                  # H0 = {0}: vacuously
-        (np.diag([1.0, 2e-10]), True),             # smallest singular value above rank_tol
-        (np.diag([1.0, 1e-10]), False),            # ... at rank_tol, an absolute cut
+        (np.diag([1.0, 2e-10]), True),             # smallest singular value above rank_tol * largest
+        (np.diag([1.0, 1e-10]), False),            # ... at it
         (np.eye(2)[:, :1], True),                  # tall
         (np.eye(2, 3), False),                     # wide: full row rank, and a kernel
         (np.ones((2, 2)) / 2, False),              # square, rank one
         (np.zeros((0, 2)), False),                 # H = {0}, dim H0 = 2
+        (1e-12 * np.eye(2), True),                 # tiny but exact: the cut is relative
     ])
     def test_left_invertibility_counts_singular_values(self, rq, left_invertible):
         # A strict, T' = I and Q = R keep every constraint exact
@@ -228,6 +237,18 @@ class TestSuboptimalUniqueness:
         assert validate(d).ok
         result = suboptimal_uniqueness(d)
         assert (result.reason == "R is not left invertible") != left_invertible
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), exponent=st.floats(-14, 0))
+    def test_decision_is_invariant_under_scaling_r_and_q(self, seed, exponent):
+        # (sR, sQ) keeps both constraints and every range: only the scale moves
+        rng = np.random.default_rng(seed)
+        maker = [random_dataset, classical_dataset, q_onto_dataset, krylov_dataset][seed % 4]
+        d = maker(rng)
+        s = 10.0 ** exponent
+        scaled = DataSet(d.A, d.Tp, s * d.R, s * d.Q)
+        assert validate(scaled).ok
+        assert suboptimal_uniqueness(scaled) == suboptimal_uniqueness(d)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_interpolation_verdict(self, seed):
@@ -279,7 +300,8 @@ class TestPerpendicularity:
         spans = 0
         for seed in range(12):
             d = makers[seed % 3](np.random.default_rng(50 + seed))
-            span = join(range_closure_basis(d.Q), orthocomplement(d.defect_a[1]))
+            parts = [range_closure_basis(d.Q).basis, orthocomplement(d.defect_a[1]).basis]
+            span = range_closure_basis(np.hstack(parts))
             spans += span.dim == d.dim_h
             assert perpendicularity_report(d).f_equals_defect_space == (span.dim == d.dim_h)
         assert spans == 8

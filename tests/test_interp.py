@@ -23,7 +23,7 @@ from rclkit.interp import (
     second_solution_witness,
     uniqueness,
 )
-from rclkit.opcore import SubspaceBasis, Tolerances, psd_order_leq, spectral_norm
+from rclkit.opcore import SubspaceBasis, Tolerances, spectral_norm
 from rclkit import redheffer
 from rclkit.cli import load_problem_file
 from rclkit.redheffer import SchurParameter, lft_solution, realize
@@ -167,9 +167,9 @@ class TestIsSolution:
         prev = np.zeros((p.u_dim, p.u_dim), dtype=complex)
         for n in range(16):
             gram = prev + h.coeffs[n].conj().T @ h.coeffs[n]
-            assert psd_order_leq(prev, gram)
+            assert np.linalg.eigvalsh(gram - prev).min() >= -1e-8
             prev = gram
-        assert psd_order_leq(prev, (1 + 1e-9) * np.eye(p.u_dim))
+        assert np.linalg.eigvalsh((1 + 1e-9) * np.eye(p.u_dim) - prev).min() >= -1e-8
 
 
 class TestUniqueness:

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import classical_dataset, haar_isometry, krylov_dataset, random_dataset
 from rclkit.dataset import DataSet, underlying_contraction
-from rclkit.errors import InvalidInput, NotAContraction, NotContractive
+from rclkit.errors import DimensionMismatch, InvalidInput, NotAContraction, NotContractive
 from rclkit.interp import central_taylor
 from rclkit.lifting import build_lifting, interpolant_from_solution, verify_rclt
 from rclkit.opcore import spectral_norm
@@ -170,3 +170,14 @@ class TestVerify:
         b[0, 0] += 0.05
         report = verify_rclt(d, b, 8)
         assert not report.projection_ok
+
+    @pytest.mark.parametrize("candidate, error", [
+        (lambda shape: [[1], [1, 2]], InvalidInput),                  # ragged
+        (lambda shape: np.full(shape, np.nan), InvalidInput),         # non-finite
+        (lambda shape: np.zeros((shape[0] - 1, shape[1])), DimensionMismatch),
+    ], ids=["ragged", "non_finite", "wrong_shape"])
+    def test_candidate_is_checked_at_the_boundary(self, candidate, error):
+        d = krylov_dataset(np.random.default_rng(7), n=3, a_norm=0.6)
+        shape = (len(build_lifting(d, 2)), d.dim_h)
+        with pytest.raises(error):
+            verify_rclt(d, candidate(shape), 2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import haar_isometry, random_complex, random_contraction, random_subspace
-from rclkit.errors import DimensionMismatch, InvalidInput, NotAContraction
+from rclkit.errors import InvalidInput, NotAContraction
 from rclkit.opcore import (
     SubspaceBasis,
     Tolerances,
@@ -15,9 +15,7 @@ from rclkit.opcore import (
     defect,
     is_coisometry,
     isometry_deficiency,
-    join,
     orthocomplement,
-    psd_order_leq,
     range_closure_basis,
     read_only,
     spectral_norm,
@@ -179,16 +177,6 @@ class TestPredicates:
         for value in (coisometry_deficiency(np.eye(3)[:2]), isometry_deficiency(np.eye(3)[:, :2])):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
-    def test_psd_order(self):
-        assert psd_order_leq(np.zeros((2, 2)), np.eye(2))
-        assert not psd_order_leq(np.eye(2), np.zeros((2, 2)))
-        assert psd_order_leq(np.zeros((2, 2)), np.zeros((2, 2)))
-        assert psd_order_leq(np.zeros((0, 0)), np.zeros((0, 0)))
-        with pytest.raises(DimensionMismatch):
-            psd_order_leq(np.zeros((2, 2)), np.eye(3))
-        with pytest.raises(DimensionMismatch):
-            psd_order_leq(np.zeros((0, 3)), np.zeros((0, 3)))
-
 
 class TestSubspaces:
     def test_basis_must_be_orthonormal(self):
@@ -202,24 +190,6 @@ class TestSubspaces:
         assert not np.shares_memory(r, m) and not r.flags.writeable
         assert r.strides == m.strides
         np.testing.assert_array_equal(r, m)
-
-    def test_join_of_axes(self):
-        e1 = SubspaceBasis(3, np.eye(3)[:, :1])
-        e2 = SubspaceBasis(3, np.eye(3)[:, 1:2])
-        assert join(e1, e2).dim == 2
-
-    def test_join_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            join(SubspaceBasis(2, np.eye(2)), SubspaceBasis(3, np.eye(3)))
-
-    def test_join_contains_inputs(self):
-        rng = np.random.default_rng(2)
-        s1 = random_subspace(rng, 5, 2)
-        s2 = random_subspace(rng, 5, 2)
-        joined = join(s1, s2)
-        proj = joined.basis @ joined.basis.conj().T
-        assert spectral_norm(proj @ s1.basis - s1.basis) < 1e-10
-        assert spectral_norm(proj @ s2.basis - s2.basis) < 1e-10
 
     def test_orthocomplement_dimension(self):
         rng = np.random.default_rng(3)

@@ -137,10 +137,14 @@ def test_coefficients_are_one_array():
     (np.zeros((0, 2, 3)), InvalidInput),
     ((np.full((2, 3), np.nan),), InvalidInput),
     ((np.zeros((2, 3)), np.full((2, 3), np.inf)), InvalidInput),
+    (object(), InvalidInput),                                     # not a number
+    ([[[{}]]], InvalidInput),                                     # an entry that is not a number
 ])
 def test_construction_rejects(coeffs, error):
-    with pytest.raises(error):
-        MatrixSeries(coeffs)
+    # a Schur parameter is a series: it runs the series' checks first
+    for construct in (MatrixSeries, SchurParameter):
+        with pytest.raises(error):
+            construct(coeffs)
 
 
 @pytest.mark.parametrize("construct", [MatrixSeries, SchurParameter])
