@@ -487,6 +487,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except RclkitError as exc:
         code, payload = EXIT_INVALID, {"error": f"{type(exc).__name__}: {exc}"}
+    except MemoryError as exc:   # e.g. an --order whose arrays cannot be allocated
+        code, payload = EXIT_INVALID, {"error": f"MemoryError: {exc}"}
     # every piece before the first write, so a value that cannot be
     # serialized prints nothing
     sys.stdout.writelines([*_dump_json(payload), "\n"])

@@ -7,6 +7,16 @@ represent maps into or out of the zero space, and every operation below
 takes them through the same code as any other matrix, with no branch on a
 zero dimension. Each reduction over a possibly empty spectrum names the
 value of its empty case (``initial=``).
+
+Each threshold check costs only what its verdict needs. A spectral norm is
+the square root of the top eigenvalue of the short-side Gram, for a whole
+stack in one batched ``eigvalsh`` (``spectral_norms``). ``defect`` reads its
+contraction check off the eigensolve that gives ``D``. ``coisometry_within``
+decides ``norm(M M* - I) <= limit`` from the Frobenius norm of the
+deviation, which bounds its spectral norm from above and, divided by the
+square root of its size, from below, and computes eigenvalues only when
+``limit`` falls between the two bounds; ``coisometry_deficiency`` is the
+exact measured value.
 """
 
 from __future__ import annotations
@@ -92,10 +102,23 @@ def spectral_norm(M) -> float:
 
 
 def spectral_norms(stack) -> np.ndarray:
-    """Largest singular value of each matrix of a ``(k, rows, cols)`` stack,
-    by one batched SVD; 0 for every block of a zero-size stack."""
-    stack = np.asarray(stack, dtype=np.complex128)
-    return np.linalg.svd(stack, compute_uv=False).max(axis=-1, initial=0.0)
+    """Largest singular value of each matrix of a ``(k, rows, cols)`` stack;
+    0 for every block of a zero-size stack.
+
+    Each value is the square root of the top eigenvalue of the matrix's
+    short-side Gram, all by one batched ``eigvalsh``. Before the Gram is
+    formed each matrix is scaled by the exact power of two that brings its
+    largest real or imaginary part in modulus into ``[1/2, 1)``, so the Gram neither
+    overflows nor underflows; the norm is scaled back by the same power.
+    """
+    stack = np.ascontiguousarray(stack, dtype=np.complex128)
+    parts = stack.view(np.float64)    # real and imaginary parts side by side
+    exponent = np.frexp(np.abs(parts).max(axis=(-2, -1), initial=0.0))[1]
+    scaled = np.ldexp(parts, -exponent[:, None, None]).view(np.complex128)
+    if scaled.shape[-2] > scaled.shape[-1]:
+        scaled = np.swapaxes(scaled, -1, -2)    # M^T has the singular values of M
+    top = np.linalg.eigvalsh(scaled @ adjoint(scaled)).max(axis=-1, initial=0.0)
+    return np.ldexp(np.sqrt(top), exponent)
 
 
 @dataclass(frozen=True)
@@ -116,7 +139,7 @@ class SubspaceBasis:
         k = basis.shape[1]
         if k > self.ambient_dim:
             raise DimensionMismatch(f"subspace dimension {k} exceeds ambient dimension {self.ambient_dim}")
-        if isometry_deficiency(basis) > 1e-12 * max(1, self.ambient_dim):
+        if not coisometry_within(basis.T, 1e-12 * max(1, self.ambient_dim)):    # basis* basis = I
             raise InvalidInput("subspace basis columns are not orthonormal")
 
     @property
@@ -154,17 +177,25 @@ def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
     cut relative to the largest singular value of ``D`` itself would keep
     pure-roundoff directions for near-isometric ``N``.
 
+    The contraction check is read off the same eigensolve:
+    ``norm(N)^2 = 1 - mu_min``. An entry of modulus above ``1 + slack``
+    bounds the norm from below, so it decides the check at once, before
+    ``N*N`` is formed; then every entry of ``N*N`` is finite.
+
     Raises:
-        NotAContraction: if ``spectral_norm(N) > 1 + contraction_slack``.
+        NotAContraction: if ``norm(N) > 1 + contraction_slack``.
     """
     N = as_cmatrix(N)
-    nrm = spectral_norm(N)
-    if nrm > 1.0 + tol.contraction_slack:
-        raise NotAContraction(f"operator norm {nrm:.17g} exceeds 1 + slack")
+    bound = 1.0 + tol.contraction_slack
+    if np.abs(N).max(initial=0.0) > bound:
+        raise NotAContraction(f"operator norm {spectral_norm(N):.17g} exceeds 1 + slack")
     q = N.shape[1]
     gram = np.eye(q, dtype=np.complex128) - adjoint(N) @ N
     gram = (gram + adjoint(gram)) / 2.0
     mu, vecs = np.linalg.eigh(gram)
+    nrm = math.sqrt(max(0.0, 1.0 - float(mu.min(initial=1.0))))
+    if nrm > bound:
+        raise NotAContraction(f"operator norm {nrm:.17g} exceeds 1 + slack")
     mu = np.clip(mu, 0.0, None)
     # descending order for deterministic bases
     order = np.argsort(mu)[::-1]
@@ -176,21 +207,47 @@ def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
     return D, SubspaceBasis(q, vecs[:, :rank])
 
 
-def coisometry_deficiency(M) -> float:
-    """``norm(M M* - I)``; 0 for a matrix with 0 rows (co-isometry onto {0}).
-
-    ``M M*`` has the identity subtracted in place; the result is Hermitian,
-    so its eigenvalues give the norm.
-    """
+def _coisometry_gap(M) -> CMatrix:
+    """``M M* - I``, made exactly Hermitian, so that its Frobenius norm and
+    its eigenvalues measure one matrix even where the entries are roundoff;
+    the identity is subtracted in place."""
     M = as_cmatrix(M)
     gram = M @ adjoint(M)
-    gram.ravel()[:: M.shape[0] + 1] -= 1.0
-    return float(np.abs(np.linalg.eigvalsh(gram)).max(initial=0.0))
+    gap = (gram + adjoint(gram)) / 2.0
+    gap.ravel()[:: M.shape[0] + 1] -= 1.0
+    return gap
+
+
+def _hermitian_norm(E: CMatrix) -> float:
+    """Spectral norm of a Hermitian matrix, from its eigenvalues; 0 when empty."""
+    return float(np.abs(np.linalg.eigvalsh(E)).max(initial=0.0))
+
+
+def coisometry_deficiency(M) -> float:
+    """``norm(M M* - I)``, measured exactly; 0 for a matrix with 0 rows
+    (co-isometry onto {0})."""
+    return _hermitian_norm(_coisometry_gap(M))
+
+
+def coisometry_within(M, limit: float) -> bool:
+    """Whether ``coisometry_deficiency(M) <= limit``.
+
+    The Frobenius norm ``f`` of the ``r``-square ``M M* - I`` bounds its
+    spectral norm from above and ``f / sqrt(r)`` from below; the
+    eigenvalues are computed only when ``limit`` lies between the two.
+    """
+    gap = _coisometry_gap(M)
+    frobenius = float(np.linalg.norm(gap))
+    if frobenius <= limit:
+        return True
+    if limit * math.sqrt(gap.shape[0]) < frobenius < math.inf:    # an overflowed f bounds nothing
+        return False
+    return _hermitian_norm(gap) <= limit
 
 
 def is_coisometry(M, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``M M* = I`` within ``identity_tol``."""
-    return coisometry_deficiency(M) <= tol.identity_tol
+    return coisometry_within(M, tol.identity_tol)
 
 
 def isometry_deficiency(M) -> float:

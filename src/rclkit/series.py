@@ -45,8 +45,12 @@ class MatrixSeries:
         try:
             coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         except ValueError as exc:
-            shapes = ", ".join(_shape_of(c) for c in self.coeffs)
-            raise DimensionMismatch(f"series coefficients do not form one complex array: shapes {shapes}") from exc
+            shapes = [_shape_of(c) for c in self.coeffs]
+            if len(set(shapes)) == 1 and shapes[0] != "ragged":    # well formed, so an entry is not a number
+                raise InvalidInput("series coefficients are not complex numbers") from exc
+            raise DimensionMismatch(
+                f"series coefficients do not form one complex array: shapes {', '.join(shapes)}"
+            ) from exc
         except TypeError as exc:
             raise InvalidInput("series coefficients are not complex numbers") from exc
         if coeffs.shape[:1] == (0,):

@@ -43,6 +43,7 @@ from .opcore import (
     adjoint,
     as_cmatrix,
     coisometry_deficiency,
+    coisometry_within,
     defect,
 )
 from .series import MatrixSeries
@@ -74,8 +75,9 @@ class CoisometricSystem:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", as_cmatrix(self.D, rows=C.shape[0], cols=B.shape[1]))
         if validate:
-            deviation = coisometry_deficiency(self.block_matrix())
-            if deviation > tol.identity_tol:
+            block = self.block_matrix()
+            if not coisometry_within(block, tol.identity_tol):
+                deviation = coisometry_deficiency(block)    # the exact value, for the error
                 raise AuditFailure(
                     f"system block matrix deviates from a co-isometry by {deviation:.3e}", deviation
                 )

@@ -347,6 +347,17 @@ class TestCentralCommand:
             np.testing.assert_array_equal(series.coeffs[n], expected)
 
 
+class TestResourceErrors:
+    @pytest.mark.parametrize("path", [SHIFT6, RELAXED], ids=["ex22_trunc6", "relaxed_np_n4"])
+    @pytest.mark.parametrize("argv", [("central",), ("unique", "--witness"), ("audit",)],
+                             ids=["central", "unique_witness", "audit"])
+    def test_order_beyond_memory_is_a_json_error(self, capsys, path, argv):
+        # no machine can allocate 10**15 coefficient blocks of these files
+        code, out, err = run(capsys, argv[0], path, *argv[1:], "--order", str(10**15))
+        assert code == EXIT_INVALID and err == ""
+        assert json.loads(out)["error"].startswith("MemoryError: Unable to allocate")
+
+
 class TestUniqueCommand:
     def test_shift_fixture_verdict(self, capsys):
         code, out, _ = run(capsys, "unique", SHIFT6)

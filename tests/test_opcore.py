@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import haar_isometry, random_complex, random_contraction, random_subspace
@@ -12,6 +12,7 @@ from rclkit.opcore import (
     Tolerances,
     as_cmatrix,
     coisometry_deficiency,
+    coisometry_within,
     defect,
     is_coisometry,
     isometry_deficiency,
@@ -53,6 +54,21 @@ class TestSpectralNorms:
         norms = spectral_norms(np.zeros(shape))
         assert norms.shape == (shape[0],) and not norms.any()
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6), count=st.sampled_from([0, 1, 5]),
+           rows=st.integers(0, 6), cols=st.integers(0, 6),
+           exponent=st.sampled_from([-1074, -600, 0, 600, 1000]))
+    def test_match_the_svd_at_every_scale(self, seed, count, rows, cols, exponent):
+        # tall, wide and zero-size blocks whose entries are scaled by 2^exponent,
+        # from subnormal to near overflow: the scaled Gram neither overflows nor underflows
+        rng = np.random.default_rng(seed)
+        parts = np.ldexp(rng.standard_normal((count, rows, cols, 2)), exponent)
+        stack = parts.view(np.complex128)[..., 0]
+        expected = np.linalg.svd(stack, compute_uv=False).max(axis=-1, initial=0.0)
+        norms = spectral_norms(stack)
+        assert norms.shape == (count,)
+        np.testing.assert_allclose(norms, expected, rtol=1e-13, atol=0.0)
+
 
 class TestDefect:
     def test_zero_operator(self):
@@ -92,6 +108,37 @@ class TestDefect:
         d, _ = defect(n)
         assert spectral_norm(d @ d - (np.eye(3) - n.conj().T @ n)) <= 1e-10
         assert spectral_norm(d - d.conj().T) <= 1e-12
+
+    def test_entries_within_one_norm_beyond(self):
+        # no entry exceeds 1, so the check is read off the eigensolve: norm^2 = 1 - mu_min
+        with pytest.raises(NotAContraction) as info:
+            defect(np.full((2, 2), 0.6))
+        assert float(str(info.value).split()[2]) == pytest.approx(1.2, rel=1e-14)
+
+    def test_huge_entry_is_rejected_before_the_gram(self):
+        # an entry above 1 + slack decides at once; N*N (1e600) is never formed
+        with pytest.raises(NotAContraction) as info:
+            defect(np.array([[1e300, 0.0], [0.0, 0.5]]))
+        assert float(str(info.value).split()[2]) == pytest.approx(1e300, rel=1e-14)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6), rows=st.integers(1, 5), cols=st.integers(1, 5),
+           slack=st.sampled_from([0.0, 1e-10, 1e-6]),
+           offset=st.sampled_from([-0.5, -1e-9, -1e-12, 1e-12, 1e-9, 0.5, 1e300]))
+    def test_rejects_exactly_the_expansive(self, seed, rows, cols, slack, offset):
+        # NotAContraction iff the SVD norm exceeds 1 + slack, outside a roundoff band
+        rng = np.random.default_rng(seed)
+        m = random_complex(rng, rows, cols)
+        n = m * ((1.0 + slack + offset) / np.linalg.svd(m, compute_uv=False).max())
+        nrm = float(np.linalg.svd(n, compute_uv=False).max())
+        assume(abs(nrm - (1.0 + slack)) > 1e-13)
+        tol = Tolerances(contraction_slack=slack)
+        if nrm > 1.0 + slack:
+            with pytest.raises(NotAContraction):
+                defect(n, tol)
+        else:
+            d, _ = defect(n, tol)
+            assert d.shape == (cols, cols)
 
     def test_norm_one_contraction(self):
         # knife-edge norm: defect exists but has a kernel
@@ -173,6 +220,23 @@ class TestPredicates:
         assert abs(coisometry_deficiency(m) - expected) <= 1e-12 * max(1.0, expected)
         assert abs(isometry_deficiency(m.T) - expected) <= 1e-12 * max(1.0, expected)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6), rows=st.integers(0, 6), cols=st.integers(0, 8),
+           kind=st.sampled_from(["random", "isometric", "perturbed"]),
+           factor=st.sampled_from([1 - 1e-6, 1 + 1e-6, 0.01, 0.5, 2.0, 100.0]))
+    def test_coisometry_within_agrees_with_the_deficiency(self, seed, rows, cols, kind, factor):
+        # limits just either side of the measured deficiency, and far from it,
+        # so that both Frobenius bounds and the eigenvalue fallback decide
+        rng = np.random.default_rng(seed)
+        m = random_complex(rng, rows, cols) / np.sqrt(max(cols, 1))
+        if kind != "random" and rows <= cols:
+            m = haar_isometry(rng, cols, rows).conj().T
+            if kind == "perturbed":
+                m = m + 1e-9 * random_complex(rng, rows, cols)
+        deficiency = coisometry_deficiency(m)
+        limit = deficiency * factor
+        assert coisometry_within(m, limit) == (deficiency <= limit)
+
     def test_exact_coisometry_has_positive_zero_deficiency(self):
         for value in (coisometry_deficiency(np.eye(3)[:2]), isometry_deficiency(np.eye(3)[:, :2])):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
@@ -248,7 +312,7 @@ def test_as_cmatrix_rejects_what_is_not_a_numeric_matrix(value):
 
 def test_numpy_linear_algebra_takes_zero_size_input():
     # opcore and dataset take zero-size matrices through the general code on
-    # these facts; checked on numpy 2.4.6
+    # these facts, batched ones included; checked on numpy 2.4.6
     for n in (0, 1, 3):
         _, s, vh = np.linalg.svd(np.zeros((0, n), dtype=np.complex128), full_matrices=True)
         assert s.shape == (0,) and vh.shape == (n, n)
@@ -256,6 +320,8 @@ def test_numpy_linear_algebra_takes_zero_size_input():
     w, v = np.linalg.eigh(np.zeros((0, 0), dtype=np.complex128))
     assert w.shape == (0,) and v.shape == (0, 0)
     assert np.linalg.eigvalsh(np.zeros((0, 0), dtype=np.complex128)).shape == (0,)
+    for shape, spectrum in (((3, 0, 0), (3, 0)), ((0, 2, 2), (0, 2)), ((0, 0, 0), (0, 0))):
+        assert np.linalg.eigvalsh(np.zeros(shape, dtype=np.complex128)).shape == spectrum
     x = np.linalg.lstsq(np.zeros((3, 0), dtype=np.complex128), np.ones((3, 2)), rcond=None)[0]
     assert x.shape == (0, 2)
     x = np.linalg.lstsq(np.zeros((0, 3), dtype=np.complex128), np.zeros((0, 2)), rcond=None)[0]

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -59,6 +60,19 @@ class TestRealize:
         w_hat = p.omega @ p.F.coords()
         gap = spectral_norm(d_cols @ d_cols.conj().T - (np.eye(p.y_dim + p.u_dim) - w_hat @ w_hat.conj().T))
         assert gap <= 1e-10
+
+    def test_valid_realization_runs_one_svd_and_no_eigvalsh(self, monkeypatch):
+        # the orthocomplement of F is the one SVD; every co-isometry check on a
+        # valid realization is decided by its Frobenius bound
+        p = random_problem(np.random.default_rng(3), u_dim=6, y_dim=2, f_dim=4)
+        calls = Counter()
+        for name in ("svd", "eigvalsh"):
+            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        realize(p)
+        assert calls == {"svd": 1}
 
     def test_broken_block_identity_is_an_internal_contradiction(self, monkeypatch):
         original = redheffer.defect

@@ -139,6 +139,8 @@ def test_coefficients_are_one_array():
     ((np.zeros((2, 3)), np.full((2, 3), np.inf)), InvalidInput),
     (object(), InvalidInput),                                     # not a number
     ([[[{}]]], InvalidInput),                                     # an entry that is not a number
+    ([[["1+x"]]], InvalidInput),                                  # a well-formed stack of a non-number
+    ("abc", InvalidInput),                                        # a string is not a stack
 ])
 def test_construction_rejects(coeffs, error):
     # a Schur parameter is a series: it runs the series' checks first
