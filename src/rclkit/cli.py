@@ -31,12 +31,12 @@ flags produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from json.scanner import py_make_scanner
 
 import numpy as np
@@ -247,7 +247,7 @@ def parse_series(obj) -> MatrixSeries:
     return MatrixSeries([parse_matrix(c, rows=out_dim, cols=in_dim) for c in obj["coeffs"]])
 
 
-@dataclass
+@dataclasses.dataclass
 class ProblemFile:
     """Exactly one of the two forms; either carries the file's tolerances."""
 
@@ -266,18 +266,10 @@ class ProblemFile:
 
 
 def _parse_tolerances(obj) -> Tolerances:
-    fields = {"rank_tol", "contraction_slack", "identity_tol"}
-    values = {}
-    if obj is not None:
-        if not isinstance(obj, dict) or not set(obj) <= fields:
-            raise ParseFailure(f"tolerances must be a dict with keys among {sorted(fields)}")
-        for key, val in obj.items():
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ParseFailure(f"tolerance {key} must be a number")
-            try:
-                values[key] = float(val)
-            except OverflowError as exc:
-                raise ParseFailure(f"tolerance {key} is too large for a float") from exc
+    fields = {f.name for f in dataclasses.fields(Tolerances)}
+    values = {} if obj is None else _as_lists(obj)    # Tolerances judges each value, as JSON decoded it
+    if not isinstance(values, dict) or not set(values) <= fields:
+        raise ParseFailure(f"tolerances must be a dict with keys among {sorted(fields)}")
     env = os.environ.get("RCLKIT_TOL")
     if env is not None:
         try:

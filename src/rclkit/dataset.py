@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IllPosedData, InvalidInput
+from .errors import IllPosedData, InvalidInput, NotAContraction
 from .interp import InterpProblem
 from .opcore import (
     DEFAULT_TOL,
@@ -46,6 +46,7 @@ from .opcore import (
     adjoint,
     as_cmatrix,
     defect,
+    exceeds_one,
     orthocomplement,
     range_closure_basis,
     read_only,
@@ -140,7 +141,7 @@ def validate(data: DataSet) -> ValidationReport:
     violations = []
     a_norm, tp_norm = spectral_norm(data.A), spectral_norm(data.Tp)
     for name, nrm in (("A_contraction", a_norm), ("Tp_contraction", tp_norm)):
-        if nrm - 1.0 > tol.contraction_slack:
+        if exceeds_one(nrm, tol):
             violations.append(Violation(name, nrm - 1.0))
     # T'A, T'AR, AQ, Q*Q and R*R, their partial sums and the residuals
     # (Hermitized) stay below 4 * bound in modulus
@@ -181,7 +182,6 @@ def underlying_contraction(data: DataSet) -> InterpProblem:
         IllPosedData: when validation fails, the residual audit fails, or
             the solved operator is not a contraction.
     """
-    tol = data.tol
     _require_valid(data)
     d_a, space_a = data.defect_a
     d_tp, space_tp = data.defect_tp
@@ -194,10 +194,10 @@ def underlying_contraction(data: DataSet) -> InterpProblem:
     residual = spectral_norm(omega @ lhs - rhs)
     if residual > OMEGA_RESIDUAL_TOL:
         raise IllPosedData(f"defining identity residual {residual:.3e} exceeds {OMEGA_RESIDUAL_TOL:.1e}")
-    nrm = spectral_norm(omega)
-    if nrm > 1.0 + tol.contraction_slack:
-        raise IllPosedData(f"underlying operator has norm {nrm:.17g}; data set is inconsistent")
-    return InterpProblem(u_dim, y_dim, f, omega[:y_dim, :], omega[y_dim:, :], tol)
+    try:
+        return InterpProblem(u_dim, y_dim, f, omega[:y_dim, :], omega[y_dim:, :], data.tol)
+    except NotAContraction as exc:
+        raise IllPosedData(f"underlying operator: {exc}; data set is inconsistent") from exc
 
 
 def preset_relaxed_rq(n: int, v_dim: int) -> tuple[CMatrix, CMatrix]:

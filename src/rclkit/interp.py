@@ -30,12 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import redheffer
-from .errors import (
-    DimensionMismatch,
-    InternalContradiction,
-    InvalidInput,
-    NotAContraction,
-)
+from .errors import DimensionMismatch, InternalContradiction, InvalidInput
 from .opcore import (
     DEFAULT_TOL,
     CMatrix,
@@ -46,6 +41,7 @@ from .opcore import (
     is_coisometry,
     orthocomplement,
     read_only,
+    require_contraction,
     spectral_norm,
     spectral_norms,
 )
@@ -61,8 +57,8 @@ class InterpProblem:
     F-coordinates; ``F.basis`` embeds those coordinates into ``C^u_dim``.
     Both are stored as read-only copies, which later writes to the caller's
     arrays cannot reach. ``tol`` holds the thresholds of every check on the
-    problem: the stacked norm may exceed 1 by at most
-    ``tol.contraction_slack``, and the verdicts of this module and of
+    problem: the stacked operator must pass ``opcore.require_contraction``
+    (``NotAContraction`` otherwise), and the verdicts of this module and of
     :mod:`rclkit.redheffer` read it from here.
     """
 
@@ -81,9 +77,7 @@ class InterpProblem:
         f = self.F.dim
         object.__setattr__(self, "omega1", read_only(as_cmatrix(self.omega1, rows=self.y_dim, cols=f)))
         object.__setattr__(self, "omega2", read_only(as_cmatrix(self.omega2, rows=self.u_dim, cols=f)))
-        nrm = spectral_norm(np.vstack([self.omega1, self.omega2]))
-        if nrm > 1.0 + self.tol.contraction_slack:
-            raise NotAContraction(f"stacked operator norm {nrm:.17g} exceeds 1 + slack")
+        require_contraction(self.omega, self.tol, what="stacked operator norm")
 
     @property
     def f_dim(self) -> int:
@@ -197,9 +191,7 @@ def scan_bound(problem: InterpProblem) -> int:
     ``F``, each of dimension ``y_dim``, exceeding ``dim F`` - impossible. So
     a failure is guaranteed within the bound whenever ``y_dim > 0``.
     """
-    if problem.y_dim == 0:
-        return 0
-    return problem.f_dim // problem.y_dim
+    return problem.f_dim // problem.y_dim if problem.y_dim else 0
 
 
 def uniqueness(problem: InterpProblem) -> UniquenessVerdict:
@@ -231,10 +223,10 @@ def central_coefficients_coisometric(problem: InterpProblem, order: int) -> bool
 
     Checks ``h_i h_j* = delta_ij I_Y`` for all ``0 <= i, j <= order`` at once,
     as the co-isometry deficiency of the stacked coefficients; the
-    caller must supply ``order >= floor(dim F / max(1, y_dim)) + 1`` so that
-    a failure cannot hide beyond the truncation.
+    caller must supply ``order >= scan_bound(problem) + 1`` so that a
+    failure cannot hide beyond the truncation.
     """
-    needed = problem.f_dim // max(1, problem.y_dim) + 1
+    needed = scan_bound(problem) + 1
     if order < needed:
         raise InvalidInput(f"order {order} is below the decisive bound {needed}")
     stacked = central_taylor(problem, order).coeffs.reshape((order + 1) * problem.y_dim, problem.u_dim)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataSet
-from .errors import InvalidInput, NotContractive
-from .opcore import CMatrix, as_cmatrix, spectral_norm, spectral_norms
+from .errors import DimensionMismatch, InvalidInput, NotContractive
+from .opcore import CMatrix, as_cmatrix, require_contraction, spectral_norm, spectral_norms
 from .series import MatrixSeries
 
 
@@ -57,12 +57,10 @@ def interpolant_from_solution(data: DataSet, H: MatrixSeries, blocks: int) -> CM
     """Stack ``A`` over the blocks ``h_n D_A`` (in defect coordinates) for n < blocks.
 
     Raises:
-        InvalidInput: when ``blocks < 1``, when ``H`` carries fewer than
-            ``blocks`` coefficients or when its dimensions do not match the
-            data set's defect spaces.
-        NotContractive: when the stacked interpolant exceeds norm
-            1 + ``data.tol.contraction_slack``, which happens exactly when
-            ``H`` leaves the coefficient ball.
+        InvalidInput: when ``blocks < 1`` or ``H`` has fewer than ``blocks`` coefficients.
+        DimensionMismatch: when ``H`` does not map ``U`` into ``Y``, the data set's defect spaces.
+        NotContractive: when the stacked interpolant fails ``opcore.require_contraction``
+            at ``data.tol``, which happens exactly when ``H`` leaves the coefficient ball.
     """
     if blocks < 1:
         raise InvalidInput(f"need at least one defect block, got {blocks}")
@@ -70,12 +68,10 @@ def interpolant_from_solution(data: DataSet, H: MatrixSeries, blocks: int) -> CM
         raise InvalidInput(f"series order {H.order} cannot fill {blocks} blocks")
     d_a, u, y = data.defect_a[0], data.defect_a[1].dim, data.defect_tp[1].dim
     if (H.out_dim, H.in_dim) != (y, u):
-        raise InvalidInput(f"series maps {H.in_dim}->{H.out_dim}, data set needs {u}->{y}")
+        raise DimensionMismatch(f"series maps {H.in_dim}->{H.out_dim}, data set needs {u}->{y}")
     lifted = (H.coeffs[:blocks] @ d_a).reshape(blocks * H.out_dim, data.dim_h)
     b = np.vstack([data.A, lifted])
-    nrm = spectral_norm(b)
-    if nrm > 1.0 + data.tol.contraction_slack:
-        raise NotContractive(f"interpolant norm {nrm:.17g} exceeds 1 + slack")
+    require_contraction(b, data.tol, NotContractive, "interpolant norm")
     return b
 
 

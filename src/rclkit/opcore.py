@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,11 +37,14 @@ CMatrix = np.ndarray
 class Tolerances:
     """Numerical thresholds used throughout the library.
 
+    Each value is stored as a ``float``; anything but a nonnegative finite
+    real that fits a float (a bool included) is ``InvalidInput``.
+
     Attributes:
         rank_tol: relative cut deciding numerical rank / defect dimensions.
         contraction_slack: roundoff allowance when checking operator norms
-            against 1; values above the slack are hard errors, never
-            silently renormalized.
+            against 1 (:func:`exceeds_one`); norms beyond it are hard
+            errors, never silently renormalized.
         identity_tol: allowance when checking exact operator identities
             (intertwining relations, Gram identities, co-isometry defects).
     """
@@ -51,14 +54,16 @@ class Tolerances:
     identity_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_tol", "contraction_slack", "identity_tol"):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
-            try:
-                ok = isinstance(value, numbers.Real) and 0 <= float(value) < math.inf
-            except OverflowError:     # an int beyond the float range
-                ok = False
-            if not ok:
+            if isinstance(value, numbers.Real) and not isinstance(value, bool):
+                try:
+                    value = float(value)
+                except OverflowError as exc:
+                    raise InvalidInput(f"tolerance {name} is too large for a float") from exc
+            if not (isinstance(value, float) and 0 <= value < math.inf):
                 raise InvalidInput(f"tolerance {name} must be a nonnegative finite real, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 DEFAULT_TOL = Tolerances()
@@ -101,9 +106,10 @@ def spectral_norm(M) -> float:
     return float(spectral_norms(as_cmatrix(M)[None])[0])
 
 
+@np.errstate(over="ignore")
 def spectral_norms(stack) -> np.ndarray:
     """Largest singular value of each matrix of a ``(k, rows, cols)`` stack;
-    0 for every block of a zero-size stack.
+    0 for every block of a zero-size stack, ``inf`` beyond the float range.
 
     Each value is the square root of the top eigenvalue of the matrix's
     short-side Gram, all by one batched ``eigvalsh``. Before the Gram is
@@ -119,6 +125,18 @@ def spectral_norms(stack) -> np.ndarray:
         scaled = np.swapaxes(scaled, -1, -2)    # M^T has the singular values of M
     top = np.linalg.eigvalsh(scaled @ adjoint(scaled)).max(axis=-1, initial=0.0)
     return np.ldexp(np.sqrt(top), exponent)
+
+
+def exceeds_one(nrm: float, tol: Tolerances) -> bool:
+    """The one contraction rule, ``nrm - 1 > contraction_slack``, in this form at every site."""
+    return nrm - 1.0 > tol.contraction_slack
+
+
+def require_contraction(M, tol: Tolerances, error: type = NotAContraction, what: str = "operator norm") -> None:
+    """Raise ``error("<what> <norm> exceeds 1 + slack")`` when ``spectral_norm(M)`` fails ``exceeds_one``."""
+    nrm = spectral_norm(M)
+    if exceeds_one(nrm, tol):
+        raise error(f"{what} {nrm:.17g} exceeds 1 + slack")
 
 
 @dataclass(frozen=True)
@@ -177,24 +195,23 @@ def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
     cut relative to the largest singular value of ``D`` itself would keep
     pure-roundoff directions for near-isometric ``N``.
 
-    The contraction check is read off the same eigensolve:
-    ``norm(N)^2 = 1 - mu_min``. An entry of modulus above ``1 + slack``
-    bounds the norm from below, so it decides the check at once, before
-    ``N*N`` is formed; then every entry of ``N*N`` is finite.
+    The contraction check (:func:`exceeds_one`) is read off the same
+    eigensolve: ``norm(N)^2 = 1 - mu_min``. An entry modulus that fails the
+    check bounds the norm from below, so ``require_contraction`` decides it
+    at once, before ``N*N`` is formed; then every entry of ``N*N`` is finite.
 
     Raises:
-        NotAContraction: if ``norm(N) > 1 + contraction_slack``.
+        NotAContraction: if ``norm(N) - 1 > contraction_slack``.
     """
     N = as_cmatrix(N)
-    bound = 1.0 + tol.contraction_slack
-    if np.abs(N).max(initial=0.0) > bound:
-        raise NotAContraction(f"operator norm {spectral_norm(N):.17g} exceeds 1 + slack")
+    if exceeds_one(np.abs(N).max(initial=0.0), tol):
+        require_contraction(N, tol)
     q = N.shape[1]
     gram = np.eye(q, dtype=np.complex128) - adjoint(N) @ N
     gram = (gram + adjoint(gram)) / 2.0
     mu, vecs = np.linalg.eigh(gram)
     nrm = math.sqrt(max(0.0, 1.0 - float(mu.min(initial=1.0))))
-    if nrm > bound:
+    if exceeds_one(nrm, tol):
         raise NotAContraction(f"operator norm {nrm:.17g} exceeds 1 + slack")
     mu = np.clip(mu, 0.0, None)
     # descending order for deterministic bases
@@ -207,10 +224,11 @@ def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
     return D, SubspaceBasis(q, vecs[:, :rank])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _coisometry_gap(M) -> CMatrix:
     """``M M* - I``, made exactly Hermitian, so that its Frobenius norm and
     its eigenvalues measure one matrix even where the entries are roundoff;
-    the identity is subtracted in place."""
+    the identity is subtracted in place, and an overflow is left as ``inf``."""
     M = as_cmatrix(M)
     gram = M @ adjoint(M)
     gap = (gram + adjoint(gram)) / 2.0
@@ -218,17 +236,20 @@ def _coisometry_gap(M) -> CMatrix:
     return gap
 
 
-def _hermitian_norm(E: CMatrix) -> float:
-    """Spectral norm of a Hermitian matrix, from its eigenvalues; 0 when empty."""
+def hermitian_norm(E: CMatrix) -> float:
+    """Spectral norm of the Hermitian matrix with ``E``'s lower triangle; 0 if empty, inf if not finite."""
+    if not np.all(np.isfinite(E)):
+        return math.inf
     return float(np.abs(np.linalg.eigvalsh(E)).max(initial=0.0))
 
 
 def coisometry_deficiency(M) -> float:
     """``norm(M M* - I)``, measured exactly; 0 for a matrix with 0 rows
     (co-isometry onto {0})."""
-    return _hermitian_norm(_coisometry_gap(M))
+    return hermitian_norm(_coisometry_gap(M))
 
 
+@np.errstate(over="ignore")
 def coisometry_within(M, limit: float) -> bool:
     """Whether ``coisometry_deficiency(M) <= limit``.
 
@@ -242,18 +263,12 @@ def coisometry_within(M, limit: float) -> bool:
         return True
     if limit * math.sqrt(gap.shape[0]) < frobenius < math.inf:    # an overflowed f bounds nothing
         return False
-    return _hermitian_norm(gap) <= limit
+    return hermitian_norm(gap) <= limit
 
 
 def is_coisometry(M, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``M M* = I`` within ``identity_tol``."""
     return coisometry_within(M, tol.identity_tol)
-
-
-def isometry_deficiency(M) -> float:
-    """``norm(M* M - I)``; 0 for a matrix with 0 columns. ``M* M`` is the
-    conjugate of ``M^T (M^T)*``, so this is the transpose's co-isometry deficiency."""
-    return coisometry_deficiency(as_cmatrix(M).T)
 
 
 def orthocomplement(space: SubspaceBasis) -> SubspaceBasis:

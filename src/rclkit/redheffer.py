@@ -42,7 +42,7 @@ from .opcore import (
     adjoint,
     as_cmatrix,
     defect,
-    spectral_norm,
+    require_contraction,
 )
 from .series import MatrixSeries
 from .sysco import (
@@ -181,19 +181,18 @@ class SchurParameter(MatrixSeries):
 
     A ``MatrixSeries`` of degree ``m``: ``coeffs[k]`` maps ``G`` (dimension
     ``in_dim``) into the adjoint defect space (dimension ``out_dim``).
-    Contractivity (within ``tol.contraction_slack``) is checked on the
-    block-Toeplitz truncation of all coefficients, which bounds the
-    multiplication-operator norm from below; exact Schur-class membership of
-    a polynomial would be a semi-infinite condition.
+    Contractivity (``opcore.require_contraction``, else ``InvalidParameter``)
+    is checked on the block-Toeplitz truncation of all coefficients, which
+    bounds the multiplication-operator norm from below; exact Schur-class
+    membership of a polynomial would be a semi-infinite condition.
     """
 
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self):
         super().__post_init__()
-        nrm = spectral_norm(self.toeplitz(self.order + 1))
-        if nrm > 1.0 + self.tol.contraction_slack:
-            raise InvalidParameter(f"parameter multiplication norm {nrm:.17g} exceeds 1 + slack")
+        multiplication = self.toeplitz(self.order + 1)
+        require_contraction(multiplication, self.tol, InvalidParameter, "parameter multiplication norm")
 
     @classmethod
     def constant(cls, value, tol: Tolerances = DEFAULT_TOL) -> "SchurParameter":

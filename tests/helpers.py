@@ -198,3 +198,12 @@ def json_matrix(m):
     """Nested ``[re, im]`` lists of a complex matrix, built entry by entry
     so test files do not depend on the codec under test."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=np.complex128)]
+
+
+def knife_edge():
+    """``(slack, x)`` for ``x`` equal to ``fl(1 + slack)`` and each of its two
+    neighbours; the 1x1 matrix ``[[x]]`` has spectral norm exactly ``x``."""
+    for slack in (1e-10, 1e-6):
+        edge = 1.0 + slack
+        for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
+            yield slack, float(x)

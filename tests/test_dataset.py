@@ -24,7 +24,7 @@ from rclkit.dataset import (
 )
 from rclkit.errors import DimensionMismatch, IllPosedData, InvalidInput
 from rclkit.interp import UniquenessKind, uniqueness
-from rclkit.opcore import defect, isometry_deficiency, orthocomplement, range_closure_basis, spectral_norm
+from rclkit.opcore import coisometry_deficiency, defect, orthocomplement, range_closure_basis, spectral_norm
 
 
 class TestDataSet:
@@ -139,7 +139,7 @@ class TestUnderlyingContraction:
     def test_classical_gives_isometry(self):
         d = classical_dataset(np.random.default_rng(1))
         p = underlying_contraction(d)
-        assert isometry_deficiency(p.omega) <= 1e-8
+        assert coisometry_deficiency(p.omega.T) <= 1e-8
 
     def test_unitary_tp_gives_trivial_output_space(self):
         d = random_dataset(np.random.default_rng(2), tp_unitary=True)
@@ -166,6 +166,16 @@ class TestUnderlyingContraction:
         d = DataSet(np.eye(1), 0.5 * np.eye(1), np.eye(1), np.eye(1))
         with pytest.raises(IllPosedData):
             underlying_contraction(d)
+
+    def test_expansive_result_is_ill_posed(self, monkeypatch):
+        # InterpProblem's own contraction check judges the solved operator,
+        # here the isometry of a classical data set scaled by 1.1
+        build = dataset.InterpProblem
+        monkeypatch.setattr(dataset, "InterpProblem",
+                            lambda u, y, f, w1, w2, tol: build(u, y, f, 1.1 * w1, 1.1 * w2, tol))
+        message = r"^underlying operator: stacked operator norm 1\.1\d* exceeds 1 \+ slack; data set is inconsistent$"
+        with pytest.raises(IllPosedData, match=message):
+            underlying_contraction(classical_dataset(np.random.default_rng(1)))
 
     def test_residual_audit_catches_a_dropped_direction(self):
         d = residual_audit_dataset()

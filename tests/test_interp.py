@@ -219,6 +219,14 @@ class TestCentralCoisometry:
         with pytest.raises(InvalidInput):
             central_coefficients_coisometric(p, 2)
 
+    def test_trivial_output_space_needs_order_one(self):
+        # scan_bound is 0 when Y = {0}: every order decides, so one past it suffices
+        p = random_problem(np.random.default_rng(9), u_dim=5, f_dim=3, y_dim=0)
+        assert scan_bound(p) == 0
+        assert central_coefficients_coisometric(p, scan_bound(p) + 1)
+        with pytest.raises(InvalidInput, match="below the decisive bound 1"):
+            central_coefficients_coisometric(p, 0)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_uniqueness_verdict_off_full_domain(self, seed):
         rng = np.random.default_rng(100 + seed)

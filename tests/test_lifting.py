@@ -91,6 +91,13 @@ class TestInterpolantFromSolution:
         with pytest.raises(InvalidInput):
             interpolant_from_solution(d, central_taylor(p, 3), 8)
 
+    def test_mis_shaped_series_is_a_dimension_mismatch(self):
+        d = krylov_dataset(np.random.default_rng(3), n=3, a_norm=0.6)
+        p = underlying_contraction(d)
+        wrong = MatrixSeries(np.zeros((8, p.y_dim + 1, p.u_dim)))
+        with pytest.raises(DimensionMismatch, match=f"data set needs {p.u_dim}->{p.y_dim}$"):
+            interpolant_from_solution(d, wrong, 8)
+
     @pytest.mark.parametrize("blocks", [0, -2])
     def test_nonpositive_blocks_rejected(self, blocks):
         d = krylov_dataset(np.random.default_rng(3), n=3, a_norm=0.6)

@@ -15,7 +15,6 @@ from rclkit.opcore import (
     coisometry_within,
     defect,
     is_coisometry,
-    isometry_deficiency,
     orthocomplement,
     range_closure_basis,
     read_only,
@@ -190,14 +189,14 @@ class TestPredicates:
 
     def test_zero_cols_is_isometry(self):
         for shape in [(3, 0), (0, 0)]:
-            assert isometry_deficiency(np.zeros(shape)) == 0.0
+            assert coisometry_deficiency(np.zeros(shape).T) == 0.0
 
     @pytest.mark.parametrize("shape", [(3, 0), (2, 3), (0, 2)])
     def test_zero_maps_miss_by_one(self, shape):
         # M M* - I = -I on a nonzero codomain, and M* M - I = -I on a nonzero domain
         m = np.zeros(shape)
         assert coisometry_deficiency(m) == (1.0 if shape[0] else 0.0)
-        assert isometry_deficiency(m) == (1.0 if shape[1] else 0.0)
+        assert coisometry_deficiency(m.T) == (1.0 if shape[1] else 0.0)
         assert is_coisometry(m) == (shape[0] == 0)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -206,7 +205,7 @@ class TestPredicates:
         m = random_complex(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         if rng.uniform() < 0.5:  # include genuine co-isometries
             m = haar_isometry(rng, m.shape[1], min(m.shape)).conj().T
-        assert is_coisometry(m) == (isometry_deficiency(m.conj().T) <= 1e-8)
+        assert is_coisometry(m) == (coisometry_deficiency(m.conj()) <= 1e-8)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), rows=st.integers(0, 6),
@@ -218,7 +217,8 @@ class TestPredicates:
         m = random_complex(rng, rows, cols) / np.sqrt(max(cols, 1))
         expected = spectral_norm(m @ m.conj().T - np.eye(rows))
         assert abs(coisometry_deficiency(m) - expected) <= 1e-12 * max(1.0, expected)
-        assert abs(isometry_deficiency(m.T) - expected) <= 1e-12 * max(1.0, expected)
+        # the isometry deficiency of m.T: (m.T)* m.T - I is the conjugate of m m* - I
+        assert abs(coisometry_deficiency(m.conj()) - expected) <= 1e-12 * max(1.0, expected)
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 10**6), rows=st.integers(0, 6), cols=st.integers(0, 8),
@@ -238,7 +238,7 @@ class TestPredicates:
         assert coisometry_within(m, limit) == (deficiency <= limit)
 
     def test_exact_coisometry_has_positive_zero_deficiency(self):
-        for value in (coisometry_deficiency(np.eye(3)[:2]), isometry_deficiency(np.eye(3)[:, :2])):
+        for value in (coisometry_deficiency(np.eye(3)[:2]), coisometry_deficiency(np.eye(3)[:, :2].T)):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 

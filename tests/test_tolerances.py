@@ -7,11 +7,13 @@ Each case below is one input whose verdict, or exception, differs between
 
 import dataclasses
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rclkit import dataset, interp, lifting, redheffer
+from helpers import knife_edge
+from rclkit import dataset, interp, lifting, opcore, redheffer
 from rclkit.dataset import DataSet, preset_relaxed_rq
 from rclkit.errors import (
     AuditFailure,
@@ -22,7 +24,7 @@ from rclkit.errors import (
     RclkitError,
 )
 from rclkit.interp import InterpProblem
-from rclkit.opcore import DEFAULT_TOL, SubspaceBasis, Tolerances
+from rclkit.opcore import DEFAULT_TOL, SubspaceBasis, Tolerances, spectral_norm
 from rclkit.series import MatrixSeries
 from rclkit.sysco import CoisometricSystem
 
@@ -157,3 +159,55 @@ def test_verdict_follows_the_inputs_tolerances(function):
 @pytest.mark.parametrize("function", CASES, ids=lambda f: f.__name__)
 def test_takes_no_tolerance_of_its_own(function):
     assert "tol" not in inspect.signature(function).parameters
+
+
+#: Every contraction check of the library, each on a matrix of norm ``x``:
+#: it raises, or returns False, when it rejects that norm.
+CONTRACTION_CHECKS = {
+    "defect": lambda x, tol: opcore.defect(np.array([[x]]), tol),
+    "InterpProblem": lambda x, tol: line_problem(x, 0.0, tol),
+    "SchurParameter.constant": lambda x, tol: redheffer.SchurParameter.constant(np.array([[x]]), tol),
+    # T' = R = Q = I: the contraction of A is the only constraint in question
+    "validate": lambda x, tol: dataset.validate(DataSet(np.array([[x]]), np.eye(1), np.eye(1), np.eye(1), tol)).ok,
+    # the interpolant is [0; x]
+    "interpolant_from_solution": lambda x, tol: lifting.interpolant_from_solution(
+        zero_data(tol), MatrixSeries([[[x]]]), 1),
+}
+
+
+@pytest.mark.parametrize("slack, x", list(knife_edge()))
+def test_every_contraction_check_gives_one_verdict_at_the_knife_edge(slack, x):
+    # fl(1 + 1e-10) - 1 = 1.0000000827e-10 is past the slack: the rule is
+    # ``norm - 1 > contraction_slack`` at every site, not ``norm > 1 + slack``
+    assert spectral_norm(np.array([[x]])) == x
+    tol = Tolerances(contraction_slack=slack)
+    verdicts = {name: verdict_at(lambda t: check(x, t), tol) for name, check in CONTRACTION_CHECKS.items()}
+    accepted = {name: verdict is not False and not isinstance(verdict, type) for name, verdict in verdicts.items()}
+    assert set(accepted.values()) == {x - 1.0 <= slack}, verdicts
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_])
+@pytest.mark.parametrize("name", ["rank_tol", "contraction_slack", "identity_tol"])
+def test_tolerances_reject_bools(name, value):
+    with pytest.raises(InvalidInput, match=f"^tolerance {name} must be a nonnegative finite real"):
+        Tolerances(**{name: value})
+
+
+def test_tolerances_name_an_integer_beyond_the_float_range():
+    with pytest.raises(InvalidInput, match="^tolerance rank_tol is too large for a float$"):
+        Tolerances(rank_tol=10**400)
+
+
+@pytest.mark.parametrize("value", [1, np.float32(1e-3), Fraction(1, 3), np.int64(2)])
+@pytest.mark.parametrize("name", ["rank_tol", "contraction_slack", "identity_tol"])
+def test_tolerances_store_floats(name, value):
+    stored = getattr(Tolerances(**{name: value}), name)
+    assert type(stored) is float and stored == float(value)
+
+
+def test_fraction_tolerances_reach_the_realization_audit():
+    # the audit's message formats identity_tol with ``.1e``, which a Fraction
+    # does not support on every Python version
+    tol = Tolerances(rank_tol=Fraction(1, 10**4), identity_tol=Fraction(1, 10**8))
+    with pytest.raises(InternalContradiction, match=r"\(tol 1\.0e-08\)$"):
+        redheffer.realize(nearly_coisometric_omega(tol))
