@@ -381,7 +381,7 @@ def _load_parameter(path: str, tol: Tolerances) -> redheffer.SchurParameter:
 
 def cmd_solve(pf: ProblemFile, args) -> tuple[int, dict]:
     realization = redheffer.realize(pf.problem())
-    h = redheffer.lft_solution(realization, _load_parameter(args.param, realization.problem.tol), args.order)
+    h = redheffer.lft_solution(realization, _load_parameter(args.param, realization.tol), args.order)
     return EXIT_OK, series_to_json(h)
 
 
@@ -429,9 +429,10 @@ def cmd_audit(pf: ProblemFile, args) -> tuple[int, dict]:
         doc = _read_json(args.system, "system file")
         if not isinstance(doc, dict) or not {"A", "B", "C", "D"} <= set(doc):
             raise ParseFailure("system file must carry matrices A, B, C, D")
-        system = sysco.CoisometricSystem(*(parse_matrix(doc[key]) for key in "ABCD"), validate=False)
+        blocks = (parse_matrix(doc[key]) for key in "ABCD")
+        system = sysco.CoisometricSystem(*blocks, validate=False, tol=realization.tol)
         try:
-            payload["st_identity"] = sysco.gram_identity_audit(system, args.order, realization.problem.tol)
+            payload["st_identity"] = sysco.gram_identity_audit(system, args.order)
         except AuditFailure as exc:
             payload["st_identity"] = exc.deviation
             code = EXIT_INVALID

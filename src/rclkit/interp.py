@@ -57,9 +57,9 @@ class InterpProblem:
     F-coordinates; ``F.basis`` embeds those coordinates into ``C^u_dim``.
     Both are stored as read-only copies, which later writes to the caller's
     arrays cannot reach. ``tol`` holds the thresholds of every check on the
-    problem: the stacked operator must pass ``opcore.require_contraction``
-    (``NotAContraction`` otherwise), and the verdicts of this module and of
-    :mod:`rclkit.redheffer` read it from here.
+    problem: the stacked operator's adjoint must pass
+    ``opcore.require_contraction`` (``NotAContraction`` otherwise), and the
+    verdicts of this module and of :mod:`rclkit.redheffer` read it from here.
     """
 
     u_dim: int
@@ -77,7 +77,9 @@ class InterpProblem:
         f = self.F.dim
         object.__setattr__(self, "omega1", read_only(as_cmatrix(self.omega1, rows=self.y_dim, cols=f)))
         object.__setattr__(self, "omega2", read_only(as_cmatrix(self.omega2, rows=self.u_dim, cols=f)))
-        require_contraction(self.omega, self.tol, what="stacked operator norm")
+        # omega*, whose defect realize takes: the norms of M and M* can differ
+        # in the last bit, and one measured value must decide both checks
+        require_contraction(adjoint(self.omega), self.tol, what="stacked operator norm")
 
     @property
     def f_dim(self) -> int:

@@ -10,13 +10,13 @@ value of its empty case (``initial=``).
 
 Each threshold check costs only what its verdict needs. A spectral norm is
 the square root of the top eigenvalue of the short-side Gram, for a whole
-stack in one batched ``eigvalsh`` (``spectral_norms``). ``defect`` reads its
-contraction check off the eigensolve that gives ``D``. ``coisometry_within``
-decides ``norm(M M* - I) <= limit`` from the Frobenius norm of the
-deviation, which bounds its spectral norm from above and, divided by the
-square root of its size, from below, and computes eigenvalues only when
-``limit`` falls between the two bounds; ``coisometry_deficiency`` is the
-exact measured value.
+stack in one batched ``eigvalsh`` (``spectral_norms``); every contraction
+verdict, ``defect``'s too, is ``require_contraction`` on that one value.
+``coisometry_within`` decides ``norm(M M* - I) <= limit`` from the
+Frobenius norm of the deviation, which bounds its spectral norm from above
+and, divided by the square root of its size, from below, and computes
+eigenvalues only when ``limit`` falls between the two bounds;
+``coisometry_deficiency`` is the exact measured value.
 """
 
 from __future__ import annotations
@@ -195,24 +195,17 @@ def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
     cut relative to the largest singular value of ``D`` itself would keep
     pure-roundoff directions for near-isometric ``N``.
 
-    The contraction check (:func:`exceeds_one`) is read off the same
-    eigensolve: ``norm(N)^2 = 1 - mu_min``. An entry modulus that fails the
-    check bounds the norm from below, so ``require_contraction`` decides it
-    at once, before ``N*N`` is formed; then every entry of ``N*N`` is finite.
+    The contraction check is :func:`require_contraction`, before ``N*N`` is formed.
 
     Raises:
         NotAContraction: if ``norm(N) - 1 > contraction_slack``.
     """
     N = as_cmatrix(N)
-    if exceeds_one(np.abs(N).max(initial=0.0), tol):
-        require_contraction(N, tol)
+    require_contraction(N, tol)
     q = N.shape[1]
     gram = np.eye(q, dtype=np.complex128) - adjoint(N) @ N
     gram = (gram + adjoint(gram)) / 2.0
     mu, vecs = np.linalg.eigh(gram)
-    nrm = math.sqrt(max(0.0, 1.0 - float(mu.min(initial=1.0))))
-    if exceeds_one(nrm, tol):
-        raise NotAContraction(f"operator norm {nrm:.17g} exceeds 1 + slack")
     mu = np.clip(mu, 0.0, None)
     # descending order for deterministic bases
     order = np.argsort(mu)[::-1]

@@ -15,11 +15,12 @@ share one state operator ``Z``, and every solution of the problem arises as
 for a Schur-class parameter ``V`` mapping ``G`` into the adjoint defect
 space. ``Phi22`` is exactly the central solution, so ``V = 0`` recovers it.
 
-Sharing ``Z``, the four functions are one ``sysco.CoisometricSystem``
-``{Z, D*_U, [P_G; w1 P_F], [0; D*_Y]}`` with transfer function
-``[Phi11; Phi21]`` and observability function ``[Phi12; Phi22]``: their
-expansions, the truncated coefficient operator and its row-Gram audit (a
-finite exact sum, so roundoff at every block count) are that system's.
+Sharing ``Z``, the four functions are one ``sysco.CoisometricSystem``, the
+``RedhefferRealization`` ``{Z, D*_U, [P_G; w1 P_F], [0; D*_Y]}``, with
+transfer function ``[Phi11; Phi21]`` and observability function
+``[Phi12; Phi22]``: their expansions, the truncated coefficient operator and
+its row-Gram audit (a finite exact sum, so roundoff at every block count)
+are that system's.
 Each ``H_V`` is a system too: closing the loop through a polynomial ``V``
 of degree ``m`` gives state size ``u + m dim G`` and coefficients in O(N)
 small products (``lft_solution``); for constant ``V``,
@@ -57,21 +58,19 @@ if TYPE_CHECKING:
     from .interp import InterpProblem
 
 
-@dataclass(frozen=True)
-class RedhefferRealization:
-    """Shared state-space data realizing the four coefficient functions.
+@dataclass(frozen=True, kw_only=True)
+class RedhefferRealization(CoisometricSystem):
+    """The system ``{Z, D*_U, [P_G; w1 P_F], [0; D*_Y]}``, ``Z = w2 P_F``, of
+    the four coefficient functions, with the two subspaces of its coordinates.
 
     ``DstarSpace`` spans the range closure of ``D*``, the defect operator of
     the adjoint of the padded contraction, inside ``C^(y+u)`` (``Y`` on top
-    of ``U``); ``system.B`` and ``system.D`` hold ``D*`` on that space.
+    of ``U``); ``B`` and ``D`` hold ``D*`` on that space. So ``u`` is
+    ``state_dim`` and ``y`` is ``out_dim - complement_dim``.
     """
 
-    problem: InterpProblem
     G: SubspaceBasis                # complement of F inside C^u
     DstarSpace: SubspaceBasis       # inside C^(y+u)
-    #: ``{Z, D*_U, [P_G; w1 P_F], [0; D*_Y]}`` with ``Z = w2 P_F``: transfer
-    #: function ``[Phi11; Phi21]``, observability function ``[Phi12; Phi22]``.
-    system: CoisometricSystem
 
     @property
     def defect_dim(self) -> int:
@@ -83,13 +82,12 @@ class RedhefferRealization:
 
 
 def realize(problem: InterpProblem) -> RedhefferRealization:
-    """Build the shared realization; its system's constructor audits the
-    defining block identity.
+    """Build the shared realization, with the problem's tolerances; its
+    constructor audits the defining block identity.
 
-    The block matrix ``[[Z, D*_U], [P_G, 0], [w1 P_F, D*_Y]]`` of
-    ``realization.system`` must be a co-isometry; a deviation beyond the
-    problem's ``identity_tol`` means the realization is internally
-    inconsistent.
+    The block matrix ``[[Z, D*_U], [P_G, 0], [w1 P_F, D*_Y]]`` must be a
+    co-isometry; a deviation beyond the problem's ``identity_tol`` means the
+    realization is internally inconsistent.
 
     Raises:
         InternalContradiction: when that audit fails.
@@ -101,12 +99,12 @@ def realize(problem: InterpProblem) -> RedhefferRealization:
     output = np.vstack([g.coords(), problem.output_row()])
     feedthrough = np.vstack([np.zeros((g.dim, dspace.dim), dtype=np.complex128), cols[:problem.y_dim]])
     try:
-        system = CoisometricSystem(problem.state_operator(), cols[problem.y_dim:], output, feedthrough, tol=tol)
+        return RedhefferRealization(problem.state_operator(), cols[problem.y_dim:], output, feedthrough,
+                                    tol=tol, G=g, DstarSpace=dspace)
     except AuditFailure as exc:
         raise InternalContradiction(
             f"realization block identity deviates by {exc.deviation:.3e} (tol {tol.identity_tol:.1e})"
         ) from exc
-    return RedhefferRealization(problem, g, dspace, system)
 
 
 def phi_eval(realization: RedhefferRealization, lam: complex):
@@ -119,7 +117,7 @@ def phi_eval(realization: RedhefferRealization, lam: complex):
     """
     if abs(lam) >= 1.0:
         raise OutOfDisc(f"evaluation point {lam!r} lies outside the open unit disc")
-    s, g, u = realization.system, realization.complement_dim, realization.problem.u_dim
+    s, g, u = realization, realization.complement_dim, realization.state_dim
     g_coords, out_row, d_y = s.C[:g], s.C[g:], s.D[g:]
     rhs = np.hstack([s.B, np.eye(u, dtype=np.complex128)])
     resolvent = np.linalg.solve(np.eye(u, dtype=np.complex128) - lam * s.A, rhs)
@@ -134,12 +132,12 @@ def phi_eval(realization: RedhefferRealization, lam: complex):
 def phi_taylor(realization: RedhefferRealization, order: int):
     """Taylor coefficients of the four functions to the given order.
 
-    The transfer coefficients of ``realization.system`` split into
+    The transfer coefficients of the realization split into
     ``Phi11`` over ``Phi21``, its observability coefficients into ``Phi12``
     over ``Phi22``; one ``orbit`` gives both. The ``Phi22`` coefficients
     are the central solution's, and ``Phi11`` has zero constant term.
     """
-    s, g = realization.system, realization.complement_dim
+    s, g = realization, realization.complement_dim
     observ = orbit(s.C, s.A, order)
     transfer = transfer_from_orbit(s, observ).coeffs
     return (
@@ -153,7 +151,7 @@ def phi_taylor(realization: RedhefferRealization, order: int):
 def truncated_coefficient_matrix(realization: RedhefferRealization, blocks: int) -> CMatrix:
     """The ``blocks``-block truncation of the stacked coefficient operator,
     its rows ordered by block index (``G`` over ``Y`` within each block)."""
-    return stacked_operator(realization.system, blocks)
+    return stacked_operator(realization, blocks)
 
 
 @dataclass(frozen=True)
@@ -165,14 +163,14 @@ class CoefficientAudit:
 def coefficient_matrix_audit(realization: RedhefferRealization, blocks: int) -> CoefficientAudit:
     """Check the row Gram of the truncated coefficient operator against the identity.
 
-    This is the stacked Gram identity of ``realization.system``. Every entry
+    This is the stacked Gram identity of the realization. Every entry
     of the row Gram is a finite exact sum, so the deficiency is pure
     roundoff for any block count; a larger value is a hard failure.
 
     Raises:
-        AuditFailure: when the deficiency exceeds the problem's ``identity_tol``.
+        AuditFailure: when the deficiency exceeds the realization's ``identity_tol``.
     """
-    return CoefficientAudit(blocks, gram_identity_audit(realization.system, blocks, realization.problem.tol))
+    return CoefficientAudit(blocks, gram_identity_audit(realization, blocks))
 
 
 @dataclass(frozen=True)
@@ -229,8 +227,8 @@ def lft_solution(
             f"parameter is {parameter.out_dim}x{parameter.in_dim}, expected "
             f"{realization.defect_dim}x{realization.complement_dim}"
         )
-    s, g_dim = realization.system, realization.complement_dim
-    u, y = s.state_dim, realization.problem.y_dim
+    s, g_dim = realization, realization.complement_dim
+    u, y = s.state_dim, s.out_dim - g_dim
     d_u, p_g, out_row, d_y = s.B, s.C[:g_dim], s.C[g_dim:], s.D[g_dim:]
     v0, v_tail = parameter.coeffs[0], parameter.coeffs[1:]
     size = u + len(v_tail) * g_dim

@@ -25,13 +25,13 @@ the ``bw``-square ``E``, against O(b³ w² v) for the explicit product of the
 reference.
 
 This is the library's one system type: the Redheffer realization of the
-solution family is one, and ``orbit`` is its one ``C A^n`` recursion: one
+solution family is a subclass, and ``orbit`` is its one ``C A^n`` recursion: one
 array that reshapes into ``G_W`` and, times ``B``, gives ``F``'s coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -55,16 +55,17 @@ class CoisometricSystem:
     """Validated at construction: ``AuditFailure``, carrying the deviation,
     when the block matrix misses a co-isometry by more than ``identity_tol``.
     Pass ``validate=False`` to build a deliberately broken system for
-    negative-control audits."""
+    negative-control audits. ``tol`` holds the thresholds of that check and
+    of the system's Gram audit (:func:`gram_identity_audit`)."""
 
     A: CMatrix  # state -> state
     B: CMatrix  # input -> state
     C: CMatrix  # state -> output
     D: CMatrix  # input -> output
     validate: InitVar[bool] = True
-    tol: InitVar[Tolerances] = DEFAULT_TOL
+    tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
 
-    def __post_init__(self, validate, tol):
+    def __post_init__(self, validate):
         A = as_cmatrix(self.A)
         x = A.shape[0]
         if A.shape[1] != x:
@@ -77,7 +78,7 @@ class CoisometricSystem:
         object.__setattr__(self, "D", as_cmatrix(self.D, rows=C.shape[0], cols=B.shape[1]))
         if validate:
             block = self.block_matrix()
-            if not coisometry_within(block, tol.identity_tol):
+            if not coisometry_within(block, self.tol.identity_tol):
                 deviation = coisometry_deficiency(block)    # the exact value, for the error
                 raise AuditFailure(
                     f"system block matrix deviates from a co-isometry by {deviation:.3e}", deviation
@@ -145,7 +146,7 @@ def stacked_operator(system: CoisometricSystem, blocks: int) -> CMatrix:
 
 
 @np.errstate(over="ignore", invalid="ignore")    # an overflow is an InvalidInput below
-def gram_identity_audit(system: CoisometricSystem, blocks: int, tol: Tolerances = DEFAULT_TOL) -> float:
+def gram_identity_audit(system: CoisometricSystem, blocks: int) -> float:
     """Max deviation of ``T_F T_F* + G_W G_W*`` from the identity.
 
     Builds ``E = [T_F, G_W][T_F, G_W]* - I`` by the module's recursion,
@@ -160,8 +161,9 @@ def gram_identity_audit(system: CoisometricSystem, blocks: int, tol: Tolerances 
 
     Raises:
         InvalidInput: for ``blocks < 1``, or when ``C A^i`` or ``E`` overflows.
-        AuditFailure: when the deviation exceeds ``identity_tol``; this is
-            the signal that the input system is not co-isometric.
+        AuditFailure: when the deviation exceeds the system's
+            ``identity_tol``; this is the signal that the input system is
+            not co-isometric.
     """
     if blocks < 1:
         raise InvalidInput(f"need at least one block, got {blocks}")
@@ -183,7 +185,7 @@ def gram_identity_audit(system: CoisometricSystem, blocks: int, tol: Tolerances 
     deviation = hermitian_norm(E)    # inf when an entry of E or of its spectrum passes the float range
     if deviation == np.inf:
         raise InvalidInput(f"stacked Gram identity overflows on {blocks} blocks")
-    if deviation > tol.identity_tol:
+    if deviation > system.tol.identity_tol:
         raise AuditFailure(
             f"stacked Gram identity deviates by {deviation:.3e} on {blocks} blocks", deviation
         )

@@ -11,7 +11,7 @@ import numpy as np
 
 from rclkit.dataset import DataSet, preset_relaxed_rq
 from rclkit.interp import InterpProblem
-from rclkit.opcore import SubspaceBasis, spectral_norm
+from rclkit.opcore import SubspaceBasis, adjoint, spectral_norm
 from rclkit.sysco import CoisometricSystem
 
 
@@ -207,3 +207,14 @@ def knife_edge():
         edge = 1.0 + slack
         for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
             yield slack, float(x)
+
+
+def knife_edge_matrix(rng, rows, cols, slack):
+    """``U diag(s) V*`` with Haar ``U`` and ``V``, ``s`` uniform in ``[0, 1)``
+    but for a top singular value within 8 ulp of ``fl(1 + slack)``: its
+    measured norm falls on either side of the contraction check's edge."""
+    k = min(rows, cols)
+    s = rng.uniform(0.0, 1.0, k)
+    edge = 1.0 + slack
+    s[0] = edge + int(rng.integers(-8, 9)) * np.spacing(edge)
+    return haar_isometry(rng, rows, k) @ np.diag(s) @ adjoint(haar_isometry(rng, cols, k))

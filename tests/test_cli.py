@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ORACLE_REGIMES, json_matrix, knife_edge, residual_audit_dataset
+from helpers import ORACLE_REGIMES, json_matrix, knife_edge, knife_edge_matrix, residual_audit_dataset
 from rclkit import redheffer
 from rclkit.cli import (
     EXIT_INVALID,
@@ -27,6 +27,7 @@ from rclkit.cli import (
     parse_series,
     series_to_json,
 )
+from rclkit.opcore import DEFAULT_TOL
 from rclkit.series import MatrixSeries
 
 FIXTURES = files("rclkit").joinpath("examples")
@@ -187,6 +188,17 @@ class TestValidateCommand:
         assert (code, err) == (EXIT_INVALID, "")
         message = json.loads(out)["error"]
         assert message.startswith("InvalidInput:") and "overflow" in message
+
+    def test_a_valid_data_set_has_an_omega_at_the_knife_edge(self, capsys, tmp_path):
+        # the top singular value of A lies within 8 ulp of 1 + slack; validate
+        # and the defect of A read one measured norm, so they agree on it
+        a = knife_edge_matrix(np.random.default_rng(25), 3, 3, DEFAULT_TOL.contraction_slack)
+        none = json_matrix(np.zeros((3, 0)))
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"A": json_matrix(a), "Tprime": json_matrix(np.zeros((3, 3))), "R": none, "Q": none}))
+        assert run(capsys, "validate", str(path)) == (EXIT_OK, '{"valid": true, "violations": []}\n', "")
+        code, out, err = run(capsys, "omega", str(path))
+        assert (code, err) == (EXIT_OK, "") and set(json.loads(out)) == {"omega"}
 
     def test_omega_form_is_a_usage_error_here(self, capsys):
         code, _, err = run(capsys, "validate", SHIFT6)

@@ -21,7 +21,7 @@ from rclkit.errors import (
     OutOfDisc,
 )
 from rclkit.interp import central_taylor, is_solution
-from rclkit.opcore import spectral_norm
+from rclkit.opcore import Tolerances, spectral_norm
 from rclkit.redheffer import (
     RedhefferRealization,
     SchurParameter,
@@ -43,13 +43,13 @@ class TestRealize:
     def test_backward_shift_state_operator(self):
         p = backward_shift_problem(6)
         r = realize(p)
-        z = r.system.A.real
+        z = r.A.real
         # shifts e2..e5 down one slot, kills e0 and e1
         expected = np.zeros((6, 6))
         for k in range(2, 6):
             expected[k - 1, k] = 1.0
         np.testing.assert_allclose(z, expected, atol=1e-14)
-        assert spectral_norm(r.system.A @ np.eye(6)[:, [1]]) < 1e-14
+        assert spectral_norm(r.A @ np.eye(6)[:, [1]]) < 1e-14
 
     @pytest.mark.parametrize("seed", range(6))
     def test_block_identity_holds_for_random_problems(self, seed):
@@ -61,9 +61,16 @@ class TestRealize:
         gap = spectral_norm(d_cols @ d_cols.conj().T - (np.eye(p.y_dim + p.u_dim) - w_hat @ w_hat.conj().T))
         assert gap <= 1e-10
 
-    def test_valid_realization_runs_one_svd_and_no_eigvalsh(self, monkeypatch):
-        # the orthocomplement of F is the one SVD; every co-isometry check on a
-        # valid realization is decided by its Frobenius bound
+    def test_realization_is_a_system_with_the_problems_tolerances(self):
+        p = random_problem(np.random.default_rng(4))
+        p = dataclasses.replace(p, tol=Tolerances(identity_tol=1e-6))
+        r = realize(p)
+        assert isinstance(r, CoisometricSystem) and r.tol is p.tol
+
+    def test_valid_realization_runs_one_svd_and_one_eigvalsh_for_the_contraction_check(self, monkeypatch):
+        # the orthocomplement of F is the one SVD; the one eigvalsh is defect's
+        # contraction check of omega*; every co-isometry check on a valid
+        # realization is decided by its Frobenius bound
         p = random_problem(np.random.default_rng(3), u_dim=6, y_dim=2, f_dim=4)
         calls = Counter()
         for name in ("svd", "eigvalsh"):
@@ -72,7 +79,7 @@ class TestRealize:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         realize(p)
-        assert calls == {"svd": 1}
+        assert calls == {"svd": 1, "eigvalsh": 1}
 
     def test_broken_block_identity_is_an_internal_contradiction(self, monkeypatch):
         original = redheffer.defect
@@ -230,10 +237,11 @@ class TestLftSolution:
             assert spectral_norm(h.coeffs[n] - central.coeffs[n]) <= 1e-12
 
     def test_zero_adjoint_defect_pins_every_parameter(self):
-        r = realize(coisometric_problem(np.random.default_rng(71)))
+        p = coisometric_problem(np.random.default_rng(71))
+        r = realize(p)
         v = SchurParameter.constant(np.zeros((0, r.complement_dim)))
         h = lft_solution(r, v, 8)
-        central = central_taylor(r.problem, 8)
+        central = central_taylor(p, 8)
         for n in range(9):
             assert spectral_norm(h.coeffs[n] - central.coeffs[n]) <= 1e-14
 
@@ -330,20 +338,20 @@ class TestLftOracle:
 
 def defect_columns(r: RedhefferRealization) -> np.ndarray:
     """``[D*_Y; D*_U]``: ``D*`` on its defect space, read back from the system."""
-    return np.vstack([r.system.D[r.complement_dim:], r.system.B])
+    return np.vstack([r.D[r.complement_dim:], r.B])
 
 
 def with_state_operator(r: RedhefferRealization, z) -> RedhefferRealization:
     """``r`` with its state operator replaced, unvalidated: a broken realization."""
-    s = r.system
-    return dataclasses.replace(r, system=CoisometricSystem(z, s.B, s.C, s.D, validate=False))
+    return dataclasses.replace(r, A=z, validate=False)
 
 
-def top_bottom_coefficient_matrix(r: RedhefferRealization, blocks: int) -> np.ndarray:
-    """``[[T_Phi11, Gamma_Phi12], [T_Phi21, Gamma_Phi22]]`` from matrix powers of ``Z``."""
+def top_bottom_coefficient_matrix(p, r: RedhefferRealization, blocks: int) -> np.ndarray:
+    """``[[T_Phi11, Gamma_Phi12], [T_Phi21, Gamma_Phi22]]`` from matrix powers
+    of ``r``'s ``Z``, with ``w1 P_F`` from ``p``."""
     d_cols = defect_columns(r)
-    d_y, d_u = d_cols[:r.problem.y_dim], d_cols[r.problem.y_dim:]
-    powers = [np.linalg.matrix_power(r.system.A, n) for n in range(blocks)]
+    d_y, d_u = d_cols[:p.y_dim], d_cols[p.y_dim:]
+    powers = [np.linalg.matrix_power(r.A, n) for n in range(blocks)]
 
     def strip(row, const):
         toeplitz = [const] + [row @ z @ d_u for z in powers[:-1]]
@@ -352,20 +360,21 @@ def top_bottom_coefficient_matrix(r: RedhefferRealization, blocks: int) -> np.nd
 
     g = r.G.coords()
     return np.vstack([strip(g, np.zeros((r.complement_dim, r.defect_dim))),
-                      strip(r.problem.output_row(), d_y)])
+                      strip(p.output_row(), d_y)])
 
 
 @pytest.mark.parametrize("blocks", [1, 4, 16])
 @pytest.mark.parametrize("regime", sorted(ORACLE_REGIMES))
 def test_audit_matches_top_bottom_layout(regime, blocks):
     rng = np.random.default_rng(130 + sorted(ORACLE_REGIMES).index(regime))
-    r = realize(ORACLE_REGIMES[regime](rng))
-    matrix = top_bottom_coefficient_matrix(r, blocks)
+    p = ORACLE_REGIMES[regime](rng)
+    r = realize(p)
+    matrix = top_bottom_coefficient_matrix(p, r, blocks)
     expected = spectral_norm(matrix @ matrix.conj().T - np.eye(matrix.shape[0]))
     assert abs(coefficient_matrix_audit(r, blocks).deficiency - expected) <= 1e-12
     # the same comparison where the deficiency is far from roundoff
-    broken = with_state_operator(r, 0.5 * r.system.A)
-    matrix = top_bottom_coefficient_matrix(broken, blocks)
+    broken = with_state_operator(r, 0.5 * r.A)
+    matrix = top_bottom_coefficient_matrix(p, broken, blocks)
     expected = spectral_norm(matrix @ matrix.conj().T - np.eye(matrix.shape[0]))
     try:
         deficiency = coefficient_matrix_audit(broken, blocks).deficiency
@@ -377,7 +386,7 @@ def test_audit_matches_top_bottom_layout(regime, blocks):
 def test_negative_control_breaks_the_audit():
     p = backward_shift_problem(5)
     r = realize(p)
-    broken = with_state_operator(r, r.system.A + 0.05 * np.eye(5))
+    broken = with_state_operator(r, r.A + 0.05 * np.eye(5))
     with pytest.raises(AuditFailure) as excinfo:
         coefficient_matrix_audit(broken, 6)
     assert excinfo.value.deviation > 1e-3
@@ -397,5 +406,5 @@ def test_every_series_has_the_dimensions_of_its_map(regime):
     for degree in (0, 2):
         h = lft_solution(r, random_schur_parameter(rng, r, degree), order)
         assert h.coeffs.shape == (order + 1, y, u)
-    transfer = transfer_from_orbit(r.system, orbit(r.system.C, r.system.A, order))
+    transfer = transfer_from_orbit(r, orbit(r.C, r.A, order))
     assert transfer.coeffs.shape == (order + 1, g + y, d)

@@ -1,8 +1,9 @@
 """Every check on a data set or problem uses the tolerances that input carries.
 
 Each case below is one input whose verdict, or exception, differs between
-``DEFAULT_TOL`` and a changed ``Tolerances`` stored on the ``DataSet`` or
-``InterpProblem``; none of these functions takes a tolerance of its own.
+``DEFAULT_TOL`` and a changed ``Tolerances`` stored on the ``DataSet``,
+``InterpProblem`` or ``CoisometricSystem``; none of these functions takes a
+tolerance of its own.
 """
 
 import dataclasses
@@ -12,14 +13,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import knife_edge
-from rclkit import dataset, interp, lifting, opcore, redheffer
+from helpers import haar_isometry, knife_edge, knife_edge_matrix
+from rclkit import dataset, interp, lifting, opcore, redheffer, sysco
 from rclkit.dataset import DataSet, preset_relaxed_rq
 from rclkit.errors import (
     AuditFailure,
     IllPosedData,
     InternalContradiction,
     InvalidInput,
+    NotAContraction,
     NotContractive,
     RclkitError,
 )
@@ -88,8 +90,14 @@ def nearly_coisometric_omega(tol):
 def broken_realization(tol):
     """The realization of :func:`nearly_coisometric_omega` with ``Z`` shifted by 1e-5."""
     r = redheffer.realize(nearly_coisometric_omega(tol))
-    s = r.system
-    return dataclasses.replace(r, system=CoisometricSystem(s.A + 1e-5 * np.eye(2), s.B, s.C, s.D, validate=False))
+    return dataclasses.replace(r, A=r.A + 1e-5 * np.eye(2), validate=False)
+
+
+def nearly_coisometric_system(tol):
+    """The unitary dilation of ``1/2`` with ``D`` moved by 1e-5: its Gram
+    identity deviates by about 1e-5."""
+    s = sysco.julia_system(np.array([[0.5]]))
+    return CoisometricSystem(s.A, s.B, s.C, s.D + 1e-5, validate=False, tol=tol)
 
 
 #: function -> (changed tolerances, verdict of a call at given tolerances,
@@ -139,6 +147,9 @@ CASES = {
     redheffer.coefficient_matrix_audit: (
         Tolerances(identity_tol=1e-3), lambda tol: redheffer.coefficient_matrix_audit(broken_realization(tol), 4).blocks,
         AuditFailure, 4),
+    sysco.gram_identity_audit: (
+        Tolerances(identity_tol=1e-3), lambda tol: sysco.gram_identity_audit(nearly_coisometric_system(tol), 4) > 1e-8,
+        AuditFailure, True),
 }
 
 
@@ -184,6 +195,55 @@ def test_every_contraction_check_gives_one_verdict_at_the_knife_edge(slack, x):
     verdicts = {name: verdict_at(lambda t: check(x, t), tol) for name, check in CONTRACTION_CHECKS.items()}
     accepted = {name: verdict is not False and not isinstance(verdict, type) for name, verdict in verdicts.items()}
     assert set(accepted.values()) == {x - 1.0 <= slack}, verdicts
+
+
+def knife_edge_draws(size, draws=120):
+    """``(rng, tol)`` for seeded knife-edge matrices of one size, half of them
+    at each ``contraction_slack`` of :func:`helpers.knife_edge`."""
+    rng = np.random.default_rng(1000 + size)
+    for draw in range(draws):
+        yield rng, Tolerances(contraction_slack=(1e-10, 1e-6)[draw % 2])
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_validate_accepts_a_data_set_iff_its_defect_exists_at_the_knife_edge(size):
+    verdicts = []
+    for rng, tol in knife_edge_draws(size):
+        rows = int(rng.integers(2, 9))
+        a = knife_edge_matrix(rng, rows, size, tol.contraction_slack)
+        data = DataSet(a, np.zeros((rows, rows)), np.zeros((size, 0)), np.zeros((size, 0)), tol)
+        valid = dataset.validate(data).ok
+        try:
+            data.defect_a
+        except NotAContraction:
+            assert not valid, f"validate accepts A of norm {spectral_norm(a)!r}, defect_a rejects it"
+        else:
+            assert valid, f"validate rejects A of norm {spectral_norm(a)!r}, defect_a accepts it"
+        verdicts.append(valid)
+    assert set(verdicts) == {True, False}    # the draws straddle the edge
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_a_problem_is_admitted_iff_its_realization_is_at_the_knife_edge(size):
+    verdicts = []
+    for rng, tol in knife_edge_draws(size):
+        y, f = int(rng.integers(0, 4)), int(rng.integers(1, size + 1))
+        w = knife_edge_matrix(rng, y + size, f, tol.contraction_slack)
+        try:
+            problem = InterpProblem(size, y, SubspaceBasis(size, haar_isometry(rng, size, f)), w[:y], w[y:], tol)
+        except NotAContraction:
+            verdicts.append(False)
+            with pytest.raises(NotAContraction):    # where realize would begin
+                opcore.defect(opcore.adjoint(w), tol)
+            continue
+        verdicts.append(True)
+        try:
+            redheffer.realize(problem)
+        except NotAContraction:
+            pytest.fail(f"InterpProblem admits omega of norm {spectral_norm(w)!r}, realize rejects it")
+        except InternalContradiction:
+            pass    # a norm past 1 can miss the block identity by more than identity_tol
+    assert set(verdicts) == {True, False}
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_])
