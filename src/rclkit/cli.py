@@ -482,9 +482,14 @@ def main(argv=None) -> int:
         code, payload = EXIT_INVALID, {"error": f"{type(exc).__name__}: {exc}"}
     except MemoryError as exc:   # e.g. an --order whose arrays cannot be allocated
         code, payload = EXIT_INVALID, {"error": f"MemoryError: {exc}"}
-    # every piece before the first write, so a value that cannot be
-    # serialized prints nothing
-    sys.stdout.writelines([*_dump_json(payload), "\n"])
+    # every piece before the first write, so a payload with a value that
+    # cannot be serialized prints only its error; that is no input file's
+    # fault, so it exits 1, not 2
+    try:
+        pieces = [*_dump_json(payload), "\n"]
+    except ParseFailure as exc:
+        code, pieces = EXIT_INVALID, [*_dump_json({"error": f"{type(exc).__name__}: {exc}"}), "\n"]
+    sys.stdout.writelines(pieces)
     return code
 
 

@@ -22,9 +22,11 @@ transfer function ``[Phi11; Phi21]`` and observability function
 its row-Gram audit (a finite exact sum, so roundoff at every block count)
 are that system's.
 Each ``H_V`` is a system too: closing the loop through a polynomial ``V``
-of degree ``m`` gives state size ``u + m dim G`` and coefficients in O(N)
-small products (``lft_solution``); for constant ``V``,
-``h_n = (w1 P_F + D*_Y V P_G)(Z + D*_U V P_G)^n``.
+of degree ``m`` gives state size ``u + m dim G`` and coefficients to order
+``N`` from one ``sysco.orbit`` (``lft_solution``): about ``2 log2 N`` stacked
+products by doubling when the squarings of the state operator cost fewer
+flops than the orbit, else ``N`` small products, as for every zero-size
+orbit; for constant ``V``, ``h_n = (w1 P_F + D*_Y V P_G)(Z + D*_U V P_G)^n``.
 """
 
 from __future__ import annotations
@@ -216,9 +218,12 @@ def lft_solution(
         ``C =  [w1 P_F + D*_Y V_0 P_G, D*_Y V_1, ..., D*_Y V_m]``
 
     (the identity blocks shift the ``g`` register down). The rows of
-    ``C A^n`` are ``sysco.orbit``, as for ``interp.central_taylor``: one
-    small matrix product per order, with no series product and no series
-    inverse. The
+    ``C A^n`` are ``sysco.orbit``, as for ``interp.central_taylor``, with no
+    series product and no series inverse: ``bit_length(N)`` stacked products
+    and ``bit_length(N) - 1`` squarings of ``A`` by doubling when
+    ``bit_length(N) size³ < N y size²``, else one small product per order
+    (each degree of ``V`` adds ``dim G`` to ``size``, which favours the
+    loop; a zero-size orbit always keeps it). The
     loop is well posed for every parameter because ``Phi11`` vanishes at 0;
     ``V = 0`` gives back the central solution.
     """

@@ -27,6 +27,10 @@ reference.
 This is the library's one system type: the Redheffer realization of the
 solution family is a subclass, and ``orbit`` is its one ``C A^n`` recursion: one
 array that reshapes into ``G_W`` and, times ``B``, gives ``F``'s coefficients.
+To order ``N`` it doubles: about ``2 log2 N`` stacked products against powers
+``A^(2^j)`` instead of ``N`` small ones, whenever those ``log2 N`` squarings of
+``A`` cost fewer flops than the orbit (``bit_length(N) x³ < N w x²``); other
+orbits, every zero-size one among them, keep one small product per step.
 """
 
 from __future__ import annotations
@@ -116,15 +120,34 @@ def julia_system(T, tol: Tolerances = DEFAULT_TOL) -> CoisometricSystem:
 
 
 def orbit(C: CMatrix, A: CMatrix, n: int) -> np.ndarray:
-    """``C, C A, ..., C A^n`` as one ``(n + 1, rows, cols)`` array, one matrix
-    product per step: the observability recursion behind every coefficient
-    expansion and solution."""
+    """``C, C A, ..., C A^n`` as one ``(n + 1, rows, cols)`` array: the
+    observability recursion behind every coefficient expansion and solution.
+
+    By doubling, the blocks ``k, ..., k + m - 1`` (``m = min(k, n + 1 - k)``)
+    are the first ``m`` blocks times ``P = A^k`` in one stacked product, and
+    ``P`` is squared between steps: ``bit_length(n)`` products of up to
+    ``(n + 1) / 2 * rows`` rows and ``bit_length(n) - 1`` squarings of the
+    ``cols``-square ``P``. That runs only when the squarings cost fewer flops
+    than the orbit itself, ``bit_length(n) cols³ < n rows cols²``; otherwise,
+    and so for every zero-size orbit, it is one small product per step.
+    """
     if n < 0:
         raise InvalidInput(f"order must be nonnegative, got {n}")
-    out = np.empty((n + 1,) + C.shape, dtype=np.complex128)
+    rows, cols = C.shape
+    out = np.empty((n + 1, rows, cols), dtype=np.complex128)   # first: a hopeless order fails at once
+    flat = out.reshape((n + 1) * rows, cols)   # a view of the fresh array, never a copy
     out[0] = C
-    for k in range(n):
-        np.matmul(out[k], A, out=out[k + 1])
+    if n.bit_length() * cols**3 < n * rows * cols**2:
+        power, k = A, 1
+        while k <= n:
+            m = min(k, n + 1 - k)
+            np.matmul(flat[:m * rows], power, out=flat[k * rows:(k + m) * rows])
+            k += m
+            if k <= n:
+                power = power @ power
+    else:
+        for k in range(n):
+            np.matmul(out[k], A, out=out[k + 1])
     return out
 
 

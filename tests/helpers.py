@@ -33,6 +33,16 @@ def random_contraction(rng, rows, cols, norm=0.9):
     return m * (norm / s) if s > 0 else m
 
 
+def sequential_orbit(C, A, n):
+    """``C, C A, ..., C A^n`` by one small product per step: the reference
+    for ``sysco.orbit``, which doubles where that costs fewer flops."""
+    out = np.empty((n + 1,) + C.shape, dtype=np.complex128)
+    out[0] = C
+    for k in range(n):
+        np.matmul(out[k], A, out=out[k + 1])
+    return out
+
+
 def random_subspace(rng, ambient, dim):
     return SubspaceBasis(ambient, haar_isometry(rng, ambient, dim))
 

@@ -200,13 +200,14 @@ def test_criterion_6_backward_shift_golden():
     # The infinite-dimensional parent of this instance has a unique solution
     # through the co-isometry chain; no finite truncation can reproduce that,
     # and the failure index below is exactly where the truncation bites.
+    # The orbit (rows 1, cols 6) keeps the loop at order 5 and doubles at 40.
     p = backward_shift_problem(6)
-    h = central_taylor(p, 5)
-    for n in range(5):
-        expected = np.zeros((1, 6))
-        expected[0, n + 1] = 1.0
-        np.testing.assert_array_equal(h.coeffs[n], expected)
-    np.testing.assert_array_equal(h.coeffs[5], np.zeros((1, 6)))
+    for order in (5, 40):
+        h = central_taylor(p, order)
+        expected = np.zeros((order + 1, 1, 6))
+        for n in range(5):
+            expected[n, 0, n + 1] = 1.0
+        np.testing.assert_array_equal(h.coeffs, expected)
     verdict = uniqueness(p)
     assert verdict.kind is UniquenessKind.NOT_UNIQUE
     assert verdict.failing_n == 5

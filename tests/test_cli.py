@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import ORACLE_REGIMES, json_matrix, knife_edge, knife_edge_matrix, residual_audit_dataset
-from rclkit import redheffer
+from rclkit import cli, redheffer
 from rclkit.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -349,14 +349,16 @@ class TestOmegaCommand:
 
 class TestCentralCommand:
     def test_golden_coefficients(self, capsys):
-        code, out, _ = run(capsys, "central", SHIFT6, "--order", "3")
-        assert code == EXIT_OK
-        series = parse_series(json.loads(out))
-        assert series.order == 3
-        for n in range(4):
-            expected = np.zeros((1, 6))
-            expected[0, n + 1] = 1.0
-            np.testing.assert_array_equal(series.coeffs[n], expected)
+        # the orbit (rows 1, cols 6) keeps the loop at order 3 and doubles at 40
+        for order in (3, 40):
+            code, out, _ = run(capsys, "central", SHIFT6, "--order", str(order))
+            assert code == EXIT_OK
+            series = parse_series(json.loads(out))
+            assert series.order == order
+            expected = np.zeros((order + 1, 1, 6))
+            for n in range(min(order + 1, 5)):
+                expected[n, 0, n + 1] = 1.0
+            np.testing.assert_array_equal(series.coeffs, expected)
 
 
 class TestResourceErrors:
@@ -631,6 +633,18 @@ class TestSolveVerifyAudit:
         # no numpy RuntimeWarning either, which a console would show on standard error
         code, out, err = run(capsys, "audit", RELAXED, "--order", "40", "--system", str(system))
         assert (code, out, err) == (EXIT_INVALID, f'{{"error": "InvalidInput: {message}"}}\n', "")
+
+    def test_unserializable_payload_is_a_json_error(self, capsys, tmp_path, monkeypatch):
+        # a non-finite value in a finished report is the output's fault, not
+        # an input file's: exit 1 with the error alone, nothing of the report
+        doc = {k: json_matrix([[0.5]]) for k in ("A", "B", "C", "D")}
+        system = tmp_path / "sys.json"
+        system.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli.sysco, "gram_identity_audit", lambda system, blocks: float("inf"))
+        code, out, err = run(capsys, "audit", RELAXED, "--system", str(system))
+        assert (code, out, err) == (
+            EXIT_INVALID, '{"error": "ParseFailure: cannot serialize non-finite value inf"}\n', ""
+        )
 
 
 class TestToleranceOverrides:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import haar_isometry, random_coisometric_system, random_contraction
+from helpers import haar_isometry, random_coisometric_system, random_contraction, sequential_orbit
 from rclkit import sysco
 from rclkit.errors import AuditFailure, InvalidInput
 from rclkit.opcore import DEFAULT_TOL, coisometry_deficiency, spectral_norm
@@ -13,6 +13,22 @@ from rclkit.sysco import (
     stacked_operator,
     transfer_from_orbit,
 )
+
+
+class CountingMatmul:
+    """numpy, with a count of the ``matmul`` calls that write into a given
+    ``out``: in ``orbit``, one per step on the loop and one per stacked
+    product when it doubles (the squarings of ``A`` are not counted)."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.calls += "out" in kwargs
+        return np.matmul(*args, **kwargs)
 
 
 def dilation_of_half():
@@ -118,6 +134,26 @@ class TestOrbit:
         assert out.shape == (6, rows, cols) and out.dtype == np.complex128
         for n in range(6):
             np.testing.assert_allclose(out[n], c @ np.linalg.matrix_power(a, n), rtol=0, atol=1e-14)
+
+    # orbit doubles iff bit_length(n) cols < n rows: (2, 8) from n = 31 on,
+    # (8, 64) at n = 128 only, (32, 64) at n = 7 and from n = 9 on; (8, 136),
+    # the closed-loop shape of a polynomial parameter, never up to n = 128;
+    # the zero-size shapes and n = 0 never.
+    DOUBLING = {(2, 8): {31, 32, 33, 128}, (8, 64): {128}, (32, 64): {7, 9, 31, 32, 33, 128}}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 31, 32, 33, 128])
+    @pytest.mark.parametrize("rows,cols", [(2, 8), (8, 64), (8, 136), (32, 64), (0, 3), (2, 0), (0, 0)])
+    def test_matches_the_sequential_loop_on_both_sides_of_the_rule(self, monkeypatch, rows, cols, n):
+        rng = np.random.default_rng(1000 * rows + cols)
+        c, a = random_contraction(rng, rows, cols, 1.5), random_contraction(rng, cols, cols)
+        counting = CountingMatmul()
+        monkeypatch.setattr(sysco, "np", counting)
+        out = orbit(c, a, n)
+        doubles = n in self.DOUBLING.get((rows, cols), ())
+        assert counting.calls == (n.bit_length() if doubles else n)
+        assert out.shape == (n + 1, rows, cols) and out.dtype == np.complex128
+        bound = 16 * (n + 1) * np.finfo(float).eps * max(1.0, spectral_norm(c))
+        np.testing.assert_allclose(out, sequential_orbit(c, a, n), rtol=0, atol=bound)
 
     def test_negative_order_rejected(self):
         with pytest.raises(InvalidInput):
