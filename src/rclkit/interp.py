@@ -77,8 +77,8 @@ class InterpProblem:
         f = self.F.dim
         object.__setattr__(self, "omega1", read_only(as_cmatrix(self.omega1, rows=self.y_dim, cols=f)))
         object.__setattr__(self, "omega2", read_only(as_cmatrix(self.omega2, rows=self.u_dim, cols=f)))
-        # omega*, whose defect realize takes: the norms of M and M* can differ
-        # in the last bit, and one measured value must decide both checks
+        # omega*, whose defect realize takes with no check of its own: the
+        # norms of M and M* can differ in the last bit
         require_contraction(adjoint(self.omega), self.tol, what="stacked operator norm")
 
     @property
@@ -263,8 +263,9 @@ def second_solution_witness(problem: InterpProblem, order: int = 32, seed: int =
     The witness parameter is ``0.9 V / |V|`` for ``V`` the top right
     singular direction of ``L_n``, found by ``_POWER_STEPS`` steps of power
     iteration with ``L_n`` and ``L_n*`` from the all-ones start (each step
-    is ``n + 1`` small products; the Kronecker matrix of ``L_n`` is never
-    formed). One ``lft_solution`` gives its solution.
+    is ``n + 1`` small products, both ways through the ``y x dim G``
+    intermediate; the Kronecker matrix of ``L_n`` is never formed). One
+    ``lft_solution`` gives its solution.
 
     The construction is deterministic. ``seed`` is ignored; it keeps its
     place so that positional callers keep working.
@@ -293,7 +294,7 @@ def second_solution_witness(problem: InterpProblem, order: int = 32, seed: int =
         size = np.linalg.norm(image)
         if size == 0.0:
             raise InternalContradiction(f"the difference map at chain-failure index {n} vanishes")
-        v = (left_adj @ (image / size) @ right_adj).sum(axis=0)
+        v = (left_adj @ ((image / size) @ right_adj)).sum(axis=0)
     param = 0.9 * v / spectral_norm(v)
 
     candidate = redheffer.lft_solution(realization, redheffer.SchurParameter.constant(param, problem.tol), order)

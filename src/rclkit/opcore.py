@@ -10,13 +10,21 @@ value of its empty case (``initial=``).
 
 Each threshold check costs only what its verdict needs. A spectral norm is
 the square root of the top eigenvalue of the short-side Gram, for a whole
-stack in one batched ``eigvalsh`` (``spectral_norms``); every contraction
-verdict, ``defect``'s too, is ``require_contraction`` on that one value.
-``coisometry_within`` decides ``norm(M M* - I) <= limit`` from the
-Frobenius norm of the deviation, which bounds its spectral norm from above
-and, divided by the square root of its size, from below, and computes
-eigenvalues only when ``limit`` falls between the two bounds;
-``coisometry_deficiency`` is the exact measured value.
+stack in one batched ``eigvalsh`` (``spectral_norms``). Every contraction
+verdict, ``defect``'s too, is ``require_contraction``: it passes a matrix
+whose Frobenius norm, or failing that a Cholesky factor of its shifted
+short-side Gram, certifies a norm a relative margin below ``1 + slack``,
+and measures ``spectral_norm`` otherwise; that one value decides every
+failure and every norm inside the margin, and words the message. The margin
+exceeds the roundoff of both bounds and of the measurement, so each verdict
+is the measured norm's. ``coisometry_within`` decides
+``norm(M M* - I) <= limit`` from the Frobenius norm of the deviation, which
+bounds its spectral norm from above and, divided by the square root of its
+size, from below, and computes eigenvalues only when ``limit`` falls
+between the two bounds; ``coisometry_deficiency`` is the exact measured
+value. ``defect_spectrum`` is the one eigensolve of ``I - N*N``; ``defect``
+forms ``D`` from it, and ``redheffer.realize`` reads ``D*`` on its defect
+space off it.
 """
 
 from __future__ import annotations
@@ -132,8 +140,50 @@ def exceeds_one(nrm: float, tol: Tolerances) -> bool:
     return nrm - 1.0 > tol.contraction_slack
 
 
+def _contraction_margin(shape) -> float:
+    """Relative margin below ``1 + slack`` within which no bound may pass a
+    matrix of this shape: above the roundoff of its Frobenius norm and
+    short-side Gram, of a Cholesky factor (Higham, Thm 10.3: about
+    ``n (n + 1) eps``) and of ``eigvalsh``, so that every matrix a bound
+    passes also passes its measured ``spectral_norm``."""
+    n = max(shape)
+    return max(2.0 ** -26, 8 * n * n * np.finfo(np.float64).eps)
+
+
+@np.errstate(over="ignore")
+def _certified_contraction(M: CMatrix, slack: float) -> bool:
+    """Whether ``norm(M) <= (1 + slack)(1 - margin)`` is certified: by the
+    Frobenius norm, else by a Cholesky factor of ``(1 + slack)^2 (1 - margin) I - G``
+    for ``G`` the short-side Gram (not tried when the Frobenius norm is not
+    finite or so large that ``G`` could overflow). False settles nothing."""
+    limit = (1.0 + slack) * (1.0 - _contraction_margin(M.shape))
+    frobenius = float(np.linalg.norm(M))
+    if frobenius <= limit:
+        return True
+    if not frobenius <= 1e150:
+        return False
+    if M.shape[0] > M.shape[1]:
+        M = M.T    # M^T has the singular values of M
+    shifted = -(M @ adjoint(M))
+    shifted.ravel()[:: M.shape[0] + 1] += (1.0 + slack) * limit
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def require_contraction(M, tol: Tolerances, error: type = NotAContraction, what: str = "operator norm") -> None:
-    """Raise ``error("<what> <norm> exceeds 1 + slack")`` when ``spectral_norm(M)`` fails ``exceeds_one``."""
+    """Raise ``error("<what> <norm> exceeds 1 + slack")`` when ``spectral_norm(M)`` fails ``exceeds_one``.
+
+    A matrix that a certified bound places a margin below ``1 + slack``
+    passes without ``eigvalsh``; any other matrix is measured, and the
+    measured norm decides and words the verdict. The margin only chooses
+    between the two ways to the same verdict.
+    """
+    M = as_cmatrix(M)
+    if _certified_contraction(M, tol.contraction_slack):
+        return
     nrm = spectral_norm(M)
     if exceeds_one(nrm, tol):
         raise error(f"{what} {nrm:.17g} exceeds 1 + slack")
@@ -182,26 +232,22 @@ def range_closure_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     return SubspaceBasis(M.shape[0], u[:, :rank])
 
 
-def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
-    """Defect operator and defect space of a contraction.
+def defect_spectrum(N, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, CMatrix, SubspaceBasis]:
+    """The eigensystem behind :func:`defect`, with no contraction check.
 
-    Returns ``(D, space)`` where ``D`` is the Hermitian PSD square root of
-    ``I - N*N`` (eigenvalues clamped at 0 from below) and ``space`` spans the
-    closure of ``range(D)``.
+    Returns ``(roots, vecs, space)``: the square roots of the eigenvalues of
+    ``I - N*N`` (clamped at 0 from below) in descending order, their
+    eigenvectors as the columns of ``vecs``, so that ``D = vecs diag(roots) vecs*``,
+    and the defect space spanned by the leading columns the rank cut keeps.
+    ``D`` on that space is ``space.basis * roots[:space.dim]``.
 
     The rank cut acts on the eigenvalues of ``I - N*N`` with threshold
     ``rank_tol * max(1, mu_max)``: for a contraction that matrix has norm at
     most 1 + slack, so the cut is effectively absolute at ``rank_tol``. A
     cut relative to the largest singular value of ``D`` itself would keep
     pure-roundoff directions for near-isometric ``N``.
-
-    The contraction check is :func:`require_contraction`, before ``N*N`` is formed.
-
-    Raises:
-        NotAContraction: if ``norm(N) - 1 > contraction_slack``.
     """
     N = as_cmatrix(N)
-    require_contraction(N, tol)
     q = N.shape[1]
     gram = np.eye(q, dtype=np.complex128) - adjoint(N) @ N
     gram = (gram + adjoint(gram)) / 2.0
@@ -210,11 +256,28 @@ def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
     # descending order for deterministic bases
     order = np.argsort(mu)[::-1]
     mu, vecs = mu[order], vecs[:, order]
-    D = (vecs * np.sqrt(mu)) @ adjoint(vecs)
-    D = (D + adjoint(D)) / 2.0
     cut = tol.rank_tol * float(mu.max(initial=1.0))
     rank = int(np.sum(mu > cut))
-    return D, SubspaceBasis(q, vecs[:, :rank])
+    return np.sqrt(mu), vecs, SubspaceBasis(q, vecs[:, :rank])
+
+
+def defect(N, tol: Tolerances = DEFAULT_TOL) -> tuple[CMatrix, SubspaceBasis]:
+    """Defect operator and defect space of a contraction.
+
+    Returns ``(D, space)`` where ``D`` is the Hermitian PSD square root of
+    ``I - N*N`` (eigenvalues clamped at 0 from below) and ``space`` spans the
+    closure of ``range(D)``, both from :func:`defect_spectrum`.
+
+    The contraction check is :func:`require_contraction`, before ``N*N`` is formed.
+
+    Raises:
+        NotAContraction: if ``norm(N) - 1 > contraction_slack``.
+    """
+    require_contraction(N, tol)
+    roots, vecs, space = defect_spectrum(N, tol)
+    D = (vecs * roots) @ adjoint(vecs)
+    D = (D + adjoint(D)) / 2.0
+    return D, space
 
 
 @np.errstate(over="ignore", invalid="ignore")

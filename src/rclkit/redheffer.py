@@ -44,7 +44,7 @@ from .opcore import (
     Tolerances,
     adjoint,
     as_cmatrix,
-    defect,
+    defect_spectrum,
     require_contraction,
 )
 from .series import MatrixSeries
@@ -87,6 +87,12 @@ def realize(problem: InterpProblem) -> RedhefferRealization:
     """Build the shared realization, with the problem's tolerances; its
     constructor audits the defining block identity.
 
+    ``D*`` on its defect space is read off the one eigensolve of
+    ``I - w w*`` (``opcore.defect_spectrum`` of ``w*``): ``D* V_r = V_r
+    sqrt(mu_r)`` for the kept eigenvectors ``V_r``, so the full ``D*`` is
+    never formed. ``w*`` is not measured again: the problem's constructor
+    checked that same read-only array with the same tolerances.
+
     The block matrix ``[[Z, D*_U], [P_G, 0], [w1 P_F, D*_Y]]`` must be a
     co-isometry; a deviation beyond the problem's ``identity_tol`` means the
     realization is internally inconsistent.
@@ -95,8 +101,8 @@ def realize(problem: InterpProblem) -> RedhefferRealization:
         InternalContradiction: when that audit fails.
     """
     tol = problem.tol
-    dstar, dspace = defect(adjoint(problem.omega), tol)    # defect of the adjoint
-    cols = dstar @ dspace.basis                              # D* on its defect space
+    roots, vecs, dspace = defect_spectrum(adjoint(problem.omega), tol)    # defect of the adjoint
+    cols = vecs[:, :dspace.dim] * roots[:dspace.dim]                      # D* on its defect space
     g = problem.complement()
     output = np.vstack([g.coords(), problem.output_row()])
     feedthrough = np.vstack([np.zeros((g.dim, dspace.dim), dtype=np.complex128), cols[:problem.y_dim]])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_isometry, random_complex, random_contraction, random_subspace
+from helpers import haar_isometry, knife_edge_matrix, random_complex, random_contraction, random_subspace
 from rclkit.errors import InvalidInput, NotAContraction
 from rclkit.opcore import (
     SubspaceBasis,
@@ -13,11 +13,14 @@ from rclkit.opcore import (
     as_cmatrix,
     coisometry_deficiency,
     coisometry_within,
+    _contraction_margin,
     defect,
+    exceeds_one,
     is_coisometry,
     orthocomplement,
     range_closure_basis,
     read_only,
+    require_contraction,
     spectral_norm,
     spectral_norms,
 )
@@ -145,6 +148,59 @@ class TestDefect:
         d, space = defect(a)
         assert space.dim == 1
         assert spectral_norm(d @ d - (np.eye(2) - a.T @ a)) <= 1e-12
+
+
+def measured_verdict(M, tol):
+    """The message ``require_contraction`` must raise for ``M``, from its
+    measured norm, or ``None`` when the norm passes ``exceeds_one``."""
+    nrm = spectral_norm(M)
+    return f"operator norm {nrm:.17g} exceeds 1 + slack" if exceeds_one(nrm, tol) else None
+
+
+def certified_verdict(M, tol):
+    try:
+        require_contraction(M, tol)
+    except NotAContraction as exc:
+        return str(exc)
+    return None
+
+
+def with_top_singular_value(rng, rows, cols, top):
+    """``U diag(s) V*`` with Haar ``U`` and ``V``, ``s[0] = top`` and the
+    other singular values uniform in ``[0, top)``."""
+    k = min(rows, cols)
+    s = top * rng.uniform(0.0, 1.0, k)
+    s[:1] = top
+    return haar_isometry(rng, rows, k) @ np.diag(s) @ haar_isometry(rng, cols, k).conj().T
+
+
+class TestRequireContraction:
+    SHAPES = [(7, 3), (3, 7), (5, 5), (1, 1), (0, 0), (0, 3), (3, 0)]
+
+    @pytest.mark.parametrize("exponent", [-600, 0, 600])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("slack", [0.0, 1e-10, 1e-6])
+    def test_raises_exactly_when_the_measured_norm_fails(self, slack, shape, exponent):
+        # a certified bound may pass a matrix only where its measured norm
+        # passes too: at the edge of the margin, and at the knife edge itself
+        rng = np.random.default_rng([*shape, exponent + 600, round(slack * 1e10)])
+        tol = Tolerances(contraction_slack=slack)
+        margin = _contraction_margin(shape)
+        draws = [knife_edge_matrix(rng, *shape, slack) for _ in range(20 if min(shape) else 0)]
+        for k in (0.5, 1.0, 2.0):
+            for sign in (-1.0, 1.0):
+                draws.append(with_top_singular_value(rng, *shape, (1.0 + slack) * (1.0 + sign * k * margin)))
+        for m in draws:
+            m = m * 2.0 ** exponent
+            assert certified_verdict(m, tol) == measured_verdict(m, tol)
+
+    def test_a_passing_check_measures_no_norm(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append(args))
+        rng = np.random.default_rng(5)
+        for shape in self.SHAPES:
+            require_contraction(with_top_singular_value(rng, *shape, 0.9), Tolerances())
+        assert calls == []
 
 
 class TestRangeClosure:
@@ -327,3 +383,8 @@ def test_numpy_linear_algebra_takes_zero_size_input():
     x = np.linalg.lstsq(np.zeros((0, 3), dtype=np.complex128), np.zeros((0, 2)), rcond=None)[0]
     assert x.shape == (3, 2) and not x.any()
     assert np.linalg.svd(np.zeros((4, 2, 0), dtype=np.complex128), compute_uv=False).shape == (4, 0)
+    # the certified contraction check factors a (0, 0) shifted Gram, and
+    # reads a failed factorization as no certificate
+    assert np.linalg.cholesky(np.zeros((0, 0), dtype=np.complex128)).shape == (0, 0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128))

@@ -21,7 +21,7 @@ from rclkit.errors import (
     OutOfDisc,
 )
 from rclkit.interp import central_taylor, is_solution
-from rclkit.opcore import Tolerances, spectral_norm
+from rclkit.opcore import Tolerances, adjoint, defect, spectral_norm
 from rclkit.redheffer import (
     RedhefferRealization,
     SchurParameter,
@@ -67,31 +67,55 @@ class TestRealize:
         r = realize(p)
         assert isinstance(r, CoisometricSystem) and r.tol is p.tol
 
-    def test_valid_realization_runs_one_svd_and_one_eigvalsh_for_the_contraction_check(self, monkeypatch):
-        # the orthocomplement of F is the one SVD; the one eigvalsh is defect's
-        # contraction check of omega*; every co-isometry check on a valid
-        # realization is decided by its Frobenius bound
+    def test_valid_realization_runs_one_svd_one_eigh_and_no_eigvalsh(self, monkeypatch):
+        # the orthocomplement of F is the one SVD and the adjoint defect the
+        # one eigh; omega* is not measured again (the problem's constructor
+        # checked it), and every co-isometry check on a valid realization is
+        # decided by its Frobenius bound
         p = random_problem(np.random.default_rng(3), u_dim=6, y_dim=2, f_dim=4)
-        calls = Counter()
-        for name in ("svd", "eigvalsh"):
-            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_lapack_calls(monkeypatch, ("svd", "eigh", "eigvalsh"))
         realize(p)
-        assert calls == {"svd": 1, "eigvalsh": 1}
+        assert calls == {"svd": 1, "eigh": 1}
 
     def test_broken_block_identity_is_an_internal_contradiction(self, monkeypatch):
-        original = redheffer.defect
+        original = redheffer.defect_spectrum
 
         def inflated(n, tol):
-            dstar, space = original(n, tol)
-            return 1.1 * dstar, space
+            roots, vecs, space = original(n, tol)
+            return 1.1 * roots, vecs, space
 
-        monkeypatch.setattr(redheffer, "defect", inflated)
+        monkeypatch.setattr(redheffer, "defect_spectrum", inflated)
         # the block Gram gains 0.21 D*^2, and D* has norm one: omega* has a kernel
         with pytest.raises(InternalContradiction, match=r"^realization block identity deviates by 2\.100e-01 \(tol 1\.0e-08\)$"):
             realize(random_problem(np.random.default_rng(7), u_dim=5, y_dim=2, f_dim=3))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("regime", sorted(ORACLE_REGIMES))
+    def test_matches_the_realization_built_on_the_full_defect_operator(self, regime, seed):
+        # D* on its defect space is read off the eigensolve; built from the
+        # full D* instead, B and D agree to roundoff and the rest exactly
+        p = ORACLE_REGIMES[regime](np.random.default_rng(150 + seed))
+        r = realize(p)
+        dstar, dspace = defect(adjoint(p.omega), p.tol)
+        cols = dstar @ dspace.basis
+        g = p.complement()
+        np.testing.assert_allclose(r.B, cols[p.y_dim:], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(r.D, np.vstack([np.zeros((g.dim, dspace.dim)), cols[:p.y_dim]]), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(r.G.basis, g.basis)
+        np.testing.assert_array_equal(r.DstarSpace.basis, dspace.basis)
+        np.testing.assert_array_equal(r.A, p.state_operator())
+        np.testing.assert_array_equal(r.C, np.vstack([g.coords(), p.output_row()]))
+
+
+def count_lapack_calls(monkeypatch, names) -> Counter:
+    """Calls of each ``np.linalg`` routine in ``names`` from here on."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 class TestPhiEval:
@@ -198,6 +222,21 @@ class TestSchurParameter:
         with pytest.raises(InvalidParameter):
             SchurParameter((np.array([[0.8]]), np.array([[0.8]])))
         SchurParameter((np.array([[0.6]]), np.array([[0.3]])))
+
+    @pytest.mark.parametrize("norm, eigvalsh_calls", [(0.9, 0), (1.5, 1)])
+    def test_only_a_failing_check_measures_the_norm(self, monkeypatch, norm, eigvalsh_calls):
+        # degree 3 with sum |v_k| = norm: a certified bound passes the
+        # contraction at 0.9, and the one eigvalsh measures the failure
+        rng = np.random.default_rng(8)
+        coeffs = [random_complex(rng, 6, 4) * 0.5 ** k for k in range(4)]
+        coeffs = np.array(coeffs) * (norm / sum(spectral_norm(c) for c in coeffs))
+        calls = count_lapack_calls(monkeypatch, ("eigvalsh",))
+        if norm < 1:
+            SchurParameter(coeffs)
+        else:
+            with pytest.raises(InvalidParameter, match="^parameter multiplication norm "):
+                SchurParameter(coeffs)
+        assert calls["eigvalsh"] == eigvalsh_calls
 
     @pytest.mark.parametrize("coeffs", [
         (np.full((2, 3), 0.1), np.full((2, 3), 0.05), np.zeros((2, 3))),
