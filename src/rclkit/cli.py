@@ -15,12 +15,15 @@ variable ``RCLKIT_TOL`` overrides ``identity_tol`` last. The tolerances go
 into the loaded data set or problem, and every check reads them from there.
 
 Each matrix crosses the JSON boundary as one ``(rows, cols, 2)`` float array
-of ``[re, im]`` pairs: decoded in one conversion, encoded as one piece of
-text. A stack of matrices (a series' or a parameter's ``"coeffs"``) is
-decoded one matrix at a time, so reading a long series never holds a
-Python object per entry of the whole file. A report is formatted in full,
-then written to standard output piece by piece, so no full-size copy of it
-is built.
+of ``[re, im]`` pairs: decoded in one conversion, and encoded, a whole
+stack of matrices at once, by one vectorized pass that forms the
+``%.16e`` text of about a thousand pairs at a time with no Python float per
+entry; each value it cannot prove exact is formatted by ``%.16e`` itself,
+so the text is Python's. A stack of matrices (a series' or a parameter's
+``"coeffs"``) is decoded one matrix at a time, so reading a long series
+never holds a Python object per entry of the whole file. A report is
+formatted in full, then written to standard output piece by piece, so no
+full-size copy of it is built.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on parse error (with a
 diagnostic on standard error). All floating-point output is rendered in
@@ -34,6 +37,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -57,23 +61,154 @@ class ParseFailure(Exception):
 
 # ---------------------------------------------------------------------------
 # JSON encoding: floats as %.16e, complex scalars as [re, im] pairs.
+#
+# An array of pairs is formatted without a Python float per entry. For
+# 1e-99 <= |x| < 1e99 and E = floor(log10 |x|), the 17 significant digits
+# of x are the integer D nearest to V = |x| 10^(16 - E). The product of x
+# and 10^(16 - E) held as a double-double, formed exactly by a Veltkamp
+# TwoProduct, is p + t with |p + t - V| < 2^-46 (V < 2^57; 10^k is
+# correctly rounded to hi and its remainder to lo). So D = p + round(t)
+# is exact whenever floor(p + t) >= 10^16 (E was not one too large), D <
+# 10^17 (nor one too small, and no carry into an 18th digit) and the
+# fractional part of t is farther than 2^-40 from 1/2: V then lies on the
+# same side of the half-integer as p + t, and exact ties, which "%.16e"
+# rounds to even, always fall inside that window. Zeros are exact with
+# D = 0 and E = 0. Every other entry, and every one that fails a guard,
+# is formatted by "%.16e" itself, so each printed value is Python's.
+
+#: Pairs formatted per piece of text: the working arrays stay small.
+_CHUNK_PAIRS = 1024
+#: Width of a float's field: "-d.dddddddddddddddde-ddd" at most.
+_FIELD = 24
+#: 2^27 + 1, the Veltkamp splitting factor of a double.
+_SPLIT = 134217729.0
+#: Decimal exponents of the fast path, indexed from 0 as ``E + 99``.
+_EXPONENTS = range(-99, 99)
+#: Bound on ``|t - round(t)|`` for exact digits: 2^6 times the error bound
+#: away from 1/2, so only values within 2^-40 of a tie fall back.
+_HALF_WINDOW = 0.5 - 2.0 ** -40
+
+
+@functools.cache
+def _format_tables():
+    """``(pow10, exponent_text, digits, digit_scales)`` of the fast path,
+    built on first use. Row ``E + 99`` of ``pow10`` is ``(hi, hi_head,
+    hi_tail, lo)``: ``hi`` is ``10^(16 - E)`` correctly rounded, split in
+    halves, and ``lo`` is the remainder, correctly rounded. Entry ``E + 99``
+    of ``exponent_text`` is the 4 bytes ``e±dd`` as a ``uint32``, and
+    ``digits[k]`` the 4 bytes of ``"%04d" % k``."""
+    pow10 = np.empty((len(_EXPONENTS), 4))
+    for row, e in zip(pow10, _EXPONENTS):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi = num / den                           # int division rounds correctly
+        a, b = hi.as_integer_ratio()
+        head = _SPLIT * hi - (_SPLIT * hi - hi)
+        row[:] = hi, head, hi - head, (num * b - a * den) / (den * b)
+    exponent = np.frombuffer("".join(f"e{e:+03d}" for e in _EXPONENTS).encode(), dtype=np.uint32)
+    two = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(), dtype=np.uint16)
+    four = np.empty((100, 100, 2), dtype=np.uint16)     # "%04d" % (100 i + j) is two[i] two[j]
+    four[..., 0], four[..., 1] = two[:, None], two
+    digits = four.view(np.uint32).ravel()
+    return pow10, exponent, digits, np.array([10 ** 12, 10 ** 8, 10 ** 4, 1], dtype=np.int64)
+
+
+def _format_floats(values: np.ndarray, fields: np.ndarray) -> None:
+    """Write ``"%.16e" % x`` for each finite ``x`` in ``values`` into the
+    NUL-filled ``_FIELD``-byte rows of ``fields``. Each row starts 1 byte
+    past a multiple of 4, so that its columns ``3:19`` (the digits after
+    the point) and ``19:23`` (``e±dd``) are 4-byte aligned."""
+    pow10, exponent, digits, scales = _format_tables()
+    mag = np.abs(values)
+    fast = (mag >= 1e-99) & (mag < 1e99)
+    # a wrong E from a clipped index or a rounded log10 fails the guards
+    k = np.floor(np.log10(np.where(fast, mag, 1.0))).astype(np.intp) + 99
+    hi, b_head, b_tail, lo = pow10.take(k, axis=0, mode="clip").T
+    a = mag * fast
+    # TwoProduct: a hi = p + err exactly; t = err + a lo
+    p = a * hi
+    c = _SPLIT * a
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    t = (a_head * b_head - p) + a_head * b_tail + a_tail * b_head + a_tail * b_tail + a * lo
+    r = np.floor(t + 0.5)
+    frac = t - r                           # in [-1/2, 1/2)
+    D = p.astype(np.int64) + r.astype(np.int64)
+    exact = (np.abs(frac) < _HALF_WINDOW) & (D - (frac < 0) >= 10 ** 16) & (D < 10 ** 17)
+    lead, rest = np.divmod(D, 10 ** 16)
+    fields[:, 0] = np.signbit(values) * ord("-")
+    fields[:, 1] = lead + ord("0")
+    fields[:, 2] = ord(".")
+    fields[:, 3:19].view(np.uint32)[:] = digits[rest[:, None] // scales % 10000]
+    fields[:, 19:23].view(np.uint32)[:, 0] = exponent.take(k, mode="clip")
+    slow = np.flatnonzero(~exact & (mag != 0))
+    if slow.size:
+        text = b"".join(("%.16e" % x).encode().ljust(_FIELD, b"\0") for x in values[slow].tolist())
+        fields[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _FIELD)
+
+
+@functools.cache
+def _record(depth: int) -> tuple[int, bytes]:
+    """``(offset, template)`` of the record of one pair of an array with
+    ``depth`` axes before the pair axis: two slots of equal width, one per
+    float, each with the float's field at ``offset``. The re slot opens
+    with ", ", room for ``depth`` openers and the pair's "["; the im slot
+    with ", ", and ends in "]" and room for ``depth`` closers. ``offset``
+    is 1 past a multiple of 4 and the slot width a multiple of 4, so the
+    digits of every field are 4-byte aligned."""
+    offset = (depth + 5) // 4 * 4 + 1
+    slot = (offset + _FIELD + 1 + depth + 3) // 4 * 4
+    re_slot = b", " + bytes(depth) + b"[" + bytes(offset - depth - 3)
+    im_slot = b", " + bytes(offset - 2 + _FIELD) + b"]"
+    return offset, re_slot.ljust(slot, b"\0") + im_slot.ljust(slot, b"\0")
+
+
+def _pairs_text(pairs: np.ndarray):
+    """The JSON text of a nonempty ``(..., rows, cols, 2)`` array of finite
+    pairs, in pieces of at most ``_CHUNK_PAIRS`` pairs each.
+
+    Each pair is laid out as a fixed-width NUL-padded record (see
+    :func:`_record`), with its two floats written by
+    :func:`_format_floats` and its openers and closers in their places;
+    dropping the NULs leaves the text."""
+    shape = pairs.shape[:-1]
+    depth = len(shape)
+    offset, template = _record(depth)
+    slot = len(template) // 2
+    # the entry i of the flattened pairs opens a list of axis j when
+    # spans[j], the entry count of such a list, divides i, and closes one
+    # when it divides i + 1
+    spans = [math.prod(shape[j:]) for j in range(depth)]
+    values = np.ascontiguousarray(pairs, dtype=np.float64).reshape(-1)
+    total = values.size // 2
+    for start in range(0, total, _CHUNK_PAIRS):
+        n = min(_CHUNK_PAIRS, total - start)
+        rec = np.empty((n, 2, slot), dtype=np.uint8)
+        rec[:] = np.frombuffer(template, dtype=np.uint8).reshape(2, slot)
+        for j, span in enumerate(spans):
+            rec[-start % span::span, 0, 2 + j] = ord("[")
+            rec[(-start - 1) % span::span, 1, offset + _FIELD + 1 + j] = ord("]")
+        if not start:
+            rec[0, 0, 0:2] = 0
+        flat = rec.reshape(2 * n, slot)
+        _format_floats(values[2 * start:2 * (start + n)], flat[:, offset:offset + _FIELD])
+        yield str(flat[flat != 0], "ascii")      # decoded from the array's buffer, no bytes copy
+
 
 def _dump_json(obj):
-    """The JSON text of ``obj`` in pieces, in order; each ``(rows, cols, 2)``
-    array from :func:`matrix_to_json` is one piece, from one row template."""
-    if isinstance(obj, np.ndarray) and obj.ndim == 3:
+    """The JSON text of ``obj`` in pieces, in order; each nonempty ``(...,
+    rows, cols, 2)`` array from :func:`matrix_to_json`, a whole stack
+    included, is formatted in one vectorized pass (see :func:`_pairs_text`)."""
+    if isinstance(obj, np.ndarray) and obj.ndim >= 3 and obj.size:
         if not np.all(np.isfinite(obj)):
             raise ParseFailure(f"cannot serialize non-finite value {float(obj[~np.isfinite(obj)][0])!r}")
-        rows, cols, _ = obj.shape
-        row = "[" + ", ".join(["[%.16e, %.16e]"] * cols) + "]"
-        yield ("[" + ", ".join([row] * rows) + "]") % tuple(obj.ravel().tolist())
+        yield from _pairs_text(obj)
     elif isinstance(obj, dict):
         yield "{"
         for i, (key, value) in enumerate(obj.items()):
             yield f"{', ' if i else ''}{json.dumps(key)}: "
             yield from _dump_json(value)
         yield "}"
-    elif isinstance(obj, (list, tuple, np.ndarray)):   # a list, or a stack of matrices
+    elif isinstance(obj, (list, tuple, np.ndarray)):   # a list, or an empty or 1- or 2-axis array
         yield "["
         for i, value in enumerate(obj):
             if i:
@@ -483,11 +618,11 @@ def main(argv=None) -> int:
     except MemoryError as exc:   # e.g. an --order whose arrays cannot be allocated
         code, payload = EXIT_INVALID, {"error": f"MemoryError: {exc}"}
     # every piece before the first write, so a payload with a value that
-    # cannot be serialized prints only its error; that is no input file's
-    # fault, so it exits 1, not 2
+    # cannot be serialized, or whose text does not fit in memory, prints
+    # only its error; that is no input file's fault, so it exits 1, not 2
     try:
         pieces = [*_dump_json(payload), "\n"]
-    except ParseFailure as exc:
+    except (ParseFailure, MemoryError) as exc:
         code, pieces = EXIT_INVALID, [*_dump_json({"error": f"{type(exc).__name__}: {exc}"}), "\n"]
     sys.stdout.writelines(pieces)
     return code

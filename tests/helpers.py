@@ -7,6 +7,11 @@ identities hold to roundoff by construction.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from rclkit.dataset import DataSet, preset_relaxed_rq
@@ -208,6 +213,36 @@ def json_matrix(m):
     """Nested ``[re, im]`` lists of a complex matrix, built entry by entry
     so test files do not depend on the codec under test."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=np.complex128)]
+
+
+def reference_text(m) -> str:
+    """A complex matrix in the CLI's layout, formatted float by float with
+    ``format(x, ".16e")``: the oracle of every printed value."""
+    rows = ("[" + ", ".join(f"[{format(z.real, '.16e')}, {format(z.imag, '.16e')}]" for z in row) + "]"
+            for row in np.asarray(m, dtype=np.complex128))
+    return "[" + ", ".join(rows) + "]"
+
+
+def template_text(pairs) -> str:
+    """The JSON text of a ``(..., rows, cols, 2)`` float array of pairs by one
+    ``%.16e`` row template per matrix, a stack matrix by matrix: the CLI's
+    encoder before it was vectorized, kept as the oracle of whole payloads."""
+    pairs = np.asarray(pairs, dtype=np.float64)
+    if pairs.ndim > 3:
+        return "[" + ", ".join(template_text(m) for m in pairs) + "]"
+    rows, cols, _ = pairs.shape
+    row = "[" + ", ".join(["[%.16e, %.16e]"] * cols) + "]"
+    return ("[" + ", ".join([row] * rows) + "]") % tuple(pairs.ravel().tolist())
+
+
+@functools.cache
+def load_cli_corpus():
+    """``tools/cli_corpus.py``, a script rather than a package module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
+    spec = importlib.util.spec_from_file_location("cli_corpus", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def knife_edge():

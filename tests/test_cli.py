@@ -3,13 +3,25 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import ORACLE_REGIMES, json_matrix, knife_edge, knife_edge_matrix, residual_audit_dataset
+from helpers import (
+    ORACLE_REGIMES,
+    json_matrix,
+    knife_edge,
+    knife_edge_matrix,
+    load_cli_corpus,
+    reference_text,
+    residual_audit_dataset,
+    template_text,
+)
 from rclkit import cli, redheffer
 from rclkit.cli import (
     EXIT_INVALID,
@@ -50,12 +62,6 @@ def load_json(path):
 def encode(obj) -> str:
     """The CLI's JSON text of ``obj``."""
     return "".join(_dump_json(obj))
-
-
-def reference_text(m) -> str:
-    """A matrix in the CLI's layout, formatted float by float with f-strings."""
-    rows = ("[" + ", ".join(f"[{z.real:.16e}, {z.imag:.16e}]" for z in row) + "]" for row in m)
-    return "[" + ", ".join(rows) + "]"
 
 
 def _bad_entry(entry):
@@ -126,6 +132,12 @@ class TestMatrixCodec:
         assert encode(matrix_to_json(m)) == reference_text(m)
         assert encode([-0.0, 5e-324, 1e300, 1 / 3]) == f"[{-0.0:.16e}, {5e-324:.16e}, {1e300:.16e}, {1 / 3:.16e}]"
 
+    def test_import_builds_no_table(self):
+        probe = "import rclkit.cli as c; print(c._format_tables.cache_info().currsize, c._record.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+        assert out == "0 0\n"
+
     def test_non_finite_output_rejected(self):
         with pytest.raises(ParseFailure):
             encode({"x": [1.0, float("inf")]})
@@ -133,17 +145,86 @@ class TestMatrixCodec:
             encode(matrix_to_json([[complex(0.0, float("nan"))]]))
 
 
+def pairs_of(values) -> np.ndarray:
+    """``values``, padded with a 0.0 to even length, as one row of pairs."""
+    values = [float(x) for x in values]
+    return np.array(values + [0.0] * (len(values) % 2)).reshape(1, -1, 2)
+
+
+def assert_printed_as_format(pairs):
+    """Every float of ``pairs`` prints as ``format(x, ".16e")``."""
+    assert encode(pairs) == reference_text(pairs.view(np.complex128)[..., 0])
+
+
+def signed(values):
+    return [x for v in values for x in (v, -v)]
+
+
+class TestEncoderExactness:
+    """The vectorized encoder prints every finite double as Python's
+    ``format(x, ".16e")`` and every payload as the row template did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    @example([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+    def test_any_finite_doubles(self, values):
+        assert_printed_as_format(pairs_of(values))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(22).integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        assert_printed_as_format(pairs_of(values[np.isfinite(values)]))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = []
+        for k in range(-324, 309):
+            x = float(f"1e{k}")
+            values += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+        assert_printed_as_format(pairs_of(signed(values)))
+
+    def test_exact_ties_round_to_even(self):
+        # x = m / 2^(17 - E) with m odd: x 10^(16 - E) is a half-integer
+        ties = []
+        for e in range(-8, 16):
+            low = int(np.ceil(10.0 ** e * 2.0 ** (17 - e))) | 1
+            for x in (np.ldexp(float(m), e - 17) for m in range(low, low + 40, 2)):
+                if Fraction(10) ** e <= Fraction(x) < Fraction(10) ** (e + 1):
+                    assert (Fraction(x) * Fraction(10) ** (16 - e)).denominator == 2
+                    ties.append(x)
+        assert len(ties) >= 400
+        assert_printed_as_format(pairs_of(signed(ties)))
+
+    def test_both_sides_of_the_two_digit_exponent_range(self):
+        values = []
+        for x in (1e99, 1e-99, 9.9999999999999999e98, 9.9999999999999999e-100):
+            values += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+        assert_printed_as_format(pairs_of(signed(values)))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 4, 2), (5, 3, 4, 2), (0, 4, 2), (3, 0, 2), (4, 0, 3, 2),
+                                       (2, 3, 0, 2), (65, 8, 10, 2)])
+    def test_whole_payload_matches_the_template(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        pairs = rng.standard_normal(shape) * 10.0 ** rng.integers(-110, 110, shape)
+        pairs[..., 1][rng.random(shape[:-1]) < 0.2] = -0.0
+        assert encode(pairs) == template_text(pairs)
+        assert encode({"coeffs": pairs}) == f'{{"coeffs": {template_text(pairs)}}}'
+
+
 class TestByteGuard:
     """``omega`` on a direct-form file only decodes and re-encodes it, so
     full-precision input text must come back byte for byte on any BLAS."""
 
-    @pytest.mark.parametrize("regime", ["generic", "no_output", "full_domain", "empty_domain"])
+    @pytest.mark.parametrize("regime", ["generic", "no_output", "full_domain", "empty_domain", "edge_values"])
     def test_omega_reproduces_input_text(self, capsys, tmp_path, regime):
-        p = ORACLE_REGIMES[regime](np.random.default_rng(8))
+        if regime == "edge_values":   # the corpus file that reaches every branch of the encoder
+            u_dim, y_dim, basis, omega1, omega2 = load_cli_corpus().edge_value_problem()
+        else:
+            p = ORACLE_REGIMES[regime](np.random.default_rng(8))
+            u_dim, y_dim, basis, omega1, omega2 = p.u_dim, p.y_dim, p.F.basis, p.omega1, p.omega2
         text = (
-            f'{{"omega": {{"u_dim": {p.u_dim}, "y_dim": {p.y_dim}, '
-            f'"F_basis": {reference_text(p.F.basis)}, "omega1": {reference_text(p.omega1)}, '
-            f'"omega2": {reference_text(p.omega2)}}}}}'
+            f'{{"omega": {{"u_dim": {u_dim}, "y_dim": {y_dim}, '
+            f'"F_basis": {reference_text(basis)}, "omega1": {reference_text(omega1)}, '
+            f'"omega2": {reference_text(omega2)}}}}}'
         )
         path = tmp_path / "direct.json"
         path.write_text(text)
@@ -370,6 +451,18 @@ class TestResourceErrors:
         code, out, err = run(capsys, argv[0], path, *argv[1:], "--order", str(10**15))
         assert code == EXIT_INVALID and err == ""
         assert json.loads(out)["error"].startswith("MemoryError: Unable to allocate")
+
+    def test_memory_error_while_encoding_is_a_json_error(self, capsys, monkeypatch):
+        dump = cli._dump_json
+
+        def failing(obj):
+            if isinstance(obj, np.ndarray):
+                raise MemoryError("cannot hold the report's text")
+            return dump(obj)
+
+        monkeypatch.setattr(cli, "_dump_json", failing)
+        code, out, err = run(capsys, "central", RELAXED, "--order", "4")
+        assert (code, out, err) == (EXIT_INVALID, '{"error": "MemoryError: cannot hold the report\'s text"}\n', "")
 
 
 class TestUniqueCommand:

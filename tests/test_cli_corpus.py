@@ -1,14 +1,13 @@
 """The comparison rules of ``tools/cli_corpus.py``, on hand-made runs."""
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
+from fractions import Fraction
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
-_SPEC = importlib.util.spec_from_file_location("cli_corpus", _PATH)
-cli_corpus = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(cli_corpus)
+import numpy as np
+
+from helpers import load_cli_corpus
+
+cli_corpus = load_cli_corpus()
 Report, Run, compare = cli_corpus.Report, cli_corpus.Run, cli_corpus.compare
 
 ARGV = ["unique", "corpus/direct_s.json", "--witness"]
@@ -45,3 +44,21 @@ def test_verdicts_exit_codes_and_stderr_are_differences():
         "unique direct_s.json --witness: exit code 0 -> 1",
         "unique direct_s.json --witness: stderr '' -> 'boom'",
     ]
+
+
+def test_edge_value_problem_reaches_every_encoder_branch():
+    u, y, basis, omega1, omega2 = cli_corpus.edge_value_problem()
+    assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-15)
+    assert np.linalg.norm(np.vstack([omega1, omega2]), 2) < 0.3
+    values = np.concatenate([m.view(np.float64).ravel() for m in (basis, omega1, omega2)]).tolist()
+    assert any(x == 0 and str(x)[0] == "-" for x in values) and 0.0 in values
+    assert {0.1, 1e-2, -1e-5, -1e-99} <= set(values)
+    assert {float(np.nextafter(1e-99, 0)), float(np.nextafter(-1e-99, -1))} <= set(values)
+    assert any(0 < abs(x) < 1e-99 for x in values)
+    rounds = {}
+    for x in values:
+        e = int(np.floor(np.log10(abs(x)))) if x else 0
+        scaled = Fraction(abs(x)) * Fraction(10) ** (16 - e)
+        if scaled.denominator == 2:
+            rounds[x] = int(scaled) % 2       # 0: the tie rounds down to even
+    assert sorted(rounds.values()) == [0, 1]

@@ -388,3 +388,21 @@ def test_numpy_linear_algebra_takes_zero_size_input():
     assert np.linalg.cholesky(np.zeros((0, 0), dtype=np.complex128)).shape == (0, 0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128))
+
+
+def test_numpy_array_facts_of_the_cli_encoder():
+    # rclkit.cli formats floats on these facts; checked on numpy 2.4.6
+    records = np.zeros((3, 12), dtype=np.uint8)
+    words = records[:, 4:12].view(np.uint32)          # a 4-byte-aligned column slice
+    assert words.shape == (3, 2) and np.shares_memory(words, records)
+    words[:] = np.frombuffer(b"0123abcd", dtype=np.uint32)
+    assert records[1].tobytes() == bytes(4) + b"0123abcd"
+    exact = [2.0 ** 53 + 2, 99999999999999984.0, 2.0 ** 62, float(2 ** 63 - 1024)]
+    assert np.array(exact).astype(np.int64).tolist() == [int(x) for x in exact]
+    q, r = np.divmod(np.array([10 ** 17 - 1, 0, 12345678901234567], dtype=np.int64), 10 ** 16)
+    assert q.dtype == r.dtype == np.int64
+    assert (q.tolist(), r.tolist()) == ([9, 0, 1], [9999999999999999, 0, 2345678901234567])
+    text = np.frombuffer(b"a\0b\0\0c", dtype=np.uint8).reshape(2, 3)
+    assert str(text[text != 0], "ascii") == "abc"               # C order, decoded from the buffer
+    rows = np.arange(8.0).reshape(4, 2).take([-1, 5, 2], axis=0, mode="clip")
+    assert rows.tolist() == [[0.0, 1.0], [6.0, 7.0], [4.0, 5.0]]

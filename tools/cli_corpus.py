@@ -7,14 +7,15 @@ data-set and direct-form files written with ``bench/problems.py`` (imported
 read-only from the checkout that holds this script): random data sets at
 three sizes, direct-form problems at the three benchmark sizes, the
 degenerate regimes ``y = 0``, ``F = U``, ``F = {0}`` and zero adjoint
-defect, a shift chain, and a file whose stacked norm ``1 + 1e-8`` only its
-own ``contraction_slack`` admits. Per problem file it writes a degree-0 and
-a degree-2 parameter, the order-128 central series (decoded from the change
-checkout's ``central`` output) and a co-isometric and a broken ``--system``
-file, then runs ``validate`` (data sets), ``omega``, ``central``,
-``unique`` (with and without ``--witness``), ``solve``, ``verify`` and
-``audit`` at several orders. Every run is a fresh ``python -m rclkit.cli``
-with one BLAS thread and ``RCLKIT_TOL`` removed.
+defect, a shift chain, a file whose stacked norm ``1 + 1e-8`` only its
+own ``contraction_slack`` admits, and a file of edge values for the
+encoder (see :func:`edge_value_problem`). Per problem file it writes a
+degree-0 and a degree-2 parameter, the order-128 central series (decoded
+from the change checkout's ``central`` output) and a co-isometric and a
+broken ``--system`` file, then runs ``validate`` (data sets), ``omega``,
+``central``, ``unique`` (with and without ``--witness``), ``solve``,
+``verify`` and ``audit`` at several orders. Every run is a fresh
+``python -m rclkit.cli`` with one BLAS thread and ``RCLKIT_TOL`` removed.
 
 The report gives the number of byte-identical runs (exit code, stdout and
 stderr), every floating-point JSON field that moved with its largest
@@ -75,6 +76,30 @@ def adjoint_defect_dim(p: pb.Prob) -> int:
     return int(np.sum(mu > 1e-10 * max(1.0, float(mu.max(initial=1.0)))))
 
 
+def edge_value_problem() -> pb.Prob:
+    """A direct-form problem, stacked norm below 0.3, whose entries reach
+    every branch of the CLI's float encoder: ``±0.0``, powers of ten and
+    their neighbours, magnitudes below ``1e-99`` (formatted by ``%.16e``
+    itself), ``1e-99`` and its neighbours, and exact ties of 17-digit
+    rounding (``x 10^(16 - E)`` a half-integer)."""
+    def up(x):
+        return float(np.nextafter(x, np.inf))
+
+    def down(x):
+        return float(np.nextafter(x, -np.inf))
+
+    # 0.100009918212890625 rounds down to even, -0.0100002288818359375 up
+    tie, small_tie = 26217 / 2 ** 18, -5243 / 2 ** 19
+    basis = [[complex(1.0, -0.0), complex(0.0, 0.0)],
+             [complex(-0.0, 0.0), complex(1.0, 0.0)],
+             [complex(0.0, -0.0), complex(-0.0, -0.0)]]
+    omega1 = [[complex(0.1, -1e-100), complex(up(0.1), 5e-324)]]
+    omega2 = [[complex(1e-2, -0.0), complex(down(1e-2), 1e-300)],
+              [complex(tie, small_tie), complex(-1e-99, down(1e-99))],
+              [complex(-1e-5, up(1e-5)), complex(down(-1e-99), up(1e-99))]]
+    return pb.Prob(3, 1, *(np.array(m, dtype=np.complex128) for m in (basis, omega1, omega2)))
+
+
 def build_corpus(change: Path, workdir: Path) -> list[list[str]]:
     """Write the corpus into ``workdir``; return the argv of every command."""
     rng = np.random.default_rng(SEED)
@@ -94,6 +119,8 @@ def build_corpus(change: Path, workdir: Path) -> list[list[str]]:
     for example in sorted((change / "src" / "rclkit" / "examples").glob("*.json")):
         files[example.stem] = workdir / example.name
         shutil.copyfile(example, files[example.stem])
+    files["direct_edge"] = workdir / "direct_edge.json"
+    pb.write_json(files["direct_edge"], pb.problem_doc(edge_value_problem()))
 
     commands = []
     for name, path in files.items():
