@@ -555,8 +555,7 @@ def cmd_audit(pf: ProblemFile, args) -> tuple[int, dict]:
     payload: dict = {"blocks": args.order}
     code = EXIT_OK
     try:
-        audit = redheffer.coefficient_matrix_audit(realization, args.order)
-        payload["redheffer_deficiency"] = audit.deficiency
+        payload["redheffer_deficiency"] = sysco.gram_identity_audit(realization, args.order)
     except AuditFailure as exc:
         payload["redheffer_deficiency"] = exc.deviation
         code = EXIT_INVALID

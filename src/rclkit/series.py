@@ -8,12 +8,12 @@ everywhere, never ambient state.
 complex array of shape ``(order + 1, out_dim, in_dim)``, its only field, so
 the order and both dimensions are read off its shape and nothing can
 disagree with it; a whole series is multiplied, sliced, stacked or normed
-by one array operation. Its ``toeplitz`` is the library's one
-block-Toeplitz assembly; ``eval`` checks a series pointwise and
-``truncate`` pads or cuts it to an order. The arithmetic
-below (Cauchy products and inverses cost O(N^2) products to order ``N``)
-is a reference: the library itself generates solutions by state-space
-recursions, and the tests use these functions as an independent oracle.
+by one array operation. The array is a read-only copy, which later writes
+to the caller's array cannot reach. Its ``toeplitz`` is the library's one
+block-Toeplitz assembly; ``eval`` checks a series pointwise. The Cauchy
+product ``mul`` and the inverse ``inv`` (O(N^2) products to order ``N``)
+are a reference: the library itself generates solutions by state-space
+recursions, and the tests use these two as an independent oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotInvertible
-from .opcore import CMatrix
+from .opcore import CMatrix, read_only
 
 
 def _shape_of(c) -> str:
@@ -35,7 +35,7 @@ def _shape_of(c) -> str:
 
 @dataclass(frozen=True)
 class MatrixSeries:
-    """Coefficients c0..cN of an analytic function, as one
+    """Coefficients c0..cN of an analytic function, as one read-only
     ``(N + 1, out_dim, in_dim)`` complex128 array; the order and both
     dimensions are read off its shape."""
 
@@ -61,7 +61,7 @@ class MatrixSeries:
             )
         if not np.all(np.isfinite(coeffs)):
             raise InvalidInput("series has non-finite coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", read_only(coeffs))
 
     @property
     def order(self) -> int:
@@ -98,23 +98,6 @@ class MatrixSeries:
         for i in range(blocks):
             out[i * h:(i + 1) * h] = strip[:, (blocks - 1 - i) * w:(2 * blocks - 1 - i) * w]
         return out
-
-    def truncate(self, order: int) -> "MatrixSeries":
-        """Pad with zeros or drop coefficients so the result has the given order."""
-        coeffs = np.zeros((order + 1, self.out_dim, self.in_dim), dtype=np.complex128)
-        kept = min(order, self.order) + 1
-        coeffs[:kept] = self.coeffs[:kept]
-        return MatrixSeries(coeffs)
-
-
-def add(a: MatrixSeries, b: MatrixSeries, order: int) -> MatrixSeries:
-    if (a.out_dim, a.in_dim) != (b.out_dim, b.in_dim):
-        raise DimensionMismatch(f"cannot add {a.out_dim}x{a.in_dim} and {b.out_dim}x{b.in_dim} series")
-    return MatrixSeries(a.truncate(order).coeffs + b.truncate(order).coeffs)
-
-
-def scale(a: MatrixSeries, factor: complex) -> MatrixSeries:
-    return MatrixSeries(factor * a.coeffs)
 
 
 def mul(a: MatrixSeries, b: MatrixSeries, order: int) -> MatrixSeries:
@@ -158,11 +141,3 @@ def inv(a: MatrixSeries, order: int) -> MatrixSeries:
                 acc += a.coeffs[k] @ out[n - k]
         out[n] = -a0_inv @ acc
     return MatrixSeries(out)
-
-
-def shift(a: MatrixSeries, k: int) -> MatrixSeries:
-    """Multiply by lambda^k, displacing every coefficient upward by ``k``."""
-    if k < 0:
-        raise InvalidInput(f"shift exponent must be nonnegative, got {k}")
-    zeros = np.zeros((k, a.out_dim, a.in_dim), dtype=np.complex128)
-    return MatrixSeries(np.concatenate([zeros, a.coeffs]))

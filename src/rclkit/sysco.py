@@ -50,6 +50,7 @@ from .opcore import (
     coisometry_within,
     defect,
     hermitian_norm,
+    read_only,
 )
 from .series import MatrixSeries
 
@@ -58,6 +59,8 @@ from .series import MatrixSeries
 class CoisometricSystem:
     """Validated at construction: ``AuditFailure``, carrying the deviation,
     when the block matrix misses a co-isometry by more than ``identity_tol``.
+    ``A``, ``B``, ``C`` and ``D`` are stored as read-only copies, which later
+    writes to the caller's arrays cannot reach.
     Pass ``validate=False`` to build a deliberately broken system for
     negative-control audits. ``tol`` holds the thresholds of that check and
     of the system's Gram audit (:func:`gram_identity_audit`)."""
@@ -74,12 +77,11 @@ class CoisometricSystem:
         x = A.shape[0]
         if A.shape[1] != x:
             raise InvalidInput(f"state operator must be square, got {A.shape}")
-        object.__setattr__(self, "A", A)
         B = as_cmatrix(self.B, rows=x)
-        object.__setattr__(self, "B", B)
         C = as_cmatrix(self.C, cols=x)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", as_cmatrix(self.D, rows=C.shape[0], cols=B.shape[1]))
+        D = as_cmatrix(self.D, rows=C.shape[0], cols=B.shape[1])
+        for name, M in zip("ABCD", (A, B, C, D)):
+            object.__setattr__(self, name, read_only(M))
         if validate:
             block = self.block_matrix()
             if not coisometry_within(block, self.tol.identity_tol):

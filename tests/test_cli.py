@@ -39,6 +39,7 @@ from rclkit.cli import (
     parse_series,
     series_to_json,
 )
+from rclkit.errors import AuditFailure
 from rclkit.opcore import DEFAULT_TOL
 from rclkit.series import MatrixSeries
 
@@ -306,6 +307,18 @@ class TestParseErrors:
         code, _, err = run(capsys, "validate", "/nonexistent.json")
         assert code == EXIT_PARSE and err
 
+    def test_data_set_form_needs_every_key(self, capsys, tmp_path):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({k: json_matrix(np.eye(1)) for k in ("A", "Tprime", "R")}))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (EXIT_PARSE, "", "rclkit: data-set form needs all of ['A', 'Q', 'R', 'Tprime']\n")
+
+    def test_omega_form_needs_an_object(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps({"omega": [1]}))
+        code, out, err = run(capsys, "omega", str(path))
+        assert (code, out, err) == (EXIT_PARSE, "", "rclkit: omega form must be an object\n")
+
 
 #: Documents whose stacks of matrices take every branch of the decoder.
 STACK_DOCUMENTS = {
@@ -553,6 +566,12 @@ class TestSolveVerifyAudit:
         code, out, err = run(capsys, *argv, str(aux))
         assert code == EXIT_PARSE and out == "" and err
 
+    def test_parameter_without_coefficients_exits_two(self, capsys, tmp_path):
+        param = tmp_path / "v.json"
+        param.write_text(json.dumps({"coeffs": []}))
+        code, out, err = run(capsys, "solve", SHIFT6, "--param", str(param))
+        assert (code, out, err) == (EXIT_PARSE, "", "rclkit: parameter file needs at least one coefficient\n")
+
     @pytest.mark.parametrize("shape, message", [((1, 1), "expected 2 rows, got 1"),
                                                 ((2, 2), "expected 1 columns, got 2")])
     def test_ragged_parameter_exits_two(self, capsys, tmp_path, shape, message):
@@ -694,6 +713,14 @@ class TestSolveVerifyAudit:
         assert code == EXIT_OK
         assert float(json.loads(out)["redheffer_deficiency"]) < 1e-9
 
+    def test_failed_redheffer_audit_reports_its_deviation(self, capsys, monkeypatch):
+        def failing(system, blocks):
+            raise AuditFailure(f"stacked Gram identity deviates by 2.500e-01 on {blocks} blocks", 0.25)
+
+        monkeypatch.setattr(cli.sysco, "gram_identity_audit", failing)
+        code, out, err = run(capsys, "audit", RELAXED, "--order", "6")
+        assert (code, out, err) == (EXIT_INVALID, '{"blocks": 6, "redheffer_deficiency": 2.5000000000000000e-01}\n', "")
+
     def test_audit_with_system_file(self, capsys, tmp_path):
         root = float(np.sqrt(3) / 2)
         doc = {
@@ -760,6 +787,13 @@ class TestToleranceOverrides:
         monkeypatch.setenv("RCLKIT_TOL", "not-a-number")
         code, _, err = run(capsys, "validate", CLASSICAL)
         assert code == EXIT_PARSE and "RCLKIT_TOL" in err
+
+    def test_too_loose_identity_tol_is_an_internal_contradiction(self, capsys, monkeypatch):
+        monkeypatch.setenv("RCLKIT_TOL", "10")
+        code, out, err = run(capsys, "unique", RELAXED)
+        assert (code, err) == (EXIT_INVALID, "")
+        assert json.loads(out) == {"error": "InternalContradiction: co-isometry chain survived past its "
+                                            "guaranteed failure bound; identity_tol is too loose"}
 
     def test_file_tolerances_respected(self, capsys, tmp_path):
         doc = load_json(CLASSICAL)

@@ -203,6 +203,11 @@ class TestPresetRelaxedRQ:
         np.testing.assert_array_equal(r, [[1.0], [0.0]])
         np.testing.assert_array_equal(q, [[0.0], [1.0]])
 
+    @pytest.mark.parametrize("n,v", [(0, 1), (2, -1)])
+    def test_rejects_no_block_or_a_negative_dimension(self, n, v):
+        with pytest.raises(InvalidInput, match=f"^need n >= 1 and v_dim >= 0, got n={n}, v_dim={v}$"):
+            preset_relaxed_rq(n, v)
+
     @pytest.mark.parametrize("n,v", [(2, 1), (3, 2), (5, 1), (4, 3)])
     def test_both_are_exact_isometries(self, n, v):
         r, q = preset_relaxed_rq(n, v)

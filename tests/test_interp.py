@@ -12,7 +12,7 @@ from helpers import (
     random_problem,
     random_subspace,
 )
-from rclkit.errors import InvalidInput, NotAContraction
+from rclkit.errors import DimensionMismatch, InternalContradiction, InvalidInput, NotAContraction
 from rclkit.interp import (
     InterpProblem,
     UniquenessKind,
@@ -56,6 +56,10 @@ class TestProblemConstruction:
             assert not stored.flags.writeable
             with pytest.raises(ValueError):
                 stored[0, 0] = 5.0
+
+    def test_subspace_must_live_in_the_state_space(self):
+        with pytest.raises(DimensionMismatch, match=r"^F lives in C\^3 but the problem has u_dim=2$"):
+            InterpProblem(2, 1, SubspaceBasis(3, np.eye(3, 1)), np.zeros((1, 1)), np.zeros((2, 1)))
 
     def test_empty_domain_is_legal(self):
         p = random_problem(np.random.default_rng(0), f_dim=0, u_dim=3, y_dim=2)
@@ -138,6 +142,16 @@ class TestIsSolution:
         with pytest.raises(InvalidInput, match="overflow"):
             is_solution(p, MatrixSeries(np.full((3, 1, 6), 1e200 + 0j)))
 
+    def test_candidate_needs_h0_and_h1(self):
+        with pytest.raises(InvalidInput, match="^candidate series must carry at least coefficients h0 and h1$"):
+            is_solution(backward_shift_problem(4), MatrixSeries(np.zeros((1, 1, 4))))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 4)])
+    def test_candidate_must_map_u_into_y(self, shape):
+        out_dim, in_dim = shape
+        with pytest.raises(DimensionMismatch, match=f"^series maps {in_dim}->{out_dim}, problem needs 4->1$"):
+            is_solution(backward_shift_problem(4), MatrixSeries(np.zeros((3, *shape))))
+
     def test_zero_series_fails_at_constant_term(self):
         rng = np.random.default_rng(3)
         p = random_problem(rng, y_dim=1, f_dim=2, u_dim=3)
@@ -197,6 +211,14 @@ class TestUniqueness:
         verdict = uniqueness(p)
         if verdict.kind is UniquenessKind.NOT_UNIQUE:
             assert verdict.failing_n <= scan_bound(p)
+
+    def test_too_loose_identity_tol_is_a_contradiction(self):
+        # with identity_tol 10 every chain step passes as a co-isometry, which
+        # scan_bound proves impossible for y_dim > 0
+        p = backward_shift_problem(6)
+        loose = InterpProblem(p.u_dim, p.y_dim, p.F, p.omega1, p.omega2, Tolerances(identity_tol=10.0))
+        with pytest.raises(InternalContradiction, match="identity_tol is too loose$"):
+            uniqueness(loose)
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)

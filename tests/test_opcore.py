@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import haar_isometry, knife_edge_matrix, random_complex, random_contraction, random_subspace
-from rclkit.errors import InvalidInput, NotAContraction
+from rclkit.errors import DimensionMismatch, InvalidInput, NotAContraction
 from rclkit.opcore import (
     SubspaceBasis,
     Tolerances,
@@ -303,6 +303,10 @@ class TestSubspaces:
         with pytest.raises(InvalidInput):
             SubspaceBasis(2, np.array([[1.0], [1.0]]))
 
+    def test_basis_has_at_most_ambient_dim_columns(self):
+        with pytest.raises(DimensionMismatch, match="^subspace dimension 3 exceeds ambient dimension 2$"):
+            SubspaceBasis(2, np.zeros((2, 3)))
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_read_only_copy_keeps_the_layout(self, order):
         m = np.asarray(random_complex(np.random.default_rng(4), 3, 4), order=order)
@@ -358,12 +362,17 @@ def test_tolerances_reject_what_is_not_a_finite_real(name, value):
         Tolerances(**{name: value})
 
 
-@pytest.mark.parametrize("value", [[[1], [1, 2]], [["a"], ["b"]], [[{}]], "ab"])
+@pytest.mark.parametrize("value", [[[1], [1, 2]], [["a"], ["b"]], [[{}]], "ab", np.zeros(2)])
 def test_as_cmatrix_rejects_what_is_not_a_numeric_matrix(value):
     with pytest.raises(InvalidInput):
         as_cmatrix(value)
     with pytest.raises(InvalidInput):
         SubspaceBasis(2, value)
+
+
+def test_as_cmatrix_checks_the_asked_columns():
+    with pytest.raises(DimensionMismatch, match="^expected 3 columns, got 2$"):
+        as_cmatrix(np.zeros((2, 2)), cols=3)
 
 
 def test_numpy_linear_algebra_takes_zero_size_input():

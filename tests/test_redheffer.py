@@ -40,6 +40,11 @@ class TestRealize:
         r = realize(coisometric_problem(np.random.default_rng(0)))
         assert r.defect_dim == 0
 
+    def test_realization_blocks_are_read_only(self):
+        r = realize(backward_shift_problem(4))
+        for stored in (r.A, r.B, r.C, r.D):
+            assert not stored.flags.writeable
+
     def test_backward_shift_state_operator(self):
         p = backward_shift_problem(6)
         r = realize(p)
@@ -313,17 +318,15 @@ class TestLftSolution:
 
 
 def series_lft(realization: RedhefferRealization, parameter: SchurParameter, order: int) -> MatrixSeries:
-    """Reference ``Phi22 + Phi21 V (I - Phi11 V)^{-1} Phi12`` in truncated series arithmetic."""
+    """Reference ``Phi22 + Phi21 V (I - Phi11 V)^{-1} Phi12`` in truncated
+    series arithmetic: ``series.mul`` and ``series.inv``, with each sum
+    formed on the ``(order + 1, out, in)`` coefficient arrays."""
     phi11, phi12, phi21, phi22 = phi_taylor(realization, order)
     v = MatrixSeries(parameter.coeffs)
-    g = realization.complement_dim
-    inner = series.add(
-        MatrixSeries(np.concatenate([np.eye(g)[None], np.zeros((order, g, g))])),
-        series.scale(series.mul(phi11, v, order), -1.0),
-        order,
-    )
-    chain = series.mul(series.mul(phi21, v, order), series.inv(inner, order), order)
-    return series.add(phi22, series.mul(chain, phi12, order), order)
+    inner = -series.mul(phi11, v, order).coeffs
+    inner[0] += np.eye(realization.complement_dim)
+    chain = series.mul(series.mul(phi21, v, order), series.inv(MatrixSeries(inner), order), order)
+    return MatrixSeries(phi22.coeffs + series.mul(chain, phi12, order).coeffs)
 
 
 def random_schur_parameter(rng, realization: RedhefferRealization, degree: int) -> SchurParameter:

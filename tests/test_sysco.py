@@ -44,6 +44,18 @@ class TestConstruction:
         s = CoisometricSystem(np.eye(2), np.eye(2), np.eye(2), np.eye(2), validate=False)
         assert coisometry_deficiency(s.block_matrix()) > 1.0
 
+    def test_later_writes_to_the_callers_arrays_do_not_reach_the_system(self):
+        dilation = dilation_of_half()
+        blocks = [M.copy() for M in (dilation.A, dilation.B, dilation.C, dilation.D)]
+        s = CoisometricSystem(*blocks)
+        for caller in blocks:
+            caller[0, 0] = 5.0
+        np.testing.assert_array_equal(s.block_matrix(), dilation.block_matrix())
+        for stored in (s.A, s.B, s.C, s.D):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0, 0] = 5.0
+
     def test_nonsquare_state_rejected(self):
         with pytest.raises(InvalidInput):
             CoisometricSystem(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 3)), np.zeros((1, 1)))
@@ -87,6 +99,10 @@ class TestJulia:
         s = dilation_of_half()
         f = transfer_from_orbit(s, orbit(s.C, s.A, 40))
         assert spectral_norm(f.eval(0.5)) <= 1.0 + 1e-12
+
+    def test_nonsquare_contraction_rejected(self):
+        with pytest.raises(InvalidInput, match=r"^expected a square contraction, got shape \(2, 3\)$"):
+            julia_system(np.zeros((2, 3)))
 
 
 class TestTransferObservability:
@@ -278,9 +294,10 @@ def test_audit_never_forms_the_stacked_operator(monkeypatch):
         gram_identity_audit(DEFECTS["A_grown"](s), 16)
 
 
-def test_audit_needs_a_block():
-    with pytest.raises(InvalidInput, match="at least one block"):
-        gram_identity_audit(dilation_of_half(), 0)
+@pytest.mark.parametrize("needs_blocks", [gram_identity_audit, stacked_operator])
+def test_audit_needs_a_block(needs_blocks):
+    with pytest.raises(InvalidInput, match="^need at least one block, got 0$"):
+        needs_blocks(dilation_of_half(), 0)
 
 
 @pytest.mark.parametrize("scale, message", [
