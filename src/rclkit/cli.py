@@ -15,15 +15,22 @@ variable ``RCLKIT_TOL`` overrides ``identity_tol`` last. The tolerances go
 into the loaded data set or problem, and every check reads them from there.
 
 Each matrix crosses the JSON boundary as one ``(rows, cols, 2)`` float array
-of ``[re, im]`` pairs: decoded in one conversion, and encoded, a whole
-stack of matrices at once, by one vectorized pass that forms the
+of ``[re, im]`` pairs. A long matrix, or a long stack of matrices (a
+series' or a parameter's ``"coeffs"``), is decoded from its text by one
+vectorized pass, about a thousand pairs at a time, with no Python float
+per entry: it proves the array regular and every entry a JSON float, and
+reads each value from its digits by a guarded double-double product, or by
+``float`` itself where the guard does not prove the rounding, so every
+value has the bits ``json`` gives it. An array the pass cannot prove
+(integer entries, NaN, empty or ragged rows, whitespace other than one
+space after a comma) and a short one go to the standard decoder, and each
+of their matrices whose entries are all floats becomes a float array then;
+what a file means, and every diagnostic, is the standard decoder's. A
+whole stack of matrices is encoded by one vectorized pass that forms the
 ``%.16e`` text of about a thousand pairs at a time with no Python float per
 entry; each value it cannot prove exact is formatted by ``%.16e`` itself,
-so the text is Python's. A stack of matrices (a series' or a parameter's
-``"coeffs"``) is decoded one matrix at a time, so reading a long series
-never holds a Python object per entry of the whole file. A report is
-formatted in full, then written to standard output piece by piece, so no
-full-size copy of it is built.
+so the text is Python's. A report is formatted in full, then written to
+standard output piece by piece, so no full-size copy of it is built.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on parse error (with a
 diagnostic on standard error). All floating-point output is rendered in
@@ -45,7 +52,7 @@ from json.scanner import py_make_scanner
 
 import numpy as np
 
-from . import dataset, interp, lifting, redheffer, sysco
+from . import dataset, interp, jsonpairs, lifting, redheffer, sysco
 from .errors import AuditFailure, NotContractive, RclkitError
 from .opcore import SubspaceBasis, Tolerances
 from .series import MatrixSeries
@@ -242,12 +249,18 @@ def series_to_json(s: MatrixSeries) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# JSON decoding.
+# JSON decoding. A long matrix or stack of matrices is read by one
+# vectorized pass (see ``jsonpairs``); a short one, and one the pass cannot
+# prove, by the standard decoder, whose values and diagnostics are the
+# reference either way.
 
 _C_DECODER = json.JSONDecoder()
-_WS = re.compile(r"[ \t\n\r]*")
-#: The start of an array whose first entry is a matrix: a stack of matrices.
-_STACK = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[[ \t\n\r]*\[")
+#: The opening of a matrix (three brackets) or of a stack of matrices
+#: (four) whose first entry is a number.
+_OPENING = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[[ \t\n\r]*(\[[ \t\n\r]*)?[-0-9]")
+#: A shorter array goes to the standard decoder: the fixed cost of the
+#: pass's hundred or so numpy calls would exceed what it saves there.
+_MIN_CHARS = 20000
 
 
 def _float_pairs(obj) -> np.ndarray | None:
@@ -259,35 +272,40 @@ def _float_pairs(obj) -> np.ndarray | None:
     return None
 
 
+def _decode_pairs(s: str, start: int, depth: int):
+    """``(value, end)`` of the array of ``depth`` levels at ``s[start]``, in
+    which each matrix whose entries are all floats is a ``(rows, cols, 2)``
+    float array: read by :func:`jsonpairs.read_pairs` if the array is long
+    and the pass proves it, else by the standard decoder."""
+    end = s.find("]" * depth, start) + depth       # the end of a regular array
+    if end - start >= _MIN_CHARS:
+        value = jsonpairs.read_pairs(s, start, end, depth)
+        if value is not None:
+            return value, end
+    value, end = _C_DECODER.raw_decode(s, start)
+    if depth == 3:
+        floats = _float_pairs(value)
+        return (value if floats is None else floats), end
+    return [item if (floats := _float_pairs(item)) is None else floats for item in value], end
+
+
 def _parse_array(s_and_end, scan_once):
-    """An array that is a value of an object (or the whole document).
-
-    A stack of matrices is decoded one entry at a time, and each entry that
-    is a nonempty matrix of floats becomes its float array of pairs at
-    once, so the decoded objects of one matrix at most are alive together.
-    Any other array is decoded in one call of the C decoder."""
+    """An array that is a value of an object (or the whole document): a
+    matrix or a stack of matrices by :func:`_decode_pairs`, any other
+    array as the standard decoder gives it."""
     s, end = s_and_end
-    if not _STACK.match(s, end - 1):
-        return _C_DECODER.raw_decode(s, end - 1)
-    items, pos = [], end
-    while True:
-        item, pos = _C_DECODER.raw_decode(s, _WS.match(s, pos).end())
-        pairs = _float_pairs(item)
-        items.append(item if pairs is None else pairs)
-        pos = _WS.match(s, pos).end()
-        if s[pos:pos + 1] == "]":
-            return items, pos + 1
-        if s[pos:pos + 1] != ",":
-            raise json.JSONDecodeError("Expecting ',' delimiter", s, pos)
-        pos += 1
+    opening = _OPENING.match(s, end - 1)
+    if opening:
+        return _decode_pairs(s, end - 1, 4 if opening.group(1) else 3)
+    return _C_DECODER.raw_decode(s, end - 1)
 
 
-class _StackDecoder(json.JSONDecoder):
-    """``json`` decoding in which a stack of matrices arrives as a list of
-    ``(rows, cols, 2)`` float arrays: a series file of any order never holds
-    a Python float and a list per entry of all its coefficients at once.
-    A document it cannot decode goes to the standard decoder, whose
-    diagnostic is reported."""
+class _PairsDecoder(json.JSONDecoder):
+    """``json`` decoding in which each matrix, and each matrix of a stack,
+    whose entries are all floats arrives as a float array of pairs: a long
+    series file that the pass proves never holds a Python float and a list
+    per entry. A document it cannot decode goes to the standard decoder,
+    whose diagnostic is reported."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -315,10 +333,11 @@ def _as_lists(obj):
 
 def _read_json(path: str, what: str):
     """The JSON document in ``path``; ``what`` names the file in diagnostics.
-    Stacks of matrices in it may hold float arrays (see ``_StackDecoder``)."""
+    Matrices and stacks of matrices in it may be float arrays (see
+    ``_PairsDecoder``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, cls=_StackDecoder)
+            return json.load(fh, cls=_PairsDecoder)
     except OSError as exc:
         raise ParseFailure(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:   # malformed JSON or text that is not UTF-8
@@ -355,7 +374,7 @@ def _pairs_of_list(obj, cols: int | None) -> np.ndarray:
 
 def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Decode a nested-array matrix, or the ``(rows, cols, 2)`` float array
-    of pairs that ``_StackDecoder`` makes of one; ``[]`` takes ``cols`` from
+    of pairs that ``_PairsDecoder`` makes of one; ``[]`` takes ``cols`` from
     context."""
     if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 3 and obj.shape[2] == 2:
         pairs = np.ascontiguousarray(obj)
@@ -371,15 +390,26 @@ def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.nd
     return out
 
 
+def _coefficients(doc) -> list | None:
+    """``doc["coeffs"]`` if ``doc`` is an object whose ``"coeffs"`` is a
+    list, else None. A matrix there, which the decoder may give as a float
+    array, is the list of its rows, as the standard decoder gives it."""
+    coeffs = doc.get("coeffs") if isinstance(doc, dict) else None
+    if isinstance(coeffs, np.ndarray):
+        coeffs = coeffs.tolist()
+    return coeffs if isinstance(coeffs, list) else None
+
+
 def parse_series(obj) -> MatrixSeries:
-    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+    coeffs = _coefficients(obj)
+    if coeffs is None:
         raise ParseFailure("series must be an object with a 'coeffs' list")
     order, out_dim, in_dim = (_integer(obj, key) for key in ("order", "out_dim", "in_dim"))
     if order < 0:
         raise ParseFailure(f"series order must be nonnegative, got {order}")
-    if len(obj["coeffs"]) != order + 1:
+    if len(coeffs) != order + 1:
         raise ParseFailure("series coefficient count does not match its order")
-    return MatrixSeries([parse_matrix(c, rows=out_dim, cols=in_dim) for c in obj["coeffs"]])
+    return MatrixSeries([parse_matrix(c, rows=out_dim, cols=in_dim) for c in coeffs])
 
 
 @dataclasses.dataclass
@@ -503,14 +533,14 @@ def cmd_unique(pf: ProblemFile, args) -> tuple[int, dict]:
 
 
 def _load_parameter(path: str, tol: Tolerances) -> redheffer.SchurParameter:
-    doc = _read_json(path, "parameter file")
-    if not isinstance(doc, dict) or "coeffs" not in doc or not isinstance(doc["coeffs"], list):
+    coeffs = _coefficients(_read_json(path, "parameter file"))
+    if coeffs is None:
         raise ParseFailure("parameter file must be an object with a 'coeffs' list")
-    if not doc["coeffs"]:
+    if not coeffs:
         raise ParseFailure("parameter file needs at least one coefficient")
-    head = parse_matrix(doc["coeffs"][0])
+    head = parse_matrix(coeffs[0])
     rows, cols = head.shape
-    mats = [head] + [parse_matrix(c, rows=rows, cols=cols) for c in doc["coeffs"][1:]]
+    mats = [head] + [parse_matrix(c, rows=rows, cols=cols) for c in coeffs[1:]]
     return redheffer.SchurParameter(tuple(mats), tol)
 
 

@@ -8,8 +8,9 @@ everywhere, never ambient state.
 complex array of shape ``(order + 1, out_dim, in_dim)``, its only field, so
 the order and both dimensions are read off its shape and nothing can
 disagree with it; a whole series is multiplied, sliced, stacked or normed
-by one array operation. The array is a read-only copy, which later writes
-to the caller's array cannot reach. Its ``toeplitz`` is the library's one
+by one array operation. The array is read-only: a copy of an array the
+caller passes, which later writes to the caller's array cannot reach, and
+the array stacked from a list or tuple of coefficients itself. Its ``toeplitz`` is the library's one
 block-Toeplitz assembly; ``eval`` checks a series pointwise. The Cauchy
 product ``mul`` and the inverse ``inv`` (O(N^2) products to order ``N``)
 are a reference: the library itself generates solutions by state-space
@@ -61,7 +62,11 @@ class MatrixSeries:
             )
         if not np.all(np.isfinite(coeffs)):
             raise InvalidInput("series has non-finite coefficients")
-        object.__setattr__(self, "coeffs", read_only(coeffs))
+        if isinstance(self.coeffs, (list, tuple)):   # stacked afresh: no one else holds it
+            coeffs.flags.writeable = False
+        else:
+            coeffs = read_only(coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:

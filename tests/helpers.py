@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -263,3 +264,17 @@ def knife_edge_matrix(rng, rows, cols, slack):
     edge = 1.0 + slack
     s[0] = edge + int(rng.integers(-8, 9)) * np.spacing(edge)
     return haar_isometry(rng, rows, k) @ np.diag(s) @ adjoint(haar_isometry(rng, cols, k))
+
+
+def reference_read_json(path: str, what: str):
+    """The document in ``path`` as the standard ``json`` decoder gives it,
+    with the CLI's diagnostic for malformed JSON: the oracle of
+    ``cli._read_json``, whose matrices may arrive as float arrays."""
+    from rclkit.cli import ParseFailure
+
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ParseFailure(f"malformed JSON in {what} {path}: {exc}") from exc

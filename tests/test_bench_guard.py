@@ -9,8 +9,11 @@ loaded by path, the others are parsed.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -110,3 +113,23 @@ def test_audit_call_forms_bind():
     julia = rk.sysco.julia_system(random_contraction(rng, 4, 4, 0.9))
     system = rk.sysco.CoisometricSystem(julia.A, julia.B, julia.C, julia.D)
     assert rk.sysco.gram_identity_audit(system, 8) <= 1e-8
+
+
+def test_read_json_reads_through_the_module_json_load(tmp_path, monkeypatch):
+    # bench/tracer.py times a file's decoding by swapping cli.json for a
+    # proxy whose load it wraps; a reader around it would count as encoding
+    read = []
+
+    def load(fh, **kwargs):
+        read.append(fh.name)
+        return json.load(fh, **kwargs)
+
+    monkeypatch.setattr(rclkit.cli, "json", load_tracer()._JsonProxy(load))
+    rng = np.random.default_rng(3)
+    problem, series = tmp_path / "problem.json", tmp_path / "series.json"
+    p = random_problem(rng, u_dim=6, y_dim=2, f_dim=3)
+    problem.write_text("".join(rclkit.cli._dump_json(rclkit.cli.problem_to_json(p))))
+    series.write_text("".join(rclkit.cli._dump_json(rclkit.cli.series_to_json(rk.interp.central_taylor(p, 4)))))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rclkit.cli.main(["verify", str(problem), "--solution", str(series)]) == 0
+    assert read == [str(problem), str(series)]

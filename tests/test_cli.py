@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from helpers import (
     residual_audit_dataset,
     template_text,
 )
-from rclkit import cli, redheffer
+from rclkit import cli, jsonpairs, redheffer
 from rclkit.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -134,10 +135,11 @@ class TestMatrixCodec:
         assert encode([-0.0, 5e-324, 1e300, 1 / 3]) == f"[{-0.0:.16e}, {5e-324:.16e}, {1e300:.16e}, {1 / 3:.16e}]"
 
     def test_import_builds_no_table(self):
-        probe = "import rclkit.cli as c; print(c._format_tables.cache_info().currsize, c._record.cache_info().currsize)"
+        probe = ("import rclkit.cli as c; print(c._format_tables.cache_info().currsize, "
+                 "c._record.cache_info().currsize, c.jsonpairs._parse_tables.cache_info().currsize)")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
-        assert out == "0 0\n"
+        assert out == "0 0 0\n"
 
     def test_non_finite_output_rejected(self):
         with pytest.raises(ParseFailure):
@@ -209,6 +211,127 @@ class TestEncoderExactness:
         pairs[..., 1][rng.random(shape[:-1]) < 0.2] = -0.0
         assert encode(pairs) == template_text(pairs)
         assert encode({"coeffs": pairs}) == f'{{"coeffs": {template_text(pairs)}}}'
+
+
+def assert_read_as_float(tokens):
+    """The vectorized pass reads every token, as an entry of one row of
+    pairs, to the bits of ``float(token)``."""
+    tokens = list(tokens) + ["0.0"] * (len(tokens) % 2)
+    text = "[[" + ", ".join(f"[{re}, {im}]" for re, im in zip(tokens[::2], tokens[1::2])) + "]]"
+    got = jsonpairs.read_pairs(text, 0, len(text), 3)
+    assert got is not None, "the pass did not prove the text"
+    want = np.array([float(token) for token in tokens])
+    bad = np.flatnonzero(got.reshape(-1).view(np.int64) != want.view(np.int64))
+    assert not bad.size, [(tokens[i], got.reshape(-1)[i], want[i]) for i in bad[:5]]
+
+
+def halfway_texts(m: Fraction, digits: int) -> list:
+    """``m`` (a halfway point) written to ``digits`` significant digits,
+    exactly when it has no more, and its neighbours one unit away in the
+    last digit, in positional and in scientific notation."""
+    e = math.floor(math.log10(m))
+    while Fraction(10) ** e > m:
+        e -= 1
+    unit = Fraction(10) ** (e - digits + 1)
+    n = round(m / unit)
+    texts = []
+    for k in (n - 1, n, n + 1):
+        d = str(k)
+        point = len(d) - (digits - 1 - e) if e < digits - 1 else None
+        texts.append(f"{d[0]}.{d[1:]}e{e + len(d) - digits:+d}")
+        if point is not None and point > 0:
+            texts.append(f"{d[:point]}.{d[point:]}")
+    return texts
+
+
+def next_to_halfway(q: int, rng) -> int | None:
+    """An 18-digit ``D`` for which ``D 10^q`` lies about 10^-18 half-units
+    in the last place from a halfway point between doubles (or on one): the
+    closest vector to the halfway points in a reduced 2-dimensional lattice."""
+    center = int(rng.integers(10 ** 17, 10 ** 18))
+    f = math.floor(math.log2(center) + q * math.log2(10)) - 52            # the ulp is 2^f
+    lo = max(10 ** 17, -(-(Fraction(2) ** (f + 52)) // Fraction(10) ** q))
+    hi = min(10 ** 18, (Fraction(2) ** (f + 53)) // Fraction(10) ** q)
+    ratio = Fraction(10) ** q / Fraction(2) ** (f - 1)                  # D ratio odd at a halfway point
+    modulus, target, step, n = 2 * ratio.denominator, ratio.denominator, ratio.numerator, hi - lo
+    # lattice points (D modulus, (D step - j modulus) n^2): near (center, target n^2) means D step ~ target
+    u, v = (modulus, step % modulus * n * n), (0, modulus * n * n)
+    while True:
+        if u[0] ** 2 + u[1] ** 2 > v[0] ** 2 + v[1] ** 2:
+            u, v = v, u
+        m = round(Fraction(u[0] * v[0] + u[1] * v[1], u[0] ** 2 + u[1] ** 2))
+        if m == 0:
+            break
+        v = (v[0] - m * u[0], v[1] - m * u[1])
+    t, det = ((lo + hi) // 2 * modulus, target * n * n), u[0] * v[1] - u[1] * v[0]
+    c1, c2 = round(Fraction(t[0] * v[1] - t[1] * v[0], det)), round(Fraction(u[0] * t[1] - u[1] * t[0], det))
+    candidates = [((c1 + i) * u[0] + (c2 + j) * v[0]) // modulus for i in range(-3, 4) for j in range(-3, 4)]
+    distances = [(min((D * step - target) % modulus, -(D * step - target) % modulus), D)
+                 for D in candidates if lo <= D < hi]
+    return min(distances)[1] if distances else None
+
+
+class TestDecoderExactness:
+    """The vectorized pass reads every JSON float to the bits that
+    ``float``, and so ``json``, gives it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    @example([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+    def test_any_finite_doubles(self, values):
+        assert_read_as_float([repr(x) for x in values] + [f"{x:.16e}" for x in values])
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(24).integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)[np.isfinite(bits.view(np.float64))].tolist()
+        assert_read_as_float([repr(x) for x in values])
+        assert_read_as_float([f"{x:.16e}" for x in values])
+
+    def test_decimal_strings_over_the_whole_exponent_range(self):
+        rng = np.random.default_rng(25)
+        tokens = []
+        for count in range(1, 26):
+            for _ in range(400):
+                digits = "".join(map(str, rng.integers(0, 10, count)))
+                digits = str(rng.integers(1, 10)) + digits[1:]
+                exponent = int(rng.integers(-345, 311))
+                sign = "-" if rng.random() < 0.5 else ""
+                tokens.append(f"{sign}{digits[0]}.{digits[1:] or '0'}e{exponent}")
+                tokens.append(f"{sign}0.{'0' * int(rng.integers(0, 4))}{digits}E+{int(rng.integers(0, 20))}")
+        assert_read_as_float(tokens)
+
+    def test_halfway_points_and_their_neighbours(self):
+        # x between 2^(53 - j) and 2^(54 - j) has spacing 2^-j: its halfway
+        # points have about 16 + j significant digits, 17 to 40 here
+        rng = np.random.default_rng(26)
+        tokens = []
+        for j in range(-8, 24):
+            for x in rng.integers(2 ** 52, 2 ** 53, 30).tolist():
+                m = (Fraction(x) + Fraction(1, 2)) * Fraction(2) ** (1 - j)
+                for digits in range(17, 41):
+                    if (m * Fraction(10) ** (digits - 1 - math.floor(math.log10(m)))).denominator == 1:
+                        tokens += halfway_texts(m, digits)
+                        break
+                tokens += halfway_texts(m, 17) + halfway_texts(m, 18)
+        assert len(tokens) > 5000
+        assert_read_as_float(tokens)
+
+    def test_decimals_next_to_halfway_points(self):
+        # within about 2^-113 of a halfway point, closer than the error of
+        # p + t: only the guard sends these to float()
+        rng = np.random.default_rng(27)
+        tokens = []
+        while len(tokens) < 400:
+            q = int(rng.integers(-300, 270))
+            D = next_to_halfway(q, rng)
+            if D is not None:
+                tokens.append(f"{'-' * (len(tokens) % 2)}{str(D)[0]}.{str(D)[1:]}e{q + 17}")
+        assert_read_as_float(tokens)
+
+    def test_extremes(self):
+        assert_read_as_float(["0.0", "-0.0", "0e0", "-0E-0", "5e-324", "4.9406564584124654e-324",
+                              "2.2250738585072014e-308", "1.7976931348623157e308", "-1.7976931348623157E+308",
+                              "1.7976931348623158e308", "1e-400", "1e400", "1e99999999999", "0.000000000000000000001"])
 
 
 class TestByteGuard:

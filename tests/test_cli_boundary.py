@@ -11,18 +11,29 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.resources import files
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import json_matrix, random_contraction
-from rclkit import interp, redheffer
-from rclkit.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, load_problem_file, main
+from helpers import json_matrix, random_contraction, reference_read_json
+from rclkit import cli, interp, redheffer
+from rclkit.cli import (
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_PARSE,
+    _coefficients,
+    load_problem_file,
+    main,
+    parse_matrix,
+    parse_series,
+)
 from rclkit.sysco import julia_system
 
 EXAMPLES = files("rclkit").joinpath("examples")
@@ -172,3 +183,73 @@ def test_main_answers_every_mutated_file_on_one_line(data):
     else:
         assert err == "" and out.endswith("\n") and out.count("\n") == 1
         strict_json(out)
+
+
+# ---------------------------------------------------------------------------
+# The same files as text: a few bytes changed inside their matrices must
+# decode as the standard json decoder reads them.
+
+#: Bytes written into matrices, and texts that strtod and JSON read apart.
+MATRIX_BYTES = "0123456789.eE+-,[] \n"
+STRTOD_TEXTS = ["01", "-01", "00.5", "1.", ".5", "-.5", "+1", "1.e5", "1e", "1e+", "1E400", "-0", "NaN",
+                "Infinity", "1" * 400]
+READERS = {
+    "problem": lambda doc: [parse_matrix(m) for m in (
+        [doc["omega"][k] for k in ("F_basis", "omega1", "omega2")] if "omega" in doc
+        else [doc[k] for k in ("A", "Tprime", "R", "Q")])],
+    "series": lambda doc: [parse_series(doc).coeffs],
+    "param": lambda doc: [parse_matrix(c) for c in _coefficients(doc)],
+    "system": lambda doc: [parse_matrix(doc[k]) for k in "ABCD"],
+}
+
+
+def outcome(read, kind, path):
+    """The float64 bits of every matrix of a file, or the exception text."""
+    try:
+        return [(m.shape, m.view(np.float64).tobytes()) for m in READERS[kind](read(path, "test file"))]
+    except Exception as exc:   # the standard reading fails alike, or the test fails
+        return f"{type(exc).__name__}: {exc}"
+
+
+def inside_matrices(text):
+    """Offsets of the characters at list depth 2 or more: the matrices."""
+    depth, offsets = 0, []
+    for i, ch in enumerate(text):
+        depth += (ch == "[") - (ch == "]")
+        if depth >= 2:
+            offsets.append(i)
+    return offsets
+
+
+def assert_decoded_as_standard(kind, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / f"{kind}.json")
+        Path(path).write_text(text, encoding="utf-8")
+        for min_chars in (0, cli._MIN_CHARS):       # the vectorized pass, then the route for short arrays
+            with mock.patch.object(cli, "_MIN_CHARS", min_chars):
+                assert outcome(cli._read_json, kind, path) == outcome(reference_read_json, kind, path)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_changed_bytes_in_matrices_decode_as_standard(data):
+    files = data.draw(st.sampled_from(VALID))
+    kind = data.draw(st.sampled_from(sorted(READERS)))
+    text = json.dumps(files[kind]) if data.draw(st.booleans()) else "".join(cli._dump_json(files[kind]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.sampled_from(inside_matrices(text) or [0]))
+        new = data.draw(st.text(MATRIX_BYTES, min_size=0, max_size=1))
+        text = text[:at] + new + text[at + data.draw(st.integers(0, 1)):]
+    assert_decoded_as_standard(kind, text)
+
+
+def test_texts_strtod_and_json_read_apart_decode_as_standard():
+    for files in VALID:
+        for kind in READERS:
+            text = json.dumps(files[kind])
+            number = re.search(r"-?[0-9][0-9.eE+-]*", text[(inside_matrices(text) or [len(text)])[0]:])
+            if number is None:       # every matrix of the file is empty
+                continue
+            at = inside_matrices(text)[0] + number.start()
+            for bad in STRTOD_TEXTS:
+                assert_decoded_as_standard(kind, text[:at] + bad + text[at + len(number.group()):])

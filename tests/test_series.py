@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,18 @@ def test_later_writes_to_the_callers_array_do_not_reach_the_series(construct):
     assert not p.coeffs.flags.writeable
     with pytest.raises(ValueError):
         p.coeffs[0] = 5.0
+
+
+def test_a_stacked_list_is_stored_without_a_second_copy():
+    coeffs = list(random_complex(np.random.default_rng(3), 129 * 8, 64).reshape(129, 8, 64))
+    tracemalloc.start()
+    try:
+        s = MatrixSeries(coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not s.coeffs.flags.writeable
+    assert peak < 1.5 * s.coeffs.nbytes         # the stacked array only, not a copy of it too
 
 
 def test_coefficients_are_one_array():

@@ -9,7 +9,12 @@ three sizes, direct-form problems at the three benchmark sizes, the
 degenerate regimes ``y = 0``, ``F = U``, ``F = {0}`` and zero adjoint
 defect, a shift chain, a file whose stacked norm ``1 + 1e-8`` only its
 own ``contraction_slack`` admits, and a file of edge values for the
-encoder (see :func:`edge_value_problem`). Per problem file it writes a
+encoder (see :func:`edge_value_problem`). For the decoder, each seeded
+file comes a second time as ``json.dumps(doc, indent=1)`` (newlines and
+spaces inside the matrices) and a third time as the change checkout's
+``omega`` output (``%.16e`` text), and one hand-written direct-form file
+holds integer entries and the exponent forms ``E``, ``e+0`` and ``e-05``
+(see ``NUMBER_FORMS_FILE``). Per problem file it writes a
 degree-0 and a degree-2 parameter, the order-128 central series (decoded
 from the change checkout's ``central`` output) and a co-isometric and a
 broken ``--system`` file, then runs ``validate`` (data sets), ``omega``,
@@ -100,6 +105,17 @@ def edge_value_problem() -> pb.Prob:
     return pb.Prob(3, 1, *(np.array(m, dtype=np.complex128) for m in (basis, omega1, omega2)))
 
 
+#: A direct-form file, stacked norm below 0.5, whose matrices hold integer
+#: entries, the exponent forms ``E``, ``e+0`` and ``e-05``, and ``-0.0``.
+NUMBER_FORMS_FILE = (
+    '{"omega": {"u_dim": 3, "y_dim": 1, '
+    '"F_basis": [[[1, 0], [0, -0.0]], [[0, 0], [1.0, 0]], [[0.0, -0.0], [-0, 0E0]]], '
+    '"omega1": [[[1E-1, 0e+0], [2.5e-05, -0.0]]], '
+    '"omega2": [[[-1.25E-1, 3e-2], [0, 0]], [[0.0625, -0.0], [1e-05, -2E-3]], '
+    '[[-0.0, 0.1e+0], [3.0e-1, 0]]]}}'
+)
+
+
 def build_corpus(change: Path, workdir: Path) -> list[list[str]]:
     """Write the corpus into ``workdir``; return the argv of every command."""
     rng = np.random.default_rng(SEED)
@@ -121,6 +137,19 @@ def build_corpus(change: Path, workdir: Path) -> list[list[str]]:
         shutil.copyfile(example, files[example.stem])
     files["direct_edge"] = workdir / "direct_edge.json"
     pb.write_json(files["direct_edge"], pb.problem_doc(edge_value_problem()))
+    # every number layout the decoder meets: newlines and spaces inside the
+    # matrices, the CLI's own %.16e text, and integers and exponent forms
+    for name in [*DATASET_SIZES, *DIRECT_SIZES]:
+        doc = json.loads(files[name].read_text(encoding="utf-8"))
+        files[f"{name}_indent"] = workdir / f"{name}_indent.json"
+        files[f"{name}_indent"].write_text(json.dumps(doc, indent=1), encoding="utf-8")
+        omega = run_cli(change, ["omega", str(files[name])])
+        if omega.code != 0:
+            raise SystemExit(f"omega of {name}.json failed in the change checkout: {omega.err or omega.out}")
+        files[f"{name}_omega"] = workdir / f"{name}_omega.json"
+        files[f"{name}_omega"].write_text(omega.out, encoding="utf-8")
+    files["direct_forms"] = workdir / "direct_forms.json"
+    files["direct_forms"].write_text(NUMBER_FORMS_FILE, encoding="utf-8")
 
     commands = []
     for name, path in files.items():
