@@ -14,28 +14,16 @@ witness of ``unique --witness`` is deterministic. The environment
 variable ``RCLKIT_TOL`` overrides ``identity_tol`` last. The tolerances go
 into the loaded data set or problem, and every check reads them from there.
 
-Each matrix crosses the JSON boundary as one ``(rows, cols, 2)`` float array
-of ``[re, im]`` pairs. A long matrix, or a long stack of matrices (a
-series' or a parameter's ``"coeffs"``), is decoded from its text by one
-vectorized pass, about a thousand pairs at a time, with no Python float
-per entry: it proves the array regular and every entry a JSON float, and
-reads each value from its digits by a guarded double-double product, or by
-``float`` itself where the guard does not prove the rounding, so every
-value has the bits ``json`` gives it. An array the pass cannot prove
-(integer entries, NaN, empty or ragged rows, whitespace other than one
-space after a comma) and a short one go to the standard decoder, and each
-of their matrices whose entries are all floats becomes a float array then;
-what a file means, and every diagnostic, is the standard decoder's. A
-whole stack of matrices is encoded by one vectorized pass that forms the
-``%.16e`` text of about a thousand pairs at a time with no Python float per
-entry; each value it cannot prove exact is formatted by ``%.16e`` itself,
-so the text is Python's. A report is formatted in full, then written to
-standard output piece by piece, so no full-size copy of it is built.
+Each matrix crosses the JSON boundary as one float array of ``[re, im]``
+pairs, whose text ``rclkit.jsonpairs`` reads and writes. A report is
+formatted in full, then written to standard output piece by piece.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on parse error (with a
-diagnostic on standard error). All floating-point output is rendered in
-scientific notation with 17 significant digits, so identical inputs and
-flags produce byte-identical reports.
+diagnostic on standard error); an ``--order`` whose arrays cannot be
+allocated exits 1 with one JSON line ``{"error": "MemoryError: ..."}``.
+All floating-point output is rendered in scientific notation with 17
+significant digits, so identical inputs and flags produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -44,11 +32,8 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
-import re
 import sys
-from json.scanner import py_make_scanner
 
 import numpy as np
 
@@ -66,149 +51,14 @@ class ParseFailure(Exception):
     """File-level problem: malformed JSON or schema violation."""
 
 
-# ---------------------------------------------------------------------------
-# JSON encoding: floats as %.16e, complex scalars as [re, im] pairs.
-#
-# An array of pairs is formatted without a Python float per entry. For
-# 1e-99 <= |x| < 1e99 and E = floor(log10 |x|), the 17 significant digits
-# of x are the integer D nearest to V = |x| 10^(16 - E). The product of x
-# and 10^(16 - E) held as a double-double, formed exactly by a Veltkamp
-# TwoProduct, is p + t with |p + t - V| < 2^-46 (V < 2^57; 10^k is
-# correctly rounded to hi and its remainder to lo). So D = p + round(t)
-# is exact whenever floor(p + t) >= 10^16 (E was not one too large), D <
-# 10^17 (nor one too small, and no carry into an 18th digit) and the
-# fractional part of t is farther than 2^-40 from 1/2: V then lies on the
-# same side of the half-integer as p + t, and exact ties, which "%.16e"
-# rounds to even, always fall inside that window. Zeros are exact with
-# D = 0 and E = 0. Every other entry, and every one that fails a guard,
-# is formatted by "%.16e" itself, so each printed value is Python's.
-
-#: Pairs formatted per piece of text: the working arrays stay small.
-_CHUNK_PAIRS = 1024
-#: Width of a float's field: "-d.dddddddddddddddde-ddd" at most.
-_FIELD = 24
-#: 2^27 + 1, the Veltkamp splitting factor of a double.
-_SPLIT = 134217729.0
-#: Decimal exponents of the fast path, indexed from 0 as ``E + 99``.
-_EXPONENTS = range(-99, 99)
-#: Bound on ``|t - round(t)|`` for exact digits: 2^6 times the error bound
-#: away from 1/2, so only values within 2^-40 of a tie fall back.
-_HALF_WINDOW = 0.5 - 2.0 ** -40
-
-
-@functools.cache
-def _format_tables():
-    """``(pow10, exponent_text, digits, digit_scales)`` of the fast path,
-    built on first use. Row ``E + 99`` of ``pow10`` is ``(hi, hi_head,
-    hi_tail, lo)``: ``hi`` is ``10^(16 - E)`` correctly rounded, split in
-    halves, and ``lo`` is the remainder, correctly rounded. Entry ``E + 99``
-    of ``exponent_text`` is the 4 bytes ``e±dd`` as a ``uint32``, and
-    ``digits[k]`` the 4 bytes of ``"%04d" % k``."""
-    pow10 = np.empty((len(_EXPONENTS), 4))
-    for row, e in zip(pow10, _EXPONENTS):
-        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
-        hi = num / den                           # int division rounds correctly
-        a, b = hi.as_integer_ratio()
-        head = _SPLIT * hi - (_SPLIT * hi - hi)
-        row[:] = hi, head, hi - head, (num * b - a * den) / (den * b)
-    exponent = np.frombuffer("".join(f"e{e:+03d}" for e in _EXPONENTS).encode(), dtype=np.uint32)
-    two = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(), dtype=np.uint16)
-    four = np.empty((100, 100, 2), dtype=np.uint16)     # "%04d" % (100 i + j) is two[i] two[j]
-    four[..., 0], four[..., 1] = two[:, None], two
-    digits = four.view(np.uint32).ravel()
-    return pow10, exponent, digits, np.array([10 ** 12, 10 ** 8, 10 ** 4, 1], dtype=np.int64)
-
-
-def _format_floats(values: np.ndarray, fields: np.ndarray) -> None:
-    """Write ``"%.16e" % x`` for each finite ``x`` in ``values`` into the
-    NUL-filled ``_FIELD``-byte rows of ``fields``. Each row starts 1 byte
-    past a multiple of 4, so that its columns ``3:19`` (the digits after
-    the point) and ``19:23`` (``e±dd``) are 4-byte aligned."""
-    pow10, exponent, digits, scales = _format_tables()
-    mag = np.abs(values)
-    fast = (mag >= 1e-99) & (mag < 1e99)
-    # a wrong E from a clipped index or a rounded log10 fails the guards
-    k = np.floor(np.log10(np.where(fast, mag, 1.0))).astype(np.intp) + 99
-    hi, b_head, b_tail, lo = pow10.take(k, axis=0, mode="clip").T
-    a = mag * fast
-    # TwoProduct: a hi = p + err exactly; t = err + a lo
-    p = a * hi
-    c = _SPLIT * a
-    a_head = c - (c - a)
-    a_tail = a - a_head
-    t = (a_head * b_head - p) + a_head * b_tail + a_tail * b_head + a_tail * b_tail + a * lo
-    r = np.floor(t + 0.5)
-    frac = t - r                           # in [-1/2, 1/2)
-    D = p.astype(np.int64) + r.astype(np.int64)
-    exact = (np.abs(frac) < _HALF_WINDOW) & (D - (frac < 0) >= 10 ** 16) & (D < 10 ** 17)
-    lead, rest = np.divmod(D, 10 ** 16)
-    fields[:, 0] = np.signbit(values) * ord("-")
-    fields[:, 1] = lead + ord("0")
-    fields[:, 2] = ord(".")
-    fields[:, 3:19].view(np.uint32)[:] = digits[rest[:, None] // scales % 10000]
-    fields[:, 19:23].view(np.uint32)[:, 0] = exponent.take(k, mode="clip")
-    slow = np.flatnonzero(~exact & (mag != 0))
-    if slow.size:
-        text = b"".join(("%.16e" % x).encode().ljust(_FIELD, b"\0") for x in values[slow].tolist())
-        fields[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _FIELD)
-
-
-@functools.cache
-def _record(depth: int) -> tuple[int, bytes]:
-    """``(offset, template)`` of the record of one pair of an array with
-    ``depth`` axes before the pair axis: two slots of equal width, one per
-    float, each with the float's field at ``offset``. The re slot opens
-    with ", ", room for ``depth`` openers and the pair's "["; the im slot
-    with ", ", and ends in "]" and room for ``depth`` closers. ``offset``
-    is 1 past a multiple of 4 and the slot width a multiple of 4, so the
-    digits of every field are 4-byte aligned."""
-    offset = (depth + 5) // 4 * 4 + 1
-    slot = (offset + _FIELD + 1 + depth + 3) // 4 * 4
-    re_slot = b", " + bytes(depth) + b"[" + bytes(offset - depth - 3)
-    im_slot = b", " + bytes(offset - 2 + _FIELD) + b"]"
-    return offset, re_slot.ljust(slot, b"\0") + im_slot.ljust(slot, b"\0")
-
-
-def _pairs_text(pairs: np.ndarray):
-    """The JSON text of a nonempty ``(..., rows, cols, 2)`` array of finite
-    pairs, in pieces of at most ``_CHUNK_PAIRS`` pairs each.
-
-    Each pair is laid out as a fixed-width NUL-padded record (see
-    :func:`_record`), with its two floats written by
-    :func:`_format_floats` and its openers and closers in their places;
-    dropping the NULs leaves the text."""
-    shape = pairs.shape[:-1]
-    depth = len(shape)
-    offset, template = _record(depth)
-    slot = len(template) // 2
-    # the entry i of the flattened pairs opens a list of axis j when
-    # spans[j], the entry count of such a list, divides i, and closes one
-    # when it divides i + 1
-    spans = [math.prod(shape[j:]) for j in range(depth)]
-    values = np.ascontiguousarray(pairs, dtype=np.float64).reshape(-1)
-    total = values.size // 2
-    for start in range(0, total, _CHUNK_PAIRS):
-        n = min(_CHUNK_PAIRS, total - start)
-        rec = np.empty((n, 2, slot), dtype=np.uint8)
-        rec[:] = np.frombuffer(template, dtype=np.uint8).reshape(2, slot)
-        for j, span in enumerate(spans):
-            rec[-start % span::span, 0, 2 + j] = ord("[")
-            rec[(-start - 1) % span::span, 1, offset + _FIELD + 1 + j] = ord("]")
-        if not start:
-            rec[0, 0, 0:2] = 0
-        flat = rec.reshape(2 * n, slot)
-        _format_floats(values[2 * start:2 * (start + n)], flat[:, offset:offset + _FIELD])
-        yield str(flat[flat != 0], "ascii")      # decoded from the array's buffer, no bytes copy
-
-
 def _dump_json(obj):
     """The JSON text of ``obj`` in pieces, in order; each nonempty ``(...,
     rows, cols, 2)`` array from :func:`matrix_to_json`, a whole stack
-    included, is formatted in one vectorized pass (see :func:`_pairs_text`)."""
+    included, is formatted by :func:`jsonpairs.pairs_text`."""
     if isinstance(obj, np.ndarray) and obj.ndim >= 3 and obj.size:
         if not np.all(np.isfinite(obj)):
             raise ParseFailure(f"cannot serialize non-finite value {float(obj[~np.isfinite(obj)][0])!r}")
-        yield from _pairs_text(obj)
+        yield from jsonpairs.pairs_text(obj)
     elif isinstance(obj, dict):
         yield "{"
         for i, (key, value) in enumerate(obj.items()):
@@ -248,96 +98,13 @@ def series_to_json(s: MatrixSeries) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# JSON decoding. A long matrix or stack of matrices is read by one
-# vectorized pass (see ``jsonpairs``); a short one, and one the pass cannot
-# prove, by the standard decoder, whose values and diagnostics are the
-# reference either way.
-
-_C_DECODER = json.JSONDecoder()
-#: The opening of a matrix (three brackets) or of a stack of matrices
-#: (four) whose first entry is a number.
-_OPENING = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[[ \t\n\r]*(\[[ \t\n\r]*)?[-0-9]")
-#: A shorter array goes to the standard decoder: the fixed cost of the
-#: pass's hundred or so numpy calls would exceed what it saves there.
-_MIN_CHARS = 20000
-
-
-def _float_pairs(obj) -> np.ndarray | None:
-    """The ``(rows, cols, 2)`` float array of a nonempty matrix whose entries
-    are all JSON floats, else None."""
-    pairs = np.array(obj, dtype=object)
-    if pairs.ndim == 3 and pairs.shape[2] == 2 and pairs.size and set(map(type, pairs.flat)) == {float}:
-        return pairs.astype(np.float64)
-    return None
-
-
-def _decode_pairs(s: str, start: int, depth: int):
-    """``(value, end)`` of the array of ``depth`` levels at ``s[start]``, in
-    which each matrix whose entries are all floats is a ``(rows, cols, 2)``
-    float array: read by :func:`jsonpairs.read_pairs` if the array is long
-    and the pass proves it, else by the standard decoder."""
-    end = s.find("]" * depth, start) + depth       # the end of a regular array
-    if end - start >= _MIN_CHARS:
-        value = jsonpairs.read_pairs(s, start, end, depth)
-        if value is not None:
-            return value, end
-    value, end = _C_DECODER.raw_decode(s, start)
-    if depth == 3:
-        floats = _float_pairs(value)
-        return (value if floats is None else floats), end
-    return [item if (floats := _float_pairs(item)) is None else floats for item in value], end
-
-
-def _parse_array(s_and_end, scan_once):
-    """An array that is a value of an object (or the whole document): a
-    matrix or a stack of matrices by :func:`_decode_pairs`, any other
-    array as the standard decoder gives it."""
-    s, end = s_and_end
-    opening = _OPENING.match(s, end - 1)
-    if opening:
-        return _decode_pairs(s, end - 1, 4 if opening.group(1) else 3)
-    return _C_DECODER.raw_decode(s, end - 1)
-
-
-class _PairsDecoder(json.JSONDecoder):
-    """``json`` decoding in which each matrix, and each matrix of a stack,
-    whose entries are all floats arrives as a float array of pairs: a long
-    series file that the pass proves never holds a Python float and a list
-    per entry. A document it cannot decode goes to the standard decoder,
-    whose diagnostic is reported."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.parse_array = _parse_array
-        self.scan_once = py_make_scanner(self)
-
-    def decode(self, s, *args):
-        try:
-            return super().decode(s, *args)
-        except (ValueError, RecursionError):
-            return _C_DECODER.decode(s)
-
-
-def _as_lists(obj):
-    """``obj`` with every matrix decoded to a float array back as nested
-    lists, as the standard decoder gives it."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, list):
-        return [_as_lists(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: _as_lists(value) for key, value in obj.items()}
-    return obj
-
-
 def _read_json(path: str, what: str):
     """The JSON document in ``path``; ``what`` names the file in diagnostics.
     Matrices and stacks of matrices in it may be float arrays (see
-    ``_PairsDecoder``)."""
+    :class:`jsonpairs.PairsDecoder`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, cls=_PairsDecoder)
+            return json.load(fh, cls=jsonpairs.PairsDecoder)
     except OSError as exc:
         raise ParseFailure(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:   # malformed JSON or text that is not UTF-8
@@ -349,7 +116,7 @@ def _integer(doc: dict, key: str, default=None) -> int:
     ``default`` stands in for a missing key."""
     value = doc.get(key, default)
     if type(value) is not int:
-        raise ParseFailure(f"{key} must be an integer, got {_as_lists(value)!r}")
+        raise ParseFailure(f"{key} must be an integer, got {jsonpairs.as_lists(value)!r}")
     return value
 
 
@@ -374,7 +141,7 @@ def _pairs_of_list(obj, cols: int | None) -> np.ndarray:
 
 def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Decode a nested-array matrix, or the ``(rows, cols, 2)`` float array
-    of pairs that ``_PairsDecoder`` makes of one; ``[]`` takes ``cols`` from
+    of pairs that ``jsonpairs.PairsDecoder`` makes of one; ``[]`` takes ``cols`` from
     context."""
     if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 3 and obj.shape[2] == 2:
         pairs = np.ascontiguousarray(obj)
@@ -432,7 +199,7 @@ class ProblemFile:
 
 def _parse_tolerances(obj) -> Tolerances:
     fields = {f.name for f in dataclasses.fields(Tolerances)}
-    values = {} if obj is None else _as_lists(obj)    # Tolerances judges each value, as JSON decoded it
+    values = {} if obj is None else jsonpairs.as_lists(obj)    # Tolerances judges each value, as JSON decoded it
     if not isinstance(values, dict) or not set(values) <= fields:
         raise ParseFailure(f"tolerances must be a dict with keys among {sorted(fields)}")
     env = os.environ.get("RCLKIT_TOL")
@@ -522,7 +289,7 @@ def cmd_unique(pf: ProblemFile, args) -> tuple[int, dict]:
     if verdict.failing_n is not None:
         payload["failing_n"] = verdict.failing_n
     if args.witness and not verdict.unique:
-        witness = interp.second_solution_witness(problem, args.order)
+        witness = interp._witness(problem, verdict, args.order)   # the verdict is not decided twice
         payload["witness"] = {
             "parameter": matrix_to_json(witness.parameter),
             "first_diff_index": witness.first_diff_index,

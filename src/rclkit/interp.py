@@ -275,7 +275,11 @@ def second_solution_witness(problem: InterpProblem, order: int = 32, seed: int =
         InternalContradiction: when ``L_n`` vanishes on the start or the
             candidate does not separate from the central solution.
     """
-    verdict = uniqueness(problem)
+    return _witness(problem, uniqueness(problem), order)
+
+
+def _witness(problem: InterpProblem, verdict: UniquenessVerdict, order: int) -> SecondSolution | None:
+    """:func:`second_solution_witness` given the problem's ``verdict``."""
     if verdict.unique:
         return None
     n = verdict.failing_n

@@ -1,54 +1,219 @@
-"""Vectorized, exactly rounded reading of JSON arrays of ``[re, im]`` pairs.
+"""The ``[re, im]`` pair text of the CLI's JSON files, written and read.
 
-:func:`read_pairs` reads a matrix or a stack of matrices from its JSON text
-with no Python float per entry, or returns None when it cannot prove the
-text; the CLI's decoder (``rclkit.cli``) then reads it the standard way.
+A matrix is one ``(rows, cols, 2)`` float array of pairs, a stack of them (a
+series' or a parameter's ``"coeffs"``) one ``(k, rows, cols, 2)`` array.
+:func:`pairs_text` writes it as ``%.16e`` text; :class:`PairsDecoder` reads
+a document with each one whose entries are all floats as a float array, a
+long one by :func:`read_pairs`. Each direction is a vectorized pass over
+about a thousand pairs at a time, with no Python float per entry, on one
+exact table of powers of ten (:func:`_pow10_rows`) and one TwoProduct
+(:func:`_two_product`), and hands each value its double-double product
+does not prove to ``%.16e`` or ``float`` itself: every value keeps Python's
+text and ``json``'s bits. A short array, and one the reading pass cannot
+prove (integer entries, NaN, empty or ragged rows, whitespace other than
+one space after a comma), goes to the standard decoder, so what a file
+means, and every diagnostic, is the standard decoder's.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import math
+import re
+from json.scanner import py_make_scanner
 
 import numpy as np
 
-# A matrix or a stack of matrices is read from its text a piece of about a
-# thousand pairs at a time, with no Python float per entry. Its shape is
-# taken from its first row and its first matrix. At each comma that shape
-# closes m lists, and the 8 bytes around the comma must read "]" m times,
-# the comma, at most one space and "[" m times; byte comparisons find the
-# commas. So every list holds lists one level down or, innermost, two
-# numbers, and all lists of one level are of one length. The tokens fill
-# the text between: their digits, points, exponent marks and signs must
-# add up to their total length, each point and exponent mark lies alone in
-# its token, a sign only at its start or after the mark, and each token is
-# a JSON float: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? with a
-# fraction or an exponent. Any other array (integers, NaN, empty lists,
-# ragged rows, other whitespace, a non-ASCII byte) is not read here.
-#
-# A token's value is V = D 10^q with D its significand digits as an
-# integer. With at most 18 digits, D < 10^18 is read by 64-bit word
-# arithmetic: the 8 bytes that end a run of digits, those before the run
-# set to "0", give their value in a few multiplications and shifts. With
-# 10^q = (hi + lo + e) 2^s, hi in [1, 2] correctly rounded, lo the
-# remainder correctly rounded and |e| <= u^2 hi (u = 2^-53), and a = fl(D),
-# b = D - a exact, D hi lo 2^-s is formed as p + t: p = fl(a hi) and its
-# error exactly (Dekker's product on Veltkamp's split), plus fl(a lo) +
-# fl(b hi). Then |p + t - V 2^-s| < 9 u^2 V 2^-s < 2^-101 r for r = fl(p +
-# t), and d = (p - r) + t is formed with a relative error below u. When |d|
-# <= g - 2^-96 r, g half the gap below r (the smaller of its two gaps), r is
-# closer to V 2^-s than half of either gap: r is V 2^-s correctly rounded,
-# and r 2^s is V correctly rounded while it is a normal double. Exact ties
-# never pass. Each token that fails a guard (more digits, an exponent out of
-# range, a tie or a near tie, a result too small or too large) is converted
-# by float() itself, as json converts it. So every value has the bits json
-# gives it.
-
 #: 2^27 + 1, the Veltkamp splitting factor of a double.
 _SPLIT = 134217729.0
-#: Characters of text read per piece: about 1024 pairs, as the CLI's
-#: encoder formats per piece; up to twice as many in an array of more than
-#: 32 such pieces, for fewer numpy calls per pair while the working arrays
-#: stay a small part of the text's size.
+
+
+def _pow10_rows(exponents) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, scale)``: for the ``i``-th exponent ``q``, ``10^q = (hi +
+    lo) 2^scale[i]`` to ``u^2 hi`` (``u = 2^-53``), row ``i`` being ``(hi,
+    hi_head, hi_tail, lo)``: ``hi`` correctly rounded, in ``[1, 2]``, and
+    split in halves, ``lo`` the remainder correctly rounded."""
+    rows = np.empty((len(exponents), 4))
+    scale = np.empty(len(exponents), dtype=np.int64)
+    for row, q in enumerate(exponents):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        # 2^e <= 10^q < 2^(e + 1), as no 10^k with k > 0 is a power of two
+        e = num.bit_length() - 1 if q >= 0 else -den.bit_length()
+        num, den = num << max(-e, 0), den << max(e, 0)
+        hi = num / den                           # int division rounds correctly
+        a, b = hi.as_integer_ratio()
+        head = _SPLIT * hi - (_SPLIT * hi - hi)
+        rows[row] = hi, head, hi - head, (num * b - a * den) / (den * b)
+        scale[row] = e
+    return rows, scale
+
+
+def _two_product(a: np.ndarray, hi: np.ndarray, head: np.ndarray, tail: np.ndarray):
+    """``(p, err)``: ``p = fl(a hi)`` and ``a hi - p`` exactly, by Dekker's
+    product on Veltkamp's split of ``a`` and the split ``head + tail`` of
+    ``hi``, in the one order of terms both directions' bounds assume."""
+    p = a * hi
+    c = _SPLIT * a
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    return p, (((a_head * head - p) + a_head * tail) + a_tail * head) + a_tail * tail
+
+
+# ---------------------------------------------------------------------------
+# Writing: an array of pairs is formatted as %.16e text. For 1e-99 <= |x| <
+# 1e99 and E = floor(log10 |x|), the 17 significant digits of x are the
+# integer D nearest to V = |x| 10^(16 - E). Formed as a double-double, x
+# 10^(16 - E) is p + t with |p + t - V| < 2^-46 (V < 2^57). So D = p +
+# round(t) is exact whenever floor(p + t) >= 10^16 (E was not one too
+# large), D < 10^17 (nor one too small, and no carry into an 18th digit) and
+# the fractional part of t is farther than 2^-40 from 1/2: V then lies on
+# the same side of the half-integer as p + t, and exact ties, which "%.16e"
+# rounds to even, always fall inside that window. Zeros are exact with D = 0
+# and E = 0. Every other entry, and every one that fails a guard, is
+# formatted by "%.16e" itself, so each printed value is Python's.
+
+#: Pairs formatted per piece of text: the working arrays stay small.
+_CHUNK_PAIRS = 1024
+#: Width of a float's field: "-d.dddddddddddddddde-ddd" at most.
+_FIELD = 24
+#: Decimal exponents of the fast path, indexed from 0 as ``E + 99``.
+_EXPONENTS = range(-99, 99)
+#: Bound on ``|t - round(t)|`` for exact digits: 2^6 times the error bound
+#: away from 1/2, so only values within 2^-40 of a tie fall back.
+_HALF_WINDOW = 0.5 - 2.0 ** -40
+
+
+@functools.cache
+def _format_tables():
+    """``(pow10, exponent_text, digits, digit_scales)`` of the fast path,
+    built on first use. Row ``E + 99`` of ``pow10`` is the row of ``10^(16 -
+    E)`` of :func:`_pow10_rows` times its power of two, an exact scaling.
+    Entry ``E + 99`` of ``exponent_text`` is the 4 bytes ``e±dd`` as a
+    ``uint32``, and ``digits[k]`` the 4 bytes of ``"%04d" % k``."""
+    rows, scale = _pow10_rows([16 - e for e in _EXPONENTS])
+    pow10 = np.ldexp(rows, scale[:, None])
+    exponent = np.frombuffer("".join(f"e{e:+03d}" for e in _EXPONENTS).encode(), dtype=np.uint32)
+    two = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(), dtype=np.uint16)
+    four = np.empty((100, 100, 2), dtype=np.uint16)     # "%04d" % (100 i + j) is two[i] two[j]
+    four[..., 0], four[..., 1] = two[:, None], two
+    digits = four.view(np.uint32).ravel()
+    return pow10, exponent, digits, np.array([10 ** 12, 10 ** 8, 10 ** 4, 1], dtype=np.int64)
+
+
+def _format_floats(values: np.ndarray, fields: np.ndarray) -> None:
+    """Write ``"%.16e" % x`` for each finite ``x`` in ``values`` into the
+    NUL-filled ``_FIELD``-byte rows of ``fields``. Each row starts 1 byte
+    past a multiple of 4, so that its columns ``3:19`` (the digits after
+    the point) and ``19:23`` (``e±dd``) are 4-byte aligned."""
+    pow10, exponent, digits, scales = _format_tables()
+    mag = np.abs(values)
+    fast = (mag >= 1e-99) & (mag < 1e99)
+    # a wrong E from a clipped index or a rounded log10 fails the guards
+    k = np.floor(np.log10(np.where(fast, mag, 1.0))).astype(np.intp) + 99
+    hi, head, tail, lo = pow10.take(k, axis=0, mode="clip").T
+    a = mag * fast
+    p, err = _two_product(a, hi, head, tail)
+    t = err + a * lo                       # a 10^(16 - E) = p + t
+    r = np.floor(t + 0.5)
+    frac = t - r                           # in [-1/2, 1/2)
+    D = p.astype(np.int64) + r.astype(np.int64)
+    exact = (np.abs(frac) < _HALF_WINDOW) & (D - (frac < 0) >= 10 ** 16) & (D < 10 ** 17)
+    lead, rest = np.divmod(D, 10 ** 16)
+    fields[:, 0] = np.signbit(values) * ord("-")
+    fields[:, 1] = lead + ord("0")
+    fields[:, 2] = ord(".")
+    fields[:, 3:19].view(np.uint32)[:] = digits[rest[:, None] // scales % 10000]
+    fields[:, 19:23].view(np.uint32)[:, 0] = exponent.take(k, mode="clip")
+    slow = np.flatnonzero(~exact & (mag != 0))
+    if slow.size:
+        text = b"".join(("%.16e" % x).encode().ljust(_FIELD, b"\0") for x in values[slow].tolist())
+        fields[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _FIELD)
+
+
+@functools.cache
+def _record(depth: int) -> tuple[int, bytes]:
+    """``(offset, template)`` of the record of one pair of an array with
+    ``depth`` axes before the pair axis: two slots of equal width, one per
+    float, each with the float's field at ``offset``. The re slot opens
+    with ", ", room for ``depth`` openers and the pair's "["; the im slot
+    with ", ", and ends in "]" and room for ``depth`` closers. ``offset``
+    is 1 past a multiple of 4 and the slot width a multiple of 4, so the
+    digits of every field are 4-byte aligned."""
+    offset = (depth + 5) // 4 * 4 + 1
+    slot = (offset + _FIELD + 1 + depth + 3) // 4 * 4
+    re_slot = b", " + bytes(depth) + b"[" + bytes(offset - depth - 3)
+    im_slot = b", " + bytes(offset - 2 + _FIELD) + b"]"
+    return offset, re_slot.ljust(slot, b"\0") + im_slot.ljust(slot, b"\0")
+
+
+def pairs_text(pairs: np.ndarray):
+    """The JSON text of a nonempty ``(..., rows, cols, 2)`` array of finite
+    pairs, in pieces of at most ``_CHUNK_PAIRS`` pairs each.
+
+    Each pair is laid out as a fixed-width NUL-padded record (see
+    :func:`_record`), with its two floats written by
+    :func:`_format_floats` and its openers and closers in their places;
+    dropping the NULs leaves the text."""
+    shape = pairs.shape[:-1]
+    depth = len(shape)
+    offset, template = _record(depth)
+    slot = len(template) // 2
+    # the entry i of the flattened pairs opens a list of axis j when
+    # spans[j], the entry count of such a list, divides i, and closes one
+    # when it divides i + 1
+    spans = [math.prod(shape[j:]) for j in range(depth)]
+    values = np.ascontiguousarray(pairs, dtype=np.float64).reshape(-1)
+    total = values.size // 2
+    for start in range(0, total, _CHUNK_PAIRS):
+        n = min(_CHUNK_PAIRS, total - start)
+        rec = np.empty((n, 2, slot), dtype=np.uint8)
+        rec[:] = np.frombuffer(template, dtype=np.uint8).reshape(2, slot)
+        for j, span in enumerate(spans):
+            rec[-start % span::span, 0, 2 + j] = ord("[")
+            rec[(-start - 1) % span::span, 1, offset + _FIELD + 1 + j] = ord("]")
+        if not start:
+            rec[0, 0, 0:2] = 0
+        flat = rec.reshape(2 * n, slot)
+        _format_floats(values[2 * start:2 * (start + n)], flat[:, offset:offset + _FIELD])
+        yield str(flat[flat != 0], "ascii")      # decoded from the array's buffer, no bytes copy
+
+
+# ---------------------------------------------------------------------------
+# Reading: a matrix or a stack of matrices is read from its text a piece of
+# about a thousand pairs at a time, with no Python float per entry. Its
+# shape is taken from its first row and its first matrix. At each comma that
+# shape closes m lists, and the 8 bytes around the comma must read "]" m
+# times, the comma, at most one space and "[" m times; byte comparisons find
+# the commas. So every list holds lists one level down or, innermost, two
+# numbers, and all lists of one level are of one length. The tokens fill the
+# text between: their digits, points, exponent marks and signs must add up
+# to their total length, each point and exponent mark lies alone in its
+# token, a sign only at its start or after the mark, and each token is a
+# JSON float: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? with a fraction
+# or an exponent. Any other array (integers, NaN, empty lists, ragged rows,
+# other whitespace, a non-ASCII byte) is not read here.
+#
+# A token's value is V = D 10^q with D its significand digits as an integer.
+# With at most 18 digits, D < 10^18 is read by 64-bit word arithmetic: the 8
+# bytes that end a run of digits, those before the run set to "0", give
+# their value in a few multiplications and shifts. With 10^q = (hi + lo + e)
+# 2^s as in _pow10_rows (|e| <= u^2 hi, u = 2^-53), a = fl(D) and b = D - a
+# exact, D 10^q 2^-s is formed as p + t: p = fl(a hi) and its error exactly
+# (_two_product), plus fl(a lo) + fl(b hi). Then |p + t - V 2^-s| < 9 u^2 V
+# 2^-s < 2^-101 r for r = fl(p + t), and d = (p - r) + t is formed with a
+# relative error below u. When |d| <= g - 2^-96 r, g half the gap below r
+# (the smaller of its two gaps), r is closer to V 2^-s than half of either
+# gap: r is V 2^-s correctly rounded, and r 2^s is V correctly rounded while
+# it is a normal double. Exact ties never pass. Each token that fails a
+# guard (more digits, an exponent out of range, a tie or a near tie, a
+# result too small or too large) is converted by float() itself, as json
+# converts it. So every value has the bits json gives it.
+
+#: Characters of text read per piece: about 1024 pairs, as the encoder
+#: formats per piece; up to twice as many in an array of more than 32 such
+#: pieces, for fewer numpy calls per pair while the working arrays stay a
+#: small part of the text's size.
 _PIECE_CHARS = 48 * 1024
 #: Characters kept before each piece (spaces at the start of the text), so
 #: that the 8-byte words that end a token's runs of digits lie in the buffer.
@@ -64,28 +229,13 @@ _ZEROS = np.uint64(0x3030303030303030)
 @functools.cache
 def _parse_tables():
     """``(pow10, scale, keep, fill, pow10_int, gap_mask, gap_expect)`` of
-    the pass, built on first use (see :func:`_gap_patterns` for the last
-    two). Row ``q - _Q_MIN`` of ``pow10`` is ``(hi, hi_head, hi_tail,
-    lo)`` and ``10^q = (hi + lo) 2^scale[q - _Q_MIN]`` to ``u^2 hi``: ``hi``
-    is ``10^q 2^-scale`` correctly rounded, in ``[1, 2]``, split in halves,
-    and ``lo`` the remainder, correctly rounded. ``keep[k]`` keeps the last
-    ``k`` bytes of a word and ``fill[k]`` sets the others to "0";
+    the pass, built on first use: row ``q - _Q_MIN`` of ``pow10, scale``
+    from :func:`_pow10_rows`, and :func:`_gap_patterns`. ``keep[k]`` keeps
+    the last ``k`` bytes of a word and ``fill[k]`` sets the others to "0";
     ``pow10_int[k]`` is ``10^k``."""
-    pow10 = np.empty((_Q_MAX - _Q_MIN + 1, 4))
-    scale = np.empty(len(pow10), dtype=np.int64)
-    for row, q in enumerate(range(_Q_MIN, _Q_MAX + 1)):
-        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
-        e = num.bit_length() - den.bit_length()
-        if num << max(-e, 0) < den << max(e, 0):
-            e -= 1                               # now 2^e <= 10^q < 2^(e + 1)
-        num, den = num << max(-e, 0), den << max(e, 0)
-        hi = num / den                           # int division rounds correctly
-        a, b = hi.as_integer_ratio()
-        head = _SPLIT * hi - (_SPLIT * hi - hi)
-        pow10[row] = hi, head, hi - head, (num * b - a * den) / (den * b)
-        scale[row] = e
     keep = np.array([0] + [(1 << 64) - (1 << 8 * (8 - k)) for k in range(1, 9)], dtype=np.uint64)
-    return (pow10, scale, keep, ~keep & _ZEROS, 10 ** np.arange(19, dtype=np.uint64), *_gap_patterns())
+    return (*_pow10_rows(range(_Q_MIN, _Q_MAX + 1)), keep, ~keep & _ZEROS, 10 ** np.arange(19, dtype=np.uint64),
+            *_gap_patterns())
 
 
 def _eight_digits(words: np.ndarray) -> np.ndarray:
@@ -270,12 +420,8 @@ def _round(sig: np.ndarray, q: np.ndarray, fast: np.ndarray, negative: np.ndarra
     # D 10^q 2^-s = p + t, and r = fl(p + t) where the guard proves it
     a = sig.astype(np.float64)
     b = (sig - a.astype(np.int64)).astype(np.float64)
-    p = a * ten_hi
-    c = _SPLIT * a
-    a_head = c - (c - a)
-    a_tail = a - a_head
-    t = (((a_head * ten_head - p) + a_head * ten_tail + a_tail * ten_head) + a_tail * ten_tail
-         + (a * ten_lo + b * ten_hi))
+    p, err = _two_product(a, ten_hi, ten_head, ten_tail)
+    t = err + (a * ten_lo + b * ten_hi)
     r = p + t
     bits = r.view(np.int64)
     # half the gap below r >= 1: 2^(E - 53), or 2^(E - 54) at a power of two
@@ -320,3 +466,82 @@ def read_pairs(s: str, start: int, end: int, depth: int):
         return None
     values = values.reshape([outer // inner for outer, inner in zip(shape, shape[1:])] + [2])
     return list(values) if depth == 4 else values
+
+
+# ---------------------------------------------------------------------------
+# Reading documents: each matrix of floats arrives as a float array.
+
+_C_DECODER = json.JSONDecoder()
+#: The opening of a matrix (three brackets) or of a stack of matrices
+#: (four) whose first entry is a number.
+_OPENING = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[[ \t\n\r]*(\[[ \t\n\r]*)?[-0-9]")
+#: A shorter array goes to the standard decoder: the fixed cost of the
+#: pass's hundred or so numpy calls would exceed what it saves there.
+_MIN_CHARS = 20000
+
+
+def _float_pairs(obj) -> np.ndarray | None:
+    """The ``(rows, cols, 2)`` float array of a nonempty matrix whose entries
+    are all JSON floats, else None."""
+    pairs = np.array(obj, dtype=object)
+    if pairs.ndim == 3 and pairs.shape[2] == 2 and pairs.size and set(map(type, pairs.flat)) == {float}:
+        return pairs.astype(np.float64)
+    return None
+
+
+def _decode_pairs(s: str, start: int, depth: int):
+    """``(value, end)`` of the array of ``depth`` levels at ``s[start]``, in
+    which each matrix whose entries are all floats is a ``(rows, cols, 2)``
+    float array: read by :func:`read_pairs` if the array is long and the
+    pass proves it, else by the standard decoder."""
+    end = s.find("]" * depth, start) + depth       # the end of a regular array
+    if end - start >= _MIN_CHARS:
+        value = read_pairs(s, start, end, depth)
+        if value is not None:
+            return value, end
+    value, end = _C_DECODER.raw_decode(s, start)
+    if depth == 3:
+        floats = _float_pairs(value)
+        return (value if floats is None else floats), end
+    return [item if (floats := _float_pairs(item)) is None else floats for item in value], end
+
+
+def _parse_array(s_and_end, scan_once):
+    """An array that is a value of an object (or the whole document): a
+    matrix or a stack of matrices by :func:`_decode_pairs`, any other
+    array as the standard decoder gives it."""
+    s, end = s_and_end
+    opening = _OPENING.match(s, end - 1)
+    if opening:
+        return _decode_pairs(s, end - 1, 4 if opening.group(1) else 3)
+    return _C_DECODER.raw_decode(s, end - 1)
+
+
+class PairsDecoder(json.JSONDecoder):
+    """``json`` decoding in which each matrix, and each matrix of a stack,
+    whose entries are all floats arrives as a float array of pairs. A
+    document it cannot decode goes to the standard decoder, whose
+    diagnostic is reported."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.parse_array = _parse_array
+        self.scan_once = py_make_scanner(self)
+
+    def decode(self, s, *args):
+        try:
+            return super().decode(s, *args)
+        except (ValueError, RecursionError):
+            return _C_DECODER.decode(s)
+
+
+def as_lists(obj):
+    """``obj`` with every matrix decoded to a float array back as nested
+    lists, as the standard decoder gives it."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, list):
+        return [as_lists(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: as_lists(value) for key, value in obj.items()}
+    return obj

@@ -136,7 +136,10 @@ def orbit(C: CMatrix, A: CMatrix, n: int) -> np.ndarray:
     if n < 0:
         raise InvalidInput(f"order must be nonnegative, got {n}")
     rows, cols = C.shape
-    out = np.empty((n + 1, rows, cols), dtype=np.complex128)   # first: a hopeless order fails at once
+    try:
+        out = np.empty((n + 1, rows, cols), dtype=np.complex128)   # first: a hopeless order fails at once
+    except ValueError as exc:   # past numpy's array-size limit, which no allocation reaches
+        raise MemoryError(f"Unable to allocate {n + 1} orbit blocks of {rows}x{cols}: {exc}") from exc
     flat = out.reshape((n + 1) * rows, cols)   # a view of the fresh array, never a copy
     out[0] = C
     if n.bit_length() * cols**3 < n * rows * cols**2:

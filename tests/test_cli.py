@@ -23,13 +23,12 @@ from helpers import (
     residual_audit_dataset,
     template_text,
 )
-from rclkit import cli, jsonpairs, redheffer
+from rclkit import cli, interp, jsonpairs, redheffer
 from rclkit.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_PARSE,
     ParseFailure,
-    _as_lists,
     _dump_json,
     _read_json,
     build_parser,
@@ -135,11 +134,27 @@ class TestMatrixCodec:
         assert encode([-0.0, 5e-324, 1e300, 1 / 3]) == f"[{-0.0:.16e}, {5e-324:.16e}, {1e300:.16e}, {1 / 3:.16e}]"
 
     def test_import_builds_no_table(self):
-        probe = ("import rclkit.cli as c; print(c._format_tables.cache_info().currsize, "
-                 "c._record.cache_info().currsize, c.jsonpairs._parse_tables.cache_info().currsize)")
+        # each direction builds the powers of ten of its own exponents on
+        # first use: 198 to write, 634 to read
+        probe = f"""
+import contextlib, io
+import numpy as np
+import rclkit.cli as c, rclkit.jsonpairs as j
+built, rows = [], j._pow10_rows
+j._pow10_rows = lambda exponents: built.append(len(exponents)) or rows(exponents)
+tables = (j._format_tables, j._record, j._parse_tables)
+print([t.cache_info().currsize for t in tables], built)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert c.main(["central", {RELAXED!r}, "--order", "4"]) == 0
+assert out.getvalue().startswith('{{"order": 4')
+print(built)
+text = "".join(c._dump_json(np.ones((64, 64, 2))))
+assert len(text) >= j._MIN_CHARS and j.read_pairs(text, 0, len(text), 3).shape == (64, 64, 2)
+print(built)
+"""
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
-        assert out == "0 0 0\n"
+        assert out == "[0, 0, 0] []\n[198]\n[198, 634]\n"
 
     def test_non_finite_output_rejected(self):
         with pytest.raises(ParseFailure):
@@ -491,7 +506,7 @@ class TestStackDecoding:
     def test_document_decodes_as_standard(self, tmp_path, case):
         text = STACK_DOCUMENTS[case]
         doc, _ = self.read(tmp_path, text)
-        assert json.dumps(_as_lists(doc)) == json.dumps(json.loads(text))
+        assert json.dumps(jsonpairs.as_lists(doc)) == json.dumps(json.loads(text))
 
     @pytest.mark.parametrize("case", sorted(BROKEN_STACKS))
     def test_malformed_document_reports_the_standard_diagnostic(self, tmp_path, case):
@@ -579,12 +594,20 @@ class TestCentralCommand:
 
 
 class TestResourceErrors:
+    @pytest.mark.parametrize("order", [10**15, 2**62, 2**63 - 1], ids=["1e15", "2^62", "2^63-1"])
     @pytest.mark.parametrize("path", [SHIFT6, RELAXED], ids=["ex22_trunc6", "relaxed_np_n4"])
-    @pytest.mark.parametrize("argv", [("central",), ("unique", "--witness"), ("audit",)],
-                             ids=["central", "unique_witness", "audit"])
-    def test_order_beyond_memory_is_a_json_error(self, capsys, path, argv):
-        # no machine can allocate 10**15 coefficient blocks of these files
-        code, out, err = run(capsys, argv[0], path, *argv[1:], "--order", str(10**15))
+    @pytest.mark.parametrize("argv", [("central",), ("unique", "--witness"), ("audit",), ("solve", "--param")],
+                             ids=["central", "unique_witness", "audit", "solve"])
+    def test_order_beyond_memory_is_a_json_error(self, capsys, tmp_path, path, argv, order):
+        # no machine can allocate 10**15 coefficient blocks of these files,
+        # and numpy cannot describe an array of 2**62 blocks or more
+        if argv[0] == "solve":
+            realization = redheffer.realize(load_problem_file(path).problem())
+            param = tmp_path / "param.json"
+            param.write_text(json.dumps({"coeffs": [json_matrix(np.zeros((realization.defect_dim,
+                                                                         realization.complement_dim)))]}))
+            argv = (*argv, str(param))
+        code, out, err = run(capsys, argv[0], path, *argv[1:], "--order", str(order))
         assert code == EXIT_INVALID and err == ""
         assert json.loads(out)["error"].startswith("MemoryError: Unable to allocate")
 
@@ -618,6 +641,14 @@ class TestUniqueCommand:
         witness = json.loads(out)["witness"]
         assert witness["first_diff_index"] >= 5
         assert float(witness["gap"]) > 1e-6
+
+    def test_witness_decides_uniqueness_once(self, capsys, monkeypatch):
+        calls = []
+        uniqueness = interp.uniqueness
+        monkeypatch.setattr(interp, "uniqueness", lambda problem: calls.append(problem) or uniqueness(problem))
+        code, out, _ = run(capsys, "unique", RELAXED, "--witness")
+        assert code == EXIT_OK and "witness" in json.loads(out)
+        assert len(calls) == 1
 
     def test_witness_order_below_failing_index(self, capsys):
         code, out, err = run(capsys, "unique", SHIFT6, "--witness", "--order", "3")

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import json_matrix, random_contraction, reference_read_json
-from rclkit import cli, interp, redheffer
+from rclkit import cli, interp, jsonpairs, redheffer
 from rclkit.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -225,8 +225,8 @@ def assert_decoded_as_standard(kind, text):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / f"{kind}.json")
         Path(path).write_text(text, encoding="utf-8")
-        for min_chars in (0, cli._MIN_CHARS):       # the vectorized pass, then the route for short arrays
-            with mock.patch.object(cli, "_MIN_CHARS", min_chars):
+        for min_chars in (0, jsonpairs._MIN_CHARS):       # the vectorized pass, then the route for short arrays
+            with mock.patch.object(jsonpairs, "_MIN_CHARS", min_chars):
                 assert outcome(cli._read_json, kind, path) == outcome(reference_read_json, kind, path)
 
 
