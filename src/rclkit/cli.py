@@ -19,8 +19,9 @@ pairs, whose text ``rclkit.jsonpairs`` reads and writes. A report is
 formatted in full, then written to standard output piece by piece.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on parse error (with a
-diagnostic on standard error); an ``--order`` whose arrays cannot be
-allocated exits 1 with one JSON line ``{"error": "MemoryError: ..."}``.
+diagnostic on standard error); an ``--order`` whose arrays or report text
+cannot be allocated exits 1 with one JSON line ``{"error": "MemoryError:
+..."}``.
 All floating-point output is rendered in scientific notation with 17
 significant digits, so identical inputs and flags produce byte-identical
 reports.
@@ -52,10 +53,10 @@ class ParseFailure(Exception):
 
 
 def _dump_json(obj):
-    """The JSON text of ``obj`` in pieces, in order; each nonempty ``(...,
-    rows, cols, 2)`` array from :func:`matrix_to_json`, a whole stack
-    included, is formatted by :func:`jsonpairs.pairs_text`."""
-    if isinstance(obj, np.ndarray) and obj.ndim >= 3 and obj.size:
+    """The JSON text of ``obj`` in pieces, in order; each array of pairs
+    from :func:`matrix_to_json`, a whole stack included, is written by
+    :func:`jsonpairs.pairs_text`."""
+    if isinstance(obj, np.ndarray):
         if not np.all(np.isfinite(obj)):
             raise ParseFailure(f"cannot serialize non-finite value {float(obj[~np.isfinite(obj)][0])!r}")
         yield from jsonpairs.pairs_text(obj)
@@ -65,28 +66,27 @@ def _dump_json(obj):
             yield f"{', ' if i else ''}{json.dumps(key)}: "
             yield from _dump_json(value)
         yield "}"
-    elif isinstance(obj, (list, tuple, np.ndarray)):   # a list, or an empty or 1- or 2-axis array
+    elif isinstance(obj, list):
         yield "["
         for i, value in enumerate(obj):
             if i:
                 yield ", "
             yield from _dump_json(value)
         yield "]"
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):   # numpy's float64 included
         if not np.isfinite(obj):
             raise ParseFailure(f"cannot serialize non-finite value {float(obj)!r}")
         yield f"{float(obj):.16e}"
-    elif obj is None or isinstance(obj, (int, np.integer, str)):   # bools are ints
-        yield json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
+    elif isinstance(obj, (int, str)):   # bools are ints
+        yield json.dumps(obj)
     else:
         raise ParseFailure(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def matrix_to_json(M) -> np.ndarray:
     """The ``(..., rows, cols, 2)`` float array of ``[re, im]`` pairs of a
-    matrix, or of a stack of matrices."""
-    M = np.asarray(M, dtype=np.complex128)
-    return np.stack([M.real, M.imag], axis=-1)
+    matrix, or of a stack of matrices: a view of its complex array."""
+    return np.asarray(M, dtype=np.complex128)[..., None].view(np.float64)
 
 
 def series_to_json(s: MatrixSeries) -> dict:
@@ -121,7 +121,8 @@ def _integer(doc: dict, key: str, default=None) -> int:
 
 
 def _pairs_of_list(obj, cols: int | None) -> np.ndarray:
-    """The float array of pairs of a nested-list matrix."""
+    """The float array of pairs of a nested-list matrix: the one reading of
+    a matrix that arrives as lists."""
     if not isinstance(obj, list):
         raise ParseFailure(f"matrix must be a list of rows, got {type(obj).__name__}")
     # a stack where one matrix belongs fails the shape check as nested lists
@@ -141,8 +142,8 @@ def _pairs_of_list(obj, cols: int | None) -> np.ndarray:
 
 def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Decode a nested-array matrix, or the ``(rows, cols, 2)`` float array
-    of pairs that ``jsonpairs.PairsDecoder`` makes of one; ``[]`` takes ``cols`` from
-    context."""
+    of pairs that ``jsonpairs.PairsDecoder`` makes of a long one; ``[]``
+    takes ``cols`` from context."""
     if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 3 and obj.shape[2] == 2:
         pairs = np.ascontiguousarray(obj)
     else:

@@ -2,17 +2,16 @@
 
 A matrix is one ``(rows, cols, 2)`` float array of pairs, a stack of them (a
 series' or a parameter's ``"coeffs"``) one ``(k, rows, cols, 2)`` array.
-:func:`pairs_text` writes it as ``%.16e`` text; :class:`PairsDecoder` reads
-a document with each one whose entries are all floats as a float array, a
-long one by :func:`read_pairs`. Each direction is a vectorized pass over
-about a thousand pairs at a time, with no Python float per entry, on one
-exact table of powers of ten (:func:`_pow10_rows`) and one TwoProduct
-(:func:`_two_product`), and hands each value its double-double product
-does not prove to ``%.16e`` or ``float`` itself: every value keeps Python's
-text and ``json``'s bits. A short array, and one the reading pass cannot
-prove (integer entries, NaN, empty or ragged rows, whitespace other than
-one space after a comma), goes to the standard decoder, so what a file
-means, and every diagnostic, is the standard decoder's.
+:func:`pairs_text` writes every such array as ``%.16e`` text, an empty one
+from its shape alone. :class:`PairsDecoder` reads a document with each long
+array that :func:`read_pairs` proves as a float array, and every other
+value as the standard decoder gives it, so what a file means, and every
+diagnostic, is the standard decoder's. Each direction is a vectorized pass
+over about a thousand pairs at a time, with no Python float per entry, on
+one exact table of powers of ten (:func:`_pow10_rows`) and one TwoProduct
+(:func:`_two_product`), and hands each value its double-double product does
+not prove to ``%.16e`` or ``float`` itself: every value keeps Python's text
+and ``json``'s bits.
 """
 
 from __future__ import annotations
@@ -148,14 +147,25 @@ def _record(depth: int) -> tuple[int, bytes]:
 
 
 def pairs_text(pairs: np.ndarray):
-    """The JSON text of a nonempty ``(..., rows, cols, 2)`` array of finite
-    pairs, in pieces of at most ``_CHUNK_PAIRS`` pairs each.
+    """The JSON text of a ``(..., rows, cols, 2)`` array of finite pairs, in
+    pieces of at most ``_CHUNK_PAIRS`` pairs each.
 
     Each pair is laid out as a fixed-width NUL-padded record (see
     :func:`_record`), with its two floats written by
     :func:`_format_floats` and its openers and closers in their places;
-    dropping the NULs leaves the text."""
+    dropping the NULs leaves the text. An empty array is one piece, joined
+    level by level from its shape: a text too long to exist fails at once,
+    as a ``MemoryError``, and not after one piece per list."""
     shape = pairs.shape[:-1]
+    if not pairs.size:
+        text = "[]"
+        for k in reversed(shape[:shape.index(0)]):
+            try:
+                text = f"[{', '.join([text] * k)}]"
+            except MemoryError as exc:
+                raise MemoryError(f"Unable to allocate the text of {k} empty lists") from exc
+        yield text
+        return
     depth = len(shape)
     offset, template = _record(depth)
     slot = len(template) // 2
@@ -469,7 +479,7 @@ def read_pairs(s: str, start: int, end: int, depth: int):
 
 
 # ---------------------------------------------------------------------------
-# Reading documents: each matrix of floats arrives as a float array.
+# Reading documents: each long matrix of floats arrives as a float array.
 
 _C_DECODER = json.JSONDecoder()
 #: The opening of a matrix (three brackets) or of a stack of matrices
@@ -480,47 +490,26 @@ _OPENING = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[[ \t\n\r]*(\[[ \t\n\r]*)?[-0-9
 _MIN_CHARS = 20000
 
 
-def _float_pairs(obj) -> np.ndarray | None:
-    """The ``(rows, cols, 2)`` float array of a nonempty matrix whose entries
-    are all JSON floats, else None."""
-    pairs = np.array(obj, dtype=object)
-    if pairs.ndim == 3 and pairs.shape[2] == 2 and pairs.size and set(map(type, pairs.flat)) == {float}:
-        return pairs.astype(np.float64)
-    return None
-
-
-def _decode_pairs(s: str, start: int, depth: int):
-    """``(value, end)`` of the array of ``depth`` levels at ``s[start]``, in
-    which each matrix whose entries are all floats is a ``(rows, cols, 2)``
-    float array: read by :func:`read_pairs` if the array is long and the
-    pass proves it, else by the standard decoder."""
-    end = s.find("]" * depth, start) + depth       # the end of a regular array
-    if end - start >= _MIN_CHARS:
-        value = read_pairs(s, start, end, depth)
-        if value is not None:
-            return value, end
-    value, end = _C_DECODER.raw_decode(s, start)
-    if depth == 3:
-        floats = _float_pairs(value)
-        return (value if floats is None else floats), end
-    return [item if (floats := _float_pairs(item)) is None else floats for item in value], end
-
-
 def _parse_array(s_and_end, scan_once):
     """An array that is a value of an object (or the whole document): a
-    matrix or a stack of matrices by :func:`_decode_pairs`, any other
-    array as the standard decoder gives it."""
+    long matrix or stack of matrices that :func:`read_pairs` proves as its
+    float arrays, any other array as the standard decoder gives it."""
     s, end = s_and_end
-    opening = _OPENING.match(s, end - 1)
+    start = end - 1
+    opening = _OPENING.match(s, start)
     if opening:
-        return _decode_pairs(s, end - 1, 4 if opening.group(1) else 3)
-    return _C_DECODER.raw_decode(s, end - 1)
+        depth = 4 if opening.group(1) else 3
+        end = s.find("]" * depth, start) + depth       # the end of a regular array
+        value = read_pairs(s, start, end, depth) if end - start >= _MIN_CHARS else None
+        if value is not None:
+            return value, end
+    return _C_DECODER.raw_decode(s, start)
 
 
 class PairsDecoder(json.JSONDecoder):
-    """``json`` decoding in which each matrix, and each matrix of a stack,
-    whose entries are all floats arrives as a float array of pairs. A
-    document it cannot decode goes to the standard decoder, whose
+    """``json`` decoding in which each long matrix, and each matrix of a long
+    stack, that :func:`read_pairs` proves arrives as a float array of pairs.
+    A document it cannot decode goes to the standard decoder, whose
     diagnostic is reported."""
 
     def __init__(self, **kwargs):

@@ -25,8 +25,8 @@ Each ``H_V`` is a system too: closing the loop through a polynomial ``V``
 of degree ``m`` gives state size ``u + m dim G`` and coefficients to order
 ``N`` from one ``sysco.orbit`` (``lft_solution``): about ``2 log2 N`` stacked
 products by doubling when the squarings of the state operator cost fewer
-flops than the orbit, else ``N`` small products, as for every zero-size
-orbit; for constant ``V``, ``h_n = (w1 P_F + D*_Y V P_G)(Z + D*_U V P_G)^n``.
+flops than the orbit, else ``N`` small products; for constant ``V``,
+``h_n = (w1 P_F + D*_Y V P_G)(Z + D*_U V P_G)^n``.
 """
 
 from __future__ import annotations
@@ -229,9 +229,8 @@ def lft_solution(
     and ``bit_length(N) - 1`` squarings of ``A`` by doubling when
     ``bit_length(N) size³ < N y size²``, else one small product per order
     (each degree of ``V`` adds ``dim G`` to ``size``, which favours the
-    loop; a zero-size orbit always keeps it). The
-    loop is well posed for every parameter because ``Phi11`` vanishes at 0;
-    ``V = 0`` gives back the central solution.
+    loop). The loop is well posed for every parameter because ``Phi11``
+    vanishes at 0; ``V = 0`` gives back the central solution.
     """
     if (parameter.out_dim, parameter.in_dim) != (realization.defect_dim, realization.complement_dim):
         raise DimensionMismatch(

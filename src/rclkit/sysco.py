@@ -30,7 +30,7 @@ array that reshapes into ``G_W`` and, times ``B``, gives ``F``'s coefficients.
 To order ``N`` it doubles: about ``2 log2 N`` stacked products against powers
 ``A^(2^j)`` instead of ``N`` small ones, whenever those ``log2 N`` squarings of
 ``A`` cost fewer flops than the orbit (``bit_length(N) x³ < N w x²``); other
-orbits, every zero-size one among them, keep one small product per step.
+orbits keep one small product per step.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ def orbit(C: CMatrix, A: CMatrix, n: int) -> np.ndarray:
     ``P`` is squared between steps: ``bit_length(n)`` products of up to
     ``(n + 1) / 2 * rows`` rows and ``bit_length(n) - 1`` squarings of the
     ``cols``-square ``P``. That runs only when the squarings cost fewer flops
-    than the orbit itself, ``bit_length(n) cols³ < n rows cols²``; otherwise,
-    and so for every zero-size orbit, it is one small product per step.
+    than the orbit itself, ``bit_length(n) cols³ < n rows cols²``; otherwise
+    it is one small product per step. An empty orbit needs no product.
     """
     if n < 0:
         raise InvalidInput(f"order must be nonnegative, got {n}")
@@ -140,6 +140,8 @@ def orbit(C: CMatrix, A: CMatrix, n: int) -> np.ndarray:
         out = np.empty((n + 1, rows, cols), dtype=np.complex128)   # first: a hopeless order fails at once
     except ValueError as exc:   # past numpy's array-size limit, which no allocation reaches
         raise MemoryError(f"Unable to allocate {n + 1} orbit blocks of {rows}x{cols}: {exc}") from exc
+    if not out.size:
+        return out
     flat = out.reshape((n + 1) * rows, cols)   # a view of the fresh array, never a copy
     out[0] = C
     if n.bit_length() * cols**3 < n * rows * cols**2:
@@ -197,10 +199,15 @@ def gram_identity_audit(system: CoisometricSystem, blocks: int) -> float:
         raise InvalidInput(f"need at least one block, got {blocks}")
     A, B, C, D = system.A, system.B, system.C, system.D
     x, w = system.state_dim, system.out_dim
+    if not w:   # E is empty at every block count
+        return 0.0
     observ = orbit(C, A, max(blocks - 2, 0))[:blocks - 1]
     if not np.all(np.isfinite(observ)):
         raise InvalidInput("series has non-finite coefficients")
-    E = np.zeros((blocks * w, blocks * w), dtype=np.complex128)
+    try:
+        E = np.zeros((blocks * w, blocks * w), dtype=np.complex128)
+    except ValueError as exc:   # past numpy's array-size limit, reached first when the orbit is empty
+        raise MemoryError(f"Unable to allocate the {blocks * w}-square Gram deviation: {exc}") from exc
     E[:w, :w] = C @ adjoint(C) + D @ adjoint(D) - np.eye(w)
     E[w:, :w] = (observ @ (B @ adjoint(D) + A @ adjoint(C))).reshape((blocks - 1) * w, w)
     left = observ @ (A @ adjoint(A) + B @ adjoint(B) - np.eye(x))   # (W X)_i

@@ -55,6 +55,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(*argv) -> subprocess.CompletedProcess:
+    """``rclkit`` in a fresh interpreter, stopped after 10 s: a hang fails
+    the test instead of hanging it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "rclkit.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=10)
+
+
 def load_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -122,6 +130,11 @@ class TestMatrixCodec:
         m = np.zeros(shape, dtype=np.complex128)
         back = parse_matrix(json.loads(encode(matrix_to_json(m))), cols=shape[1])
         assert back.shape == shape
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(lambda shape: 0 in shape))
+    def test_empty_arrays_are_written_from_their_shape(self, shape):
+        shape = tuple(shape)
+        assert "".join(_dump_json(np.zeros(shape + (2,)))) == json.dumps(np.zeros(shape).tolist())
 
     def test_zero_row_stack_round_trip(self):
         s = MatrixSeries(np.zeros((3, 0, 3)))
@@ -493,12 +506,20 @@ class TestStackDecoding:
         path.write_text(text, encoding="utf-8")
         return _read_json(str(path), "test file"), path
 
-    def test_series_arrives_as_float_arrays(self, tmp_path):
+    @pytest.mark.parametrize("shape", [(5, 3, 4), (40, 8, 8)], ids=["short", "long"])
+    def test_series_arrives_as_float_arrays(self, tmp_path, shape):
+        # a long stack arrives as float arrays, a short one as the standard
+        # decoder's lists
         rng = np.random.default_rng(3)
-        s = MatrixSeries(list(rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))))
+        s = MatrixSeries(list(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
         text = encode(series_to_json(s))
+        long = len(text) >= jsonpairs._MIN_CHARS
+        assert long == (shape[0] == 40)
         doc, _ = self.read(tmp_path, text)
-        assert all(isinstance(c, np.ndarray) and c.shape == (3, 4, 2) for c in doc["coeffs"])
+        if long:
+            assert all(isinstance(c, np.ndarray) and c.shape == shape[1:] + (2,) for c in doc["coeffs"])
+        else:
+            assert doc == json.loads(text)
         got, want = parse_series(doc).coeffs, parse_series(json.loads(text)).coeffs
         assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
@@ -610,6 +631,34 @@ class TestResourceErrors:
         code, out, err = run(capsys, argv[0], path, *argv[1:], "--order", str(order))
         assert code == EXIT_INVALID and err == ""
         assert json.loads(out)["error"].startswith("MemoryError: Unable to allocate")
+
+    @pytest.mark.parametrize("argv", [("central", str(10**15)), ("central", str(2**62)), ("solve", str(10**15)),
+                                      ("audit", str(10**15))],
+                             ids=["central_1e15", "central_2^62", "solve_1e15", "audit_without_states_1e15"])
+    def test_empty_orbit_beyond_memory_is_a_json_error(self, tmp_path, argv):
+        # classical_cl.json has y = 0 and dim G = dim D* = 0: each orbit and
+        # report array is empty, and only the text of its empty lists, one
+        # per coefficient, cannot be held; with u = 0 the realization has no
+        # states, and its Gram deviation cannot be held
+        command, order = argv
+        param = tmp_path / "param.json"
+        param.write_text('{"coeffs": [[]]}')
+        extra = ("--param", str(param)) if command == "solve" else ()
+        path = CLASSICAL
+        if command == "audit":
+            path = tmp_path / "no_states.json"
+            path.write_text('{"omega": {"u_dim": 0, "y_dim": 2, "F_basis": [], "omega1": [[], []], "omega2": []}}')
+        proc = run_subprocess(command, str(path), "--order", order, *extra)
+        assert proc.returncode == EXIT_INVALID and proc.stderr == ""
+        (line,) = proc.stdout.splitlines()
+        payload = json.loads(line)
+        assert list(payload) == ["error"]
+        assert payload["error"].startswith("MemoryError: ") and payload["error"] != "MemoryError: "
+
+    def test_audit_of_a_system_without_outputs_takes_no_time(self):
+        proc = run_subprocess("audit", CLASSICAL, "--order", str(10**15))
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        assert json.loads(proc.stdout) == {"blocks": 10**15, "redheffer_deficiency": 0.0}
 
     def test_memory_error_while_encoding_is_a_json_error(self, capsys, monkeypatch):
         dump = cli._dump_json

@@ -154,7 +154,7 @@ class TestOrbit:
     # orbit doubles iff bit_length(n) cols < n rows: (2, 8) from n = 31 on,
     # (8, 64) at n = 128 only, (32, 64) at n = 7 and from n = 9 on; (8, 136),
     # the closed-loop shape of a polynomial parameter, never up to n = 128;
-    # the zero-size shapes and n = 0 never.
+    # n = 0 never. The zero-size shapes make no product at all.
     DOUBLING = {(2, 8): {31, 32, 33, 128}, (8, 64): {128}, (32, 64): {7, 9, 31, 32, 33, 128}}
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 31, 32, 33, 128])
@@ -166,7 +166,7 @@ class TestOrbit:
         monkeypatch.setattr(sysco, "np", counting)
         out = orbit(c, a, n)
         doubles = n in self.DOUBLING.get((rows, cols), ())
-        assert counting.calls == (n.bit_length() if doubles else n)
+        assert counting.calls == (0 if not rows * cols else n.bit_length() if doubles else n)
         assert out.shape == (n + 1, rows, cols) and out.dtype == np.complex128
         bound = 16 * (n + 1) * np.finfo(float).eps * max(1.0, spectral_norm(c))
         np.testing.assert_allclose(out, sequential_orbit(c, a, n), rtol=0, atol=bound)
