@@ -123,10 +123,9 @@ def _integer(doc: dict, key: str, default=None) -> int:
 def _pairs_of_list(obj, cols: int | None) -> np.ndarray:
     """The float array of pairs of a nested-list matrix: the one reading of
     a matrix that arrives as lists."""
+    obj = jsonpairs.as_lists(obj)    # a decoded stack where one matrix belongs fails as nested lists
     if not isinstance(obj, list):
         raise ParseFailure(f"matrix must be a list of rows, got {type(obj).__name__}")
-    # a stack where one matrix belongs fails the shape check as nested lists
-    obj = [item.tolist() if isinstance(item, np.ndarray) else item for item in obj]
     pairs = np.array(obj, dtype=object)
     if not obj:
         pairs = pairs.reshape(0, cols or 0, 2)
@@ -142,12 +141,10 @@ def _pairs_of_list(obj, cols: int | None) -> np.ndarray:
 
 def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Decode a nested-array matrix, or the ``(rows, cols, 2)`` float array
-    of pairs that ``jsonpairs.PairsDecoder`` makes of a long one; ``[]``
-    takes ``cols`` from context."""
-    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 3 and obj.shape[2] == 2:
-        pairs = np.ascontiguousarray(obj)
-    else:
-        pairs = _pairs_of_list(obj, cols)
+    of pairs that ``jsonpairs.PairsDecoder`` makes of a long one, or one
+    matrix of the array it makes of a long stack; ``[]`` takes ``cols``
+    from context."""
+    pairs = obj if isinstance(obj, np.ndarray) and obj.ndim == 3 else _pairs_of_list(obj, cols)
     if not np.all(np.isfinite(pairs)):
         raise ParseFailure("matrix has non-finite entries")
     out = pairs.view(np.complex128)[..., 0]
@@ -158,14 +155,16 @@ def parse_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.nd
     return out
 
 
-def _coefficients(doc) -> list | None:
+def _coefficients(doc) -> list | np.ndarray | None:
     """``doc["coeffs"]`` if ``doc`` is an object whose ``"coeffs"`` is a
-    list, else None. A matrix there, which the decoder may give as a float
-    array, is the list of its rows, as the standard decoder gives it."""
+    list, else None. A long stack there arrives as one float array, whose
+    items are its matrices' arrays; a long lone matrix, which the decoder
+    also gives as a float array, is the list of its rows, as the standard
+    decoder gives it."""
     coeffs = doc.get("coeffs") if isinstance(doc, dict) else None
-    if isinstance(coeffs, np.ndarray):
+    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 3:
         coeffs = coeffs.tolist()
-    return coeffs if isinstance(coeffs, list) else None
+    return coeffs if isinstance(coeffs, (list, np.ndarray)) else None
 
 
 def parse_series(obj) -> MatrixSeries:
@@ -304,7 +303,7 @@ def _load_parameter(path: str, tol: Tolerances) -> redheffer.SchurParameter:
     coeffs = _coefficients(_read_json(path, "parameter file"))
     if coeffs is None:
         raise ParseFailure("parameter file must be an object with a 'coeffs' list")
-    if not coeffs:
+    if not len(coeffs):
         raise ParseFailure("parameter file needs at least one coefficient")
     head = parse_matrix(coeffs[0])
     rows, cols = head.shape
@@ -348,27 +347,28 @@ def cmd_verify(pf: ProblemFile, args) -> tuple[int, dict]:
     return (EXIT_OK if ok else EXIT_INVALID), payload
 
 
+def _gram_audit(system: sysco.CoisometricSystem, blocks: int) -> tuple[float, bool]:
+    """The deviation of ``system``'s stacked Gram identity on ``blocks``
+    blocks, and whether it is within the system's ``identity_tol``."""
+    try:
+        return sysco.gram_identity_audit(system, blocks), True
+    except AuditFailure as exc:
+        return exc.deviation, False
+
+
 def cmd_audit(pf: ProblemFile, args) -> tuple[int, dict]:
     realization = redheffer.realize(pf.problem())
     payload: dict = {"blocks": args.order}
-    code = EXIT_OK
-    try:
-        payload["redheffer_deficiency"] = sysco.gram_identity_audit(realization, args.order)
-    except AuditFailure as exc:
-        payload["redheffer_deficiency"] = exc.deviation
-        code = EXIT_INVALID
+    payload["redheffer_deficiency"], ok = _gram_audit(realization, args.order)
     if args.system is not None:
         doc = _read_json(args.system, "system file")
         if not isinstance(doc, dict) or not {"A", "B", "C", "D"} <= set(doc):
             raise ParseFailure("system file must carry matrices A, B, C, D")
         blocks = (parse_matrix(doc[key]) for key in "ABCD")
         system = sysco.CoisometricSystem(*blocks, validate=False, tol=realization.tol)
-        try:
-            payload["st_identity"] = sysco.gram_identity_audit(system, args.order)
-        except AuditFailure as exc:
-            payload["st_identity"] = exc.deviation
-            code = EXIT_INVALID
-    return code, payload
+        payload["st_identity"], system_ok = _gram_audit(system, args.order)
+        ok = ok and system_ok
+    return (EXIT_OK if ok else EXIT_INVALID), payload
 
 
 @functools.cache

@@ -445,8 +445,9 @@ def _round(sig: np.ndarray, q: np.ndarray, fast: np.ndarray, negative: np.ndarra
 def read_pairs(s: str, start: int, end: int, depth: int):
     """The array of ``depth`` levels (3 or 4) at ``s[start:end]`` read by
     :func:`_scan_piece`, piece by piece: a ``(rows, cols, 2)`` float array
-    (``depth`` 3) or a list of them (``depth`` 4), or None if the pass
-    cannot prove it. Its shape is taken from its first row and matrix, and
+    (``depth`` 3) or, for a stack, one ``(k, rows, cols, 2)`` array, as
+    :func:`pairs_text` writes it (``depth`` 4); or None if the pass cannot
+    prove it. Its shape is taken from its first row and matrix, and
     every comma must then close the lists that shape closes there."""
     count = s.count(",", start, end) + 1
     first_row = s.count(",", start, s.find("]]", start, end)) + 1
@@ -474,8 +475,7 @@ def read_pairs(s: str, start: int, end: int, depth: int):
         pos, first = pos + piece[1], False
     if n != count:
         return None
-    values = values.reshape([outer // inner for outer, inner in zip(shape, shape[1:])] + [2])
-    return list(values) if depth == 4 else values
+    return values.reshape([outer // inner for outer, inner in zip(shape, shape[1:])] + [2])
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +493,7 @@ _MIN_CHARS = 20000
 def _parse_array(s_and_end, scan_once):
     """An array that is a value of an object (or the whole document): a
     long matrix or stack of matrices that :func:`read_pairs` proves as its
-    float arrays, any other array as the standard decoder gives it."""
+    float array, any other array as the standard decoder gives it."""
     s, end = s_and_end
     start = end - 1
     opening = _OPENING.match(s, start)
@@ -507,10 +507,12 @@ def _parse_array(s_and_end, scan_once):
 
 
 class PairsDecoder(json.JSONDecoder):
-    """``json`` decoding in which each long matrix, and each matrix of a long
-    stack, that :func:`read_pairs` proves arrives as a float array of pairs.
-    A document it cannot decode goes to the standard decoder, whose
-    diagnostic is reported."""
+    """``json`` decoding in which each long matrix, and each long stack of
+    matrices, that :func:`read_pairs` proves arrives as one float array of
+    pairs, ``(rows, cols, 2)`` or ``(k, rows, cols, 2)``. Such an array is
+    only ever the value of an object key (or the whole document): an array
+    inside an array is the standard decoder's. A document it cannot decode
+    goes to the standard decoder, whose diagnostic is reported."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -525,12 +527,11 @@ class PairsDecoder(json.JSONDecoder):
 
 
 def as_lists(obj):
-    """``obj`` with every matrix decoded to a float array back as nested
-    lists, as the standard decoder gives it."""
+    """``obj`` with every matrix or stack decoded to a float array back as
+    nested lists, as the standard decoder gives it; no decoded list holds
+    such an array."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, list):
-        return [as_lists(item) for item in obj]
     if isinstance(obj, dict):
         return {key: as_lists(value) for key, value in obj.items()}
     return obj

@@ -23,9 +23,7 @@ its row-Gram audit (a finite exact sum, so roundoff at every block count)
 are that system's.
 Each ``H_V`` is a system too: closing the loop through a polynomial ``V``
 of degree ``m`` gives state size ``u + m dim G`` and coefficients to order
-``N`` from one ``sysco.orbit`` (``lft_solution``): about ``2 log2 N`` stacked
-products by doubling when the squarings of the state operator cost fewer
-flops than the orbit, else ``N`` small products; for constant ``V``,
+``N`` from one ``sysco.orbit`` (``lft_solution``); for constant ``V``,
 ``h_n = (w1 P_F + D*_Y V P_G)(Z + D*_U V P_G)^n``.
 """
 
@@ -225,11 +223,9 @@ def lft_solution(
 
     (the identity blocks shift the ``g`` register down). The rows of
     ``C A^n`` are ``sysco.orbit``, as for ``interp.central_taylor``, with no
-    series product and no series inverse: ``bit_length(N)`` stacked products
-    and ``bit_length(N) - 1`` squarings of ``A`` by doubling when
-    ``bit_length(N) size³ < N y size²``, else one small product per order
-    (each degree of ``V`` adds ``dim G`` to ``size``, which favours the
-    loop). The loop is well posed for every parameter because ``Phi11``
+    series product and no series inverse (each degree of ``V`` adds
+    ``dim G`` to the state size, which favours ``orbit``'s loop over its
+    doubling). The loop is well posed for every parameter because ``Phi11``
     vanishes at 0; ``V = 0`` gives back the central solution.
     """
     if (parameter.out_dim, parameter.in_dim) != (realization.defect_dim, realization.complement_dim):

@@ -135,7 +135,7 @@ def inv(a: MatrixSeries, order: int) -> MatrixSeries:
     cond = float(svals[0] / svals[-1])
     try:
         a0_inv = np.linalg.inv(a0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - svd check fires first
+    except np.linalg.LinAlgError as exc:
         raise NotInvertible(f"constant term is singular (condition number {cond:.3e})") from exc
     out = np.empty((order + 1, d, d), dtype=np.complex128)
     out[0] = a0_inv

@@ -27,10 +27,7 @@ reference.
 This is the library's one system type: the Redheffer realization of the
 solution family is a subclass, and ``orbit`` is its one ``C A^n`` recursion: one
 array that reshapes into ``G_W`` and, times ``B``, gives ``F``'s coefficients.
-To order ``N`` it doubles: about ``2 log2 N`` stacked products against powers
-``A^(2^j)`` instead of ``N`` small ones, whenever those ``log2 N`` squarings of
-``A`` cost fewer flops than the orbit (``bit_length(N) x³ < N w x²``); other
-orbits keep one small product per step.
+``orbit``'s docstring states when it doubles.
 """
 
 from __future__ import annotations
@@ -187,7 +184,10 @@ def gram_identity_audit(system: CoisometricSystem, blocks: int) -> float:
     the deviation.
 
     Every entry is a finite exact sum, so the deviation is pure roundoff
-    for a genuine co-isometric system.
+    for a genuine co-isometric system. A system with no states or no
+    outputs has an empty orbit, so ``E`` is ``E_00`` repeated down its
+    diagonal: it is audited on one block, whatever ``blocks`` is, and its
+    messages name ``blocks``.
 
     Raises:
         InvalidInput: for ``blocks < 1``, or when ``C A^i`` or ``E`` overflows.
@@ -199,20 +199,19 @@ def gram_identity_audit(system: CoisometricSystem, blocks: int) -> float:
         raise InvalidInput(f"need at least one block, got {blocks}")
     A, B, C, D = system.A, system.B, system.C, system.D
     x, w = system.state_dim, system.out_dim
-    if not w:   # E is empty at every block count
-        return 0.0
-    observ = orbit(C, A, max(blocks - 2, 0))[:blocks - 1]
+    b = blocks if x and w else 1    # with an empty orbit, E is E_00 down its diagonal
+    observ = orbit(C, A, max(b - 2, 0))[:b - 1]
     if not np.all(np.isfinite(observ)):
         raise InvalidInput("series has non-finite coefficients")
     try:
-        E = np.zeros((blocks * w, blocks * w), dtype=np.complex128)
-    except ValueError as exc:   # past numpy's array-size limit, reached first when the orbit is empty
-        raise MemoryError(f"Unable to allocate the {blocks * w}-square Gram deviation: {exc}") from exc
+        E = np.zeros((b * w, b * w), dtype=np.complex128)
+    except ValueError as exc:   # past numpy's array-size limit
+        raise MemoryError(f"Unable to allocate the {b * w}-square Gram deviation: {exc}") from exc
     E[:w, :w] = C @ adjoint(C) + D @ adjoint(D) - np.eye(w)
-    E[w:, :w] = (observ @ (B @ adjoint(D) + A @ adjoint(C))).reshape((blocks - 1) * w, w)
+    E[w:, :w] = (observ @ (B @ adjoint(D) + A @ adjoint(C))).reshape((b - 1) * w, w)
     left = observ @ (A @ adjoint(A) + B @ adjoint(B) - np.eye(x))   # (W X)_i
-    right = adjoint(observ.reshape((blocks - 1) * w, x))            # [W_0* ... W_(b-2)*]
-    for r in range(1, blocks):
+    right = adjoint(observ.reshape((b - 1) * w, x))                 # [W_0* ... W_(b-2)*]
+    for r in range(1, b):
         lo, hi = r * w, (r + 1) * w
         row = E[lo:hi, w:hi]
         np.matmul(left[r - 1], right[:, :lo], out=row)

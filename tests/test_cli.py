@@ -29,7 +29,9 @@ from rclkit.cli import (
     EXIT_OK,
     EXIT_PARSE,
     ParseFailure,
+    _coefficients,
     _dump_json,
+    _parse_tolerances,
     _read_json,
     build_parser,
     load_problem_file,
@@ -92,6 +94,7 @@ MALFORMED = {
     "empty_pair": _bad_entry([]),
     "ragged_rows": lambda m: [m[0], m[1][:-1]] + m[2:],
     "non_list_row": lambda m: [m[0], 1.0] + m[2:],
+    "not_a_list": lambda m: 5,
     "one_level_too_deep": lambda m: [[[e] for e in row] for row in m],
     "integer_beyond_float_range": _bad_entry([10**400, 0]),
     "nan": _bad_entry([float("nan"), 0.0]),
@@ -470,6 +473,17 @@ class TestParseErrors:
         code, out, err = run(capsys, "omega", str(path))
         assert (code, out, err) == (EXIT_PARSE, "", "rclkit: omega form must be an object\n")
 
+    def test_series_coefficient_count_must_match_its_order(self, capsys, tmp_path):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"order": 2, "out_dim": 1, "in_dim": 1, "coeffs": [json_matrix(np.eye(1))] * 2}))
+        code, out, err = run(capsys, "verify", SHIFT6, "--solution", str(path))
+        assert (code, out, err) == (EXIT_PARSE, "", "rclkit: series coefficient count does not match its order\n")
+
+
+#: A matrix and a stack of matrices as the CLI writes them, each long
+#: enough for the decoder to read it as one float array.
+LONG_MATRIX, LONG_STACK = (encode(matrix_to_json(np.random.default_rng(5).standard_normal(shape) + 0.5j))
+                           for shape in [(30, 16), (3, 10, 16)])
 
 #: Documents whose stacks of matrices take every branch of the decoder.
 STACK_DOCUMENTS = {
@@ -483,6 +497,9 @@ STACK_DOCUMENTS = {
     "nan_entry": '{"coeffs": [[[[NaN, 0.0]]]]}',
     "root_stack": '[[[[1.0, 2.0], [3.0, 4.0]]], [[[5.0, 6.0], [7.0, 8.0]]]]',
     "mixed_list": '{"v": [1.0, [2.0, [3.0]], "s", null, true]}',
+    # the closing brackets end the long matrix where its text says, but the
+    # pass refuses the piece whose opening is not three brackets
+    "space_in_long_opening": f'{{"A": [ {LONG_MATRIX[1:]}}}',
 }
 
 #: Malformed documents with a stack of matrices in them.
@@ -497,8 +514,8 @@ BROKEN_STACKS = {
 
 
 class TestStackDecoding:
-    """A stack of matrices decodes one matrix at a time into float arrays,
-    while the document means what the standard decoder makes of it."""
+    """A long stack of matrices decodes into one float array, while the
+    document means what the standard decoder makes of it."""
 
     @staticmethod
     def read(tmp_path, text):
@@ -506,10 +523,24 @@ class TestStackDecoding:
         path.write_text(text, encoding="utf-8")
         return _read_json(str(path), "test file"), path
 
+    @staticmethod
+    def failures(tmp_path, text, read):
+        """The messages of the ``ParseFailure`` that ``read`` raises on the
+        document ``text``, as the CLI decodes it, with a float array among
+        its values, and as the standard decoder does."""
+        doc, _ = TestStackDecoding.read(tmp_path, text)
+        assert any(isinstance(value, np.ndarray) for value in doc.values())
+        messages = []
+        for reading in (doc, json.loads(text)):
+            with pytest.raises(ParseFailure) as failure:
+                read(reading)
+            messages.append(str(failure.value))
+        return messages
+
     @pytest.mark.parametrize("shape", [(5, 3, 4), (40, 8, 8)], ids=["short", "long"])
     def test_series_arrives_as_float_arrays(self, tmp_path, shape):
-        # a long stack arrives as float arrays, a short one as the standard
-        # decoder's lists
+        # a long stack arrives as one float array, a short one as the
+        # standard decoder's lists
         rng = np.random.default_rng(3)
         s = MatrixSeries(list(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
         text = encode(series_to_json(s))
@@ -517,7 +548,7 @@ class TestStackDecoding:
         assert long == (shape[0] == 40)
         doc, _ = self.read(tmp_path, text)
         if long:
-            assert all(isinstance(c, np.ndarray) and c.shape == shape[1:] + (2,) for c in doc["coeffs"])
+            assert isinstance(doc["coeffs"], np.ndarray) and doc["coeffs"].shape == shape + (2,)
         else:
             assert doc == json.loads(text)
         got, want = parse_series(doc).coeffs, parse_series(json.loads(text)).coeffs
@@ -548,6 +579,29 @@ class TestStackDecoding:
         with pytest.raises(ParseFailure) as standard:
             parse_matrix(json.loads(text)["A"])
         assert str(fast.value) == str(standard.value)
+
+    def test_long_stack_in_place_of_a_matrix_fails_as_nested_lists(self, tmp_path):
+        fast, standard = self.failures(tmp_path, f'{{"A": {LONG_STACK}}}', lambda doc: parse_matrix(doc["A"]))
+        assert fast == standard == "matrix must be a list of equal-length rows of [re, im] number pairs"
+
+    def test_long_matrix_in_the_coeffs_slot_is_the_list_of_its_rows(self, tmp_path):
+        text = f'{{"order": 29, "out_dim": 1, "in_dim": 16, "coeffs": {LONG_MATRIX}}}'
+        doc, _ = self.read(tmp_path, text)
+        assert _coefficients(doc) == _coefficients(json.loads(text))
+        fast, standard = self.failures(tmp_path, text, parse_series)
+        assert fast == standard == "matrix must be a list of equal-length rows of [re, im] number pairs"
+
+    @pytest.mark.parametrize("slot", ["integer", "tolerance"])
+    def test_long_matrix_in_a_scalar_slot_is_reported_as_nested_lists(self, tmp_path, monkeypatch, slot):
+        monkeypatch.delenv("RCLKIT_TOL", raising=False)
+        if slot == "integer":
+            text = f'{{"order": {LONG_MATRIX}, "out_dim": 1, "in_dim": 1, "coeffs": [[[[1.0, 0.0]]]]}}'
+            fast, standard = self.failures(tmp_path, text, parse_series)
+            prefix = "order must be an integer, got [["
+        else:
+            fast, standard = self.failures(tmp_path, f'{{"rank_tol": {LONG_MATRIX}}}', _parse_tolerances)
+            prefix = "tolerance rank_tol must be a nonnegative finite real, got [["
+        assert fast == standard and fast.startswith(prefix)
 
     def test_series_never_holds_an_object_per_entry(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -632,23 +686,17 @@ class TestResourceErrors:
         assert code == EXIT_INVALID and err == ""
         assert json.loads(out)["error"].startswith("MemoryError: Unable to allocate")
 
-    @pytest.mark.parametrize("argv", [("central", str(10**15)), ("central", str(2**62)), ("solve", str(10**15)),
-                                      ("audit", str(10**15))],
-                             ids=["central_1e15", "central_2^62", "solve_1e15", "audit_without_states_1e15"])
+    @pytest.mark.parametrize("argv", [("central", str(10**15)), ("central", str(2**62)), ("solve", str(10**15))],
+                             ids=["central_1e15", "central_2^62", "solve_1e15"])
     def test_empty_orbit_beyond_memory_is_a_json_error(self, tmp_path, argv):
         # classical_cl.json has y = 0 and dim G = dim D* = 0: each orbit and
         # report array is empty, and only the text of its empty lists, one
-        # per coefficient, cannot be held; with u = 0 the realization has no
-        # states, and its Gram deviation cannot be held
+        # per coefficient, cannot be held
         command, order = argv
         param = tmp_path / "param.json"
         param.write_text('{"coeffs": [[]]}')
         extra = ("--param", str(param)) if command == "solve" else ()
-        path = CLASSICAL
-        if command == "audit":
-            path = tmp_path / "no_states.json"
-            path.write_text('{"omega": {"u_dim": 0, "y_dim": 2, "F_basis": [], "omega1": [[], []], "omega2": []}}')
-        proc = run_subprocess(command, str(path), "--order", order, *extra)
+        proc = run_subprocess(command, CLASSICAL, "--order", order, *extra)
         assert proc.returncode == EXIT_INVALID and proc.stderr == ""
         (line,) = proc.stdout.splitlines()
         payload = json.loads(line)
@@ -659,6 +707,16 @@ class TestResourceErrors:
         proc = run_subprocess("audit", CLASSICAL, "--order", str(10**15))
         assert proc.returncode == EXIT_OK and proc.stderr == ""
         assert json.loads(proc.stdout) == {"blocks": 10**15, "redheffer_deficiency": 0.0}
+
+    @pytest.mark.parametrize("order", [2000, 10**15], ids=["2000", "1e15"])
+    def test_audit_of_a_system_without_states_takes_no_time(self, tmp_path, order):
+        # with u = 0 the realization has no states: its Gram deviation is
+        # E_00 down the diagonal, here 0, and one block decides it
+        path = tmp_path / "no_states.json"
+        path.write_text('{"omega": {"u_dim": 0, "y_dim": 2, "F_basis": [], "omega1": [[], []], "omega2": []}}')
+        proc = run_subprocess("audit", str(path), "--order", str(order))
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        assert json.loads(proc.stdout) == {"blocks": order, "redheffer_deficiency": 0.0}
 
     def test_memory_error_while_encoding_is_a_json_error(self, capsys, monkeypatch):
         dump = cli._dump_json

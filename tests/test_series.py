@@ -44,6 +44,16 @@ def test_inv_requires_invertible_constant_term():
         inv(scalar_series(0.0, 1.0), 3)
 
 
+def test_inv_reports_a_singular_term_with_a_nonzero_singular_value():
+    # the SVD leaves roundoff for the zero singular value of [[1, 2], [2,
+    # 4]], so only the factorization finds it singular, and the error gives
+    # a finite condition number
+    a = MatrixSeries(np.array([[[1.0, 2.0], [2.0, 4.0]]]))
+    assert np.linalg.svd(a.coeffs[0], compute_uv=False)[-1] > 0
+    with pytest.raises(NotInvertible, match=r"^constant term is singular \(condition number \d\.\d{3}e\+1[5-7]\)$"):
+        inv(a, 3)
+
+
 def test_mul_truncates_at_requested_order():
     a = scalar_series(1.0, 1.0, 1.0)
     assert mul(a, a, 1).order == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import haar_isometry, random_coisometric_system, random_contraction, sequential_orbit
-from rclkit import sysco
+from rclkit import dataset, redheffer, sysco
 from rclkit.errors import AuditFailure, InvalidInput
 from rclkit.opcore import DEFAULT_TOL, coisometry_deficiency, spectral_norm
 from rclkit.sysco import (
@@ -310,3 +310,35 @@ def test_overflow_is_invalid_input(scale, message):
     # turns any numpy RuntimeWarning into a failure here
     with pytest.raises(InvalidInput, match=message):
         gram_identity_audit(s, 40)
+
+
+def isometric_a_realization():
+    """The realization of the data set ``A = I_2``, ``T' = I_2 / 2``,
+    ``R = Q = 0``: ``A`` is an isometry, so the realization has no states."""
+    data = dataset.DataSet(np.eye(2), 0.5 * np.eye(2), np.zeros((2, 1)), np.zeros((2, 1)))
+    return redheffer.realize(dataset.underlying_contraction(data))
+
+
+def stateless_system(rng):
+    """An unchecked system with no states, 1 to 4 outputs and a random ``D``."""
+    w = int(rng.integers(1, 5))
+    D = random_contraction(rng, w, int(rng.integers(0, 6)), norm=float(rng.uniform(0.5, 1.5)))
+    return CoisometricSystem(np.zeros((0, 0)), np.zeros((0, D.shape[1])), np.zeros((w, 0)), D, validate=False)
+
+
+@pytest.mark.parametrize("source", [*range(8), "isometric_A"])
+def test_audit_without_states_is_the_audit_of_one_block(source):
+    # an empty orbit leaves E_00 down the diagonal of E at every block count
+    if source == "isometric_A":
+        system = isometric_a_realization()
+    else:
+        system = stateless_system(np.random.default_rng(90 + source))
+    assert system.state_dim == 0
+    for blocks in (2, 50, 10**6):
+        assert audited_deviation(system, blocks) == audited_deviation(system, 1)
+
+
+def test_failure_without_states_names_the_requested_blocks():
+    s = CoisometricSystem(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), np.array([[2.0]]), validate=False)
+    with pytest.raises(AuditFailure, match=r"^stacked Gram identity deviates by 3\.000e\+00 on 1000000 blocks$"):
+        gram_identity_audit(s, 10**6)
